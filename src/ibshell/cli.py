@@ -54,10 +54,10 @@ def _cmd_run(args) -> int:
         io.write_snapshot(path, sim.X, sim.u, sim.p, sim.t, cfg.dt, params)
         written.append(path)
 
-    for k in range(1, steps + 1):
-        sim.step()
-        if cadence > 0 and k % cadence == 0:
-            snap(f"{k:06d}")
+    for k in range(cadence, steps + 1, cadence) if cadence > 0 else ():
+        sim.run(k - sim.shell.step_count)
+        snap(f"{k:06d}")
+    sim.run(steps - sim.shell.step_count)
     snap("final")
     drift = np.abs(sim.X - sim.grid.X0).max()
     print(f"ran {steps} steps to t = {sim.t:.6e} s on N = {cfg.N}; "
@@ -77,7 +77,7 @@ def _cmd_study(args) -> int:
     if args.dt:
         dt_list = _parse_ladder(args.dt, float)
     else:
-        dt_list = tuple(3.2e-7 / N for N in N_list)
+        dt_list = tuple(harness.STUDY_DT_SCALE / N for N in N_list)
     study = harness.run_convergence_study(
         base, N_list=N_list, dt_list=dt_list, out_dir=args.out,
         progress=lambda rec: print(
@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--config", help="flat key=value config file")
     study.add_argument("--out", default="study_out", help="CSV directory")
     study.add_argument("--n", help="comma-separated N ladder (default 16,32,64)")
-    study.add_argument("--dt", help="comma-separated dt ladder (default 3.2e-7/N)")
+    study.add_argument("--dt", help="comma-separated dt ladder "
+                       f"(default {harness.STUDY_DT_SCALE:g}/N)")
     study.add_argument("--norm", choices=["1", "2", "inf"],
                        help="print only this norm's rates")
     study.set_defaults(func=_cmd_study)

@@ -21,9 +21,6 @@ import numpy as np
 
 from .fluid import FluidParams
 
-#: kernel support radius in mesh widths
-SUPPORT_RADIUS = 2.0
-
 
 def phi(r):
     """1D kernel weight; vectorized over any array shape."""
@@ -38,19 +35,27 @@ def phi(r):
     return out if out.ndim else float(out)
 
 
-def _kernel_weights(X, params: FluidParams):
-    """Lattice indices and tensor-product weights of the 4^3 neighborhoods.
+def _kernel_stencil(X, params: FluidParams):
+    """Flat lattice indices and weights of each node's 4^3 neighborhood.
 
-    X : (M, 3) positions (wrapped periodically). Returns (idx, w) with
-    idx[m, d, :] the 4 wrapped lattice indices along axis d and w[m, d, :]
-    the matching phi weights.
+    X : (M, 3) positions (wrapped periodically). Returns (flat, w3), both
+    (M, 64): flat[m] indexes the raveled N^3 lattice and w3[m] holds the
+    matching tensor-product phi weights.
     """
     N, h = params.N, params.h
     s = np.asarray(X, dtype=float) / h
     base = np.floor(s).astype(np.int64) - 1
     offs = base[:, :, None] + np.arange(4)[None, None, :]
     w = phi(s[:, :, None] - offs)
-    return offs % N, w
+    idx = offs % N
+    w3 = (
+        w[:, 0, :, None, None] * w[:, 1, None, :, None] * w[:, 2, None, None, :]
+    ).reshape(-1, 64)
+    flat = (
+        (idx[:, 0, :, None, None] * N + idx[:, 1, None, :, None]) * N
+        + idx[:, 2, None, None, :]
+    ).reshape(-1, 64)
+    return flat, w3
 
 
 def spread_force(f, X, dq, params: FluidParams):
@@ -69,14 +74,7 @@ def spread_force(f, X, dq, params: FluidParams):
         raise ValueError("non-finite shell position in spread_force")
     ff = np.asarray(f, dtype=float).reshape(-1, 3)
     coef = np.asarray(dq, dtype=float).reshape(-1) / h**3
-    idx, w = _kernel_weights(Xf, params)
-    w3 = (
-        w[:, 0, :, None, None] * w[:, 1, None, :, None] * w[:, 2, None, None, :]
-    ).reshape(-1, 64)
-    flat = (
-        (idx[:, 0, :, None, None] * N + idx[:, 1, None, :, None]) * N
-        + idx[:, 2, None, None, :]
-    ).reshape(-1, 64)
+    flat, w3 = _kernel_stencil(Xf, params)
     F = np.empty((3, N, N, N))
     for c in range(3):
         F[c] = np.bincount(
@@ -93,17 +91,9 @@ def interpolate_velocity(u, X, params: FluidParams):
     h^-3, leaving a weighted average with weights summing to one. Returns an
     array shaped like X.
     """
-    N = params.N
     Xs = np.asarray(X, dtype=float)
     Xf = Xs.reshape(-1, 3)
-    idx, w = _kernel_weights(Xf, params)
-    w3 = (
-        w[:, 0, :, None, None] * w[:, 1, None, :, None] * w[:, 2, None, None, :]
-    ).reshape(-1, 64)
-    flat = (
-        (idx[:, 0, :, None, None] * N + idx[:, 1, None, :, None]) * N
-        + idx[:, 2, None, None, :]
-    ).reshape(-1, 64)
+    flat, w3 = _kernel_stencil(Xf, params)
     uf = np.asarray(u, dtype=float).reshape(3, -1)
     U = np.einsum("cmk,mk->mc", uf[:, flat], w3)
     return U.reshape(Xs.shape)

@@ -16,13 +16,10 @@ zero there and u_hat = r_hat / a(k).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-
-_KINDS = ("D+", "D-", "D0")
 
 
 @dataclass(frozen=True)
@@ -54,35 +51,6 @@ class FluidParams:
         return self.a / self.N
 
 
-@dataclass
-class FluidState:
-    """Velocity (3, N, N, N) and pressure (N, N, N) on the periodic lattice."""
-
-    u: np.ndarray
-    p: np.ndarray
-
-    @classmethod
-    def zeros(cls, N: int) -> "FluidState":
-        return cls(u=np.zeros((3, N, N, N)), p=np.zeros((N, N, N)))
-
-
-def periodic_diff(field, kind: str, axis: int, h: float):
-    """Wraparound difference D+, D- or D0 along spatial axis 0, 1 or 2.
-
-    `field` may carry leading component axes; the last three axes are the
-    lattice.
-    """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    f = np.asarray(field, dtype=float)
-    ax = f.ndim - 3 + axis
-    if kind == "D+":
-        return (np.roll(f, -1, axis=ax) - f) / h
-    if kind == "D-":
-        return (f - np.roll(f, 1, axis=ax)) / h
-    return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * h)
-
-
 def upwind_advection(u, h: float):
     """sum_k u_k D_k^{+-} u with the branch chosen per node by sign(u_k).
 
@@ -112,9 +80,8 @@ def divergence(u, h: float):
 class FluidSolver:
     """Precomputed Fourier symbols for repeated steps at fixed parameters."""
 
-    def __init__(self, params: FluidParams, workers: int | None = None):
+    def __init__(self, params: FluidParams):
         self.params = params
-        self.workers = workers
         N, h = params.N, params.h
         k = np.arange(N)
         s = np.sin(2.0 * np.pi * k / N)
@@ -149,7 +116,7 @@ class FluidSolver:
             r = r - prm.rho * upwind_advection(u, h)
         if F is not None:
             r = r + F
-        rhat = scipy.fft.rfftn(r, axes=(1, 2, 3), workers=self.workers)
+        rhat = scipy.fft.rfftn(r, axes=(1, 2, 3))
         # p_hat = (conj(g_hat) . r_hat) / |g_hat|^2, zero on the null modes
         num = (-1j / h) * (
             self._s[0] * rhat[0] + self._s[1] * rhat[1] + self._s[2] * rhat[2]
@@ -159,31 +126,7 @@ class FluidSolver:
         for i in range(3):
             uhat[i] = (rhat[i] - (1j / h) * self._s[i] * phat) / self.a_k
         shape = (prm.N,) * 3
-        u_new = scipy.fft.irfftn(uhat, s=shape, axes=(1, 2, 3), workers=self.workers)
-        p_new = scipy.fft.irfftn(phat, s=shape, workers=self.workers)
+        u_new = scipy.fft.irfftn(uhat, s=shape, axes=(1, 2, 3))
+        p_new = scipy.fft.irfftn(phat, s=shape)
         return u_new, p_new
 
-
-def fluid_step(
-    state: FluidState,
-    F,
-    params: FluidParams,
-    solver: FluidSolver | None = None,
-    include_advection: bool = True,
-) -> FluidState:
-    """One-shot step; builds a throwaway solver unless one is supplied.
-
-    Warns when the incoming velocity is not discretely divergence-free.
-    """
-    u = np.asarray(state.u, dtype=float)
-    if not np.isfinite(u).all() or (F is not None and not np.isfinite(F).all()):
-        raise ValueError("non-finite input to fluid_step")
-    div = np.abs(divergence(u, params.h)).max()
-    if div > 1e-8 * (1.0 + np.abs(u).max() / params.h):
-        warnings.warn(
-            f"incoming velocity is not divergence-free: max |D0.u| = {div:.3e}",
-            stacklevel=2,
-        )
-    solver = solver or FluidSolver(params)
-    u_new, p_new = solver.step(u, F, include_advection=include_advection)
-    return FluidState(u=u_new, p=p_new)

@@ -133,43 +133,14 @@ def _diff_stack(values, grid: SurfaceGrid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Tensor fields and covariant differentiation
+# Covariant differentiation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SurfaceTensorField:
-    """A (p,q)-tensor field on the lattice.
-
-    components  : array of shape (n1, n2, 2, 2, ...), one trailing axis per
-                  tensor slot, in the order of `index_types`
-    index_types : 'l' (covariant) or 'u' (contravariant) per slot
-    """
-
-    components: np.ndarray
-    index_types: tuple
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=float)
-        self.index_types = tuple(self.index_types)
-        n_idx = self.components.ndim - 2
-        if n_idx != len(self.index_types):
-            raise ValueError(
-                f"{len(self.index_types)} index types for {n_idx} tensor axes"
-            )
-        if any(t not in ("l", "u") for t in self.index_types):
-            raise ValueError("index types must be 'l' or 'u'")
-        if self.components.shape[2:] != (2,) * n_idx:
-            raise ValueError("every tensor axis must have length 2")
-
-    @property
-    def valence(self):
-        p = sum(1 for t in self.index_types if t == "l")
-        return (p, len(self.index_types) - p)
-
 
 def _covariant_derivative_raw(A, index_types, Gamma, grid: SurfaceGrid):
     """Covariant derivative of raw components; new lower index is prepended.
 
+    A has shape (n1, n2, 2, 2, ...), one trailing length-2 axis per tensor
+    slot; index_types gives 'l' (covariant) or 'u' (contravariant) per slot.
     Gamma[..., lam, mu, nu] = Gamma^lam_{mu nu}.
     """
     if len(index_types) > 4:
@@ -187,30 +158,6 @@ def _covariant_derivative_raw(A, index_types, Gamma, grid: SurfaceGrid):
             corr = -np.einsum("xysav,xy...s->xya...v", Gamma, Am)
         out += np.moveaxis(corr, -1, 3 + k)
     return out
-
-
-def covariant_derivative(field: SurfaceTensorField, geom: "SurfaceGeometry"):
-    """Discrete covariant derivative; returns a field with one more lower slot.
-
-    The derivative index is the first slot of the result:
-    (grad A)_{alpha ...} = D_alpha A + Gamma-corrections per slot.
-    """
-    comps = _covariant_derivative_raw(
-        field.components, field.index_types, geom.Gamma, geom.grid
-    )
-    return SurfaceTensorField(comps, ("l",) + field.index_types)
-
-
-def contract(field: SurfaceTensorField, slot_a: int, slot_b: int):
-    """Contract one upper against one lower slot of a tensor field."""
-    ta, tb = field.index_types[slot_a], field.index_types[slot_b]
-    if {ta, tb} != {"l", "u"}:
-        raise ValueError("contraction needs one upper and one lower slot")
-    comps = np.trace(field.components, axis1=2 + slot_a, axis2=2 + slot_b)
-    types = tuple(
-        t for k, t in enumerate(field.index_types) if k not in (slot_a, slot_b)
-    )
-    return SurfaceTensorField(comps, types)
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,8 @@ from .shell import (
 
 
 class InstabilityError(RuntimeError):
-    """The shell wandered further than a/2 from its rest position."""
-
-
-def table_surface_dims(N: int):
-    """Reference proportionality of the surface grid to the fluid grid."""
-    return (1280 * N) // 128, (48 * N) // 128
+    """The shell wandered further than a/2 from its rest position, or went
+    non-finite."""
 
 
 def nested_surface_dims(N: int):
@@ -302,10 +298,6 @@ class Simulation:
     def t(self):
         return self.shell.t
 
-    @property
-    def step_count(self):
-        return self.shell.step_count
-
     def shell_force_cartesian(self, X) -> np.ndarray:
         """Elastic force density plus edge clamp springs, in cartesian frame."""
         disp = decompose_displacement(X, self.geom)
@@ -334,15 +326,13 @@ class Simulation:
         self.shell.t += cfg.dt
         self.shell.step_count += 1
         drift = np.abs(self.shell.X - self.grid.X0).max()
-        if drift > 0.5 * cfg.a:
+        if not drift <= 0.5 * cfg.a:  # also catches a NaN drift
             raise InstabilityError(
                 f"max |X - X0| = {drift:.3e} exceeded a/2 at step "
                 f"{self.shell.step_count}"
             )
 
-    def run(self, n_steps: int, callback=None):
-        """Advance n_steps; callback(sim) fires after every step."""
+    def run(self, n_steps: int):
+        """Advance n_steps."""
         for _ in range(n_steps):
             self.step()
-            if callback is not None:
-                callback(self)

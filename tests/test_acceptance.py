@@ -294,6 +294,7 @@ def study():
     return run_convergence_study()
 
 
+@pytest.mark.slow
 def test_criterion_6_scaled_convergence_study(study):
     fine, mid, coarse = study.records
     wall = sum(r.wall_seconds for r in study.records)
@@ -308,6 +309,7 @@ def test_criterion_6_scaled_convergence_study(study):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_relative_difference_shape(study):
     # E(t) on the common sample window [T0/2, T0] (the times shared by all
     # runs): after its early rise E stabilizes, and the mean over the last
@@ -346,6 +348,7 @@ def wave():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_traveling_wave(wave):
     # (a) the shell is initially displaced downward on average
     down = wave.omega[0].mean() < 0.0 and wave.omega[0].min() < 0.0

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from ibshell.cli import main
 from ibshell.io import read_csv, read_displacement_map, read_snapshot
-from ibshell.simulation import ModelConfig
+from ibshell.simulation import ModelConfig, Simulation
 
 
 def test_run_writes_snapshots(tmp_path, capsys):
@@ -22,6 +23,13 @@ def test_run_writes_snapshots(tmp_path, capsys):
     ]
     snap = read_snapshot(snaps[-1])
     assert snap.N == 16 and snap.t == pytest.approx(6 * 8e-8)
+    # each snapshot holds the state of a simulation stepped by hand that far
+    sim = Simulation(cfg)
+    for steps, path in ((3, snaps[0]), (6, snaps[1]), (6, snaps[2])):
+        while sim.shell.step_count < steps:
+            sim.step()
+        snap = read_snapshot(path)
+        assert np.array_equal(snap.X, sim.X) and np.array_equal(snap.u, sim.u)
 
 
 def test_run_resolution_overrides(tmp_path):

@@ -5,13 +5,10 @@ from ibshell.geometry import (
     DegenerateFrameError,
     SingularMetricError,
     SurfaceGrid,
-    SurfaceTensorField,
+    _covariant_derivative_raw,
     build_frame,
     build_geometry,
     build_metric,
-    contract,
-    covariant_derivative,
-    mixed_second_form,
     surface_diff,
 )
 
@@ -224,21 +221,18 @@ def test_covd_scalar_reduces_to_surface_diff():
     geo = build_geometry(grid)
     rng = np.random.default_rng(0)
     f = rng.standard_normal((9, 9))
-    fld = SurfaceTensorField(f, ())
-    out = covariant_derivative(fld, geo)
-    assert np.array_equal(out.components[..., 0], surface_diff(f, 1, grid.dq1))
-    assert np.array_equal(
-        out.components[..., 1], surface_diff(f, 2, grid.dq2_of_row)
-    )
+    out = _covariant_derivative_raw(f, (), geo.Gamma, grid)
+    assert np.array_equal(out[..., 0], surface_diff(f, 1, grid.dq1))
+    assert np.array_equal(out[..., 1], surface_diff(f, 2, grid.dq2_of_row))
 
 
 def test_covd_metric_compatibility():
     # grad g vanishes identically: the Gamma terms cancel D g algebraically
     for grid in (oracles.cylinder_grid(17, 9), oracles.sphere_grid(17, 17)[0]):
         geo = build_geometry(grid)
-        gg = covariant_derivative(SurfaceTensorField(geo.g, ("l", "l")), geo)
+        gg = _covariant_derivative_raw(geo.g, ("l", "l"), geo.Gamma, grid)
         scale = np.abs(geo.Gamma).max() + 1.0
-        assert np.abs(gg.components).max() < 1e-12 * scale
+        assert np.abs(gg).max() < 1e-12 * scale
 
 
 def test_covd_vector_flat_is_plain_derivative():
@@ -246,11 +240,11 @@ def test_covd_vector_flat_is_plain_derivative():
     geo = build_geometry(grid)
     rng = np.random.default_rng(1)
     W = rng.standard_normal((9, 9, 2))
-    out = covariant_derivative(SurfaceTensorField(W, ("u",)), geo)
+    out = _covariant_derivative_raw(W, ("u",), geo.Gamma, grid)
     expect = np.stack(
         [surface_diff(W, 1, grid.dq1), surface_diff(W, 2, grid.dq2_of_row)], axis=2
     )
-    assert np.allclose(out.components, expect, atol=1e-13)
+    assert np.allclose(out, expect, atol=1e-13)
 
 
 def test_covd_upper_and_lower_signs():
@@ -259,8 +253,8 @@ def test_covd_upper_and_lower_signs():
     geo = build_geometry(grid)
     rng = np.random.default_rng(2)
     V = rng.standard_normal((9, 9, 2))
-    up = covariant_derivative(SurfaceTensorField(V, ("u",)), geo).components
-    lo = covariant_derivative(SurfaceTensorField(V, ("l",)), geo).components
+    up = _covariant_derivative_raw(V, ("u",), geo.Gamma, grid)
+    lo = _covariant_derivative_raw(V, ("l",), geo.Gamma, grid)
     dV = np.stack(
         [surface_diff(V, 1, grid.dq1), surface_diff(V, 2, grid.dq2_of_row)], axis=2
     )
@@ -280,27 +274,13 @@ def test_covd_upper_and_lower_signs():
 def test_covd_valence_limit():
     grid = oracles.flat_grid(6, 6)
     geo = build_geometry(grid)
-    big = SurfaceTensorField(np.zeros((6, 6, 2, 2, 2, 2)), ("l",) * 4)
-    out = covariant_derivative(big, geo)  # 4 slots is the supported maximum
-    assert out.valence == (5, 0)
-    too_big = SurfaceTensorField(np.zeros((6, 6) + (2,) * 5), ("l",) * 5)
+    big = np.zeros((6, 6, 2, 2, 2, 2))
+    # 4 slots is the supported maximum
+    out = _covariant_derivative_raw(big, ("l",) * 4, geo.Gamma, grid)
+    assert out.shape == (6, 6) + (2,) * 5
+    too_big = np.zeros((6, 6) + (2,) * 5)
     with pytest.raises(ValueError, match="valence"):
-        covariant_derivative(too_big, geo)
-
-
-def test_contract_and_field_validation():
-    grid = oracles.flat_grid(6, 6)
-    geo = build_geometry(grid)
-    bmix = mixed_second_form(geo.b, geo.ginv)
-    fld = SurfaceTensorField(bmix, ("l", "u"))
-    tr = contract(fld, 0, 1)
-    assert tr.components.shape == (6, 6)
-    with pytest.raises(ValueError):
-        contract(SurfaceTensorField(np.zeros((6, 6, 2, 2)), ("l", "l")), 0, 1)
-    with pytest.raises(ValueError):
-        SurfaceTensorField(np.zeros((6, 6, 2)), ("l", "l"))
-    with pytest.raises(ValueError):
-        SurfaceTensorField(np.zeros((6, 6, 3)), ("l",))
+        _covariant_derivative_raw(too_big, ("l",) * 5, geo.Gamma, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from ibshell.harness import (
     spacetime_norm,
 )
 from ibshell.io import read_csv
-from ibshell.simulation import ModelConfig
+from ibshell.simulation import ModelConfig, Simulation
 
 
 def make_record(label, X, times, T0, X0=None):
@@ -190,6 +190,29 @@ def test_traveling_wave_machinery():
     assert rec.omega_full.shape == (3, 161, 7)
     assert np.isfinite(rec.omega).all()
     assert rec.times[0] == pytest.approx(4 * 8e-8)
+    # each snapshot is the state of a simulation stepped by hand that far
+    sim = Simulation(ModelConfig(N=16, dt=8e-8))
+    for i in range(3):
+        for _ in range(4):
+            sim.step()
+        assert np.array_equal(rec.omega_full[i], sim.omega())
+
+
+def test_traveling_wave_rejects_unsampleable_schedules():
+    for bad in ({"first_snapshot_step": 0}, {"snapshot_stride": 0},
+                {"n_snapshots": 0}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            run_traveling_wave(N=16, dt=8e-8, **bad)
+
+
+def test_run_sampled_takes_the_hand_stepped_state():
+    cfg = ModelConfig(N=16, dt=8e-8, T0=6.4e-7)  # 8 steps, 4 samples
+    rec = harness.run_sampled(cfg, 4, (80, 3))
+    sim = Simulation(cfg)
+    for j in range(4):
+        sim.step()
+        sim.step()
+        assert np.array_equal(rec.X[j], restrict_to_common_grid(sim.X, (80, 3)))
 
 
 # ---------------------------------------------------------------------------
