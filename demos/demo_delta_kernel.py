@@ -8,7 +8,7 @@ weights serve both directions, the two operations are exactly adjoint.
 
 import numpy as np
 
-from ibshell.coupling import interpolate_velocity, phi, spread_force
+from ibshell.coupling import coupling_matrix, interpolate_velocity, phi, spread_force
 from ibshell.fluid import FluidParams
 
 print("point values:")
@@ -30,14 +30,15 @@ M = 400
 X = rng.uniform(0, prm.a, size=(1, M, 3))
 f = rng.standard_normal((1, M, 3))
 dq = np.full((1, M), 1e-5)
-F = spread_force(f, X, dq, prm)
+S = coupling_matrix(X, prm)
+F = spread_force(f, S, dq, prm)
 print("\nspreading 400 random point forces onto the 32^3 lattice:")
 print(f"  total force error: "
       f"{np.abs(F.sum((1, 2, 3)) * prm.h**3 - (f * dq[..., None]).sum((0, 1))).max():.2e}")
 
 u = rng.standard_normal((3, prm.N, prm.N, prm.N))
-U = interpolate_velocity(u, X, prm)
+U = interpolate_velocity(u, S)
 lhs = float(np.sum(F * u)) * prm.h**3
-rhs = float(np.sum(f * U * dq[..., None]))
+rhs = float(np.sum(f[0] * U * dq[0, :, None]))
 print(f"  adjointness <spread f, u> h^3 vs <f, interp u> dq: "
       f"rel err {abs(lhs - rhs) / abs(lhs):.2e}")

@@ -11,13 +11,14 @@ phi satisfies sum_j phi(r - j) = 1 for every real r, with the even- and
 odd-offset partial sums each equal to 1/2; spreading therefore conserves
 total force exactly, and interpolation reproduces constants exactly.
 
-Spreading and interpolation use the same weights, so they are adjoint:
-<spread(f), u> h^3 = <f, interpolate(u)> dq for any fields f, u.
+Interpolation is S u and spreading is S^T (f dq / h^3) with one matrix S of
+kernel weights, so they are adjoint: <spread(f), u> h^3 = <f, interp(u)> dq.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .fluid import FluidParams
 
@@ -35,65 +36,57 @@ def phi(r):
     return out if out.ndim else float(out)
 
 
-def _kernel_stencil(X, params: FluidParams):
-    """Flat lattice indices and weights of each node's 4^3 neighborhood.
+def coupling_matrix(X, params: FluidParams):
+    """The sparse M x N^3 kernel-weight matrix S of positions X (..., 3).
 
-    X : (M, 3) positions (wrapped periodically). Returns (flat, w3), both
-    (M, 64): flat[m] indexes the raveled N^3 lattice and w3[m] holds the
-    matching tensor-product phi weights.
-    """
-    N, h = params.N, params.h
-    s = np.asarray(X, dtype=float) / h
-    base = np.floor(s).astype(np.int64) - 1
-    offs = base[:, :, None] + np.arange(4)[None, None, :]
-    w = phi(s[:, :, None] - offs)
-    idx = offs % N
-    w3 = (
-        w[:, 0, :, None, None] * w[:, 1, None, :, None] * w[:, 2, None, None, :]
-    ).reshape(-1, 64)
-    flat = (
-        (idx[:, 0, :, None, None] * N + idx[:, 1, None, :, None]) * N
-        + idx[:, 2, None, None, :]
-    ).reshape(-1, 64)
-    return flat, w3
-
-
-def spread_force(f, X, dq, params: FluidParams):
-    """Spread a shell force density to the lattice (interaction equation 1).
-
-    F(x) = sum_q f(q) delta_h(x - X(q)) dq(q), delta_h the tensor-product
-    kernel scaled by h^-3. `f`, `X` are (n1, n2, 3); `dq` is the per-node
-    parameter area weight (n1, n2). Returns (3, N, N, N).
-
-    The accumulation is a flat bincount in node order: deterministic,
-    independent of any parallel schedule upstream.
+    Row m holds node m's 64 tensor-product phi weights at the raveled indices
+    of its (periodically wrapped) 4^3 neighborhood; for N < 4 the wrap repeats
+    columns, which the sparse products sum. Raises ValueError on non-finite X.
     """
     N, h = params.N, params.h
     Xf = np.asarray(X, dtype=float).reshape(-1, 3)
     if not np.isfinite(Xf).all():
-        raise ValueError("non-finite shell position in spread_force")
+        raise ValueError("non-finite shell position in coupling_matrix")
+    s = Xf / h
+    base = np.floor(s).astype(np.int64) - 1
+    offs = base[:, :, None] + np.arange(4)[None, None, :]
+    w = phi(s[:, :, None] - offs)
+    idx = offs % N
+    w3 = w[:, 0, :, None, None] * w[:, 1, None, :, None] * w[:, 2, None, None, :]
+    flat = (
+        (idx[:, 0, :, None, None] * N + idx[:, 1, None, :, None]) * N
+        + idx[:, 2, None, None, :]
+    )
+    M = len(Xf)
+    # not canonicalized: sorting or merging columns would reorder the sums
+    return sparse.csr_array(
+        (w3.ravel(), flat.ravel(), 64 * np.arange(M + 1)), shape=(M, N**3)
+    )
+
+
+def spread_force(f, S, dq, params: FluidParams):
+    """Spread a shell force density to the lattice (interaction equation 1).
+
+    F(x) = sum_q f(q) delta_h(x - X(q)) dq(q), delta_h the tensor-product
+    kernel scaled by h^-3, i.e. F = S^T (f dq / h^3) per component with
+    S = coupling_matrix(X, params). `f` is (..., 3) and `dq` the matching
+    per-node parameter area weight. Returns (3, N, N, N).
+    """
+    N, h = params.N, params.h
     ff = np.asarray(f, dtype=float).reshape(-1, 3)
     coef = np.asarray(dq, dtype=float).reshape(-1) / h**3
-    flat, w3 = _kernel_stencil(Xf, params)
     F = np.empty((3, N, N, N))
     for c in range(3):
-        F[c] = np.bincount(
-            flat.ravel(), weights=(w3 * (ff[:, c] * coef)[:, None]).ravel(),
-            minlength=N**3,
-        ).reshape(N, N, N)
+        F[c] = (S.T @ (ff[:, c] * coef)).reshape(N, N, N)
     return F
 
 
-def interpolate_velocity(u, X, params: FluidParams):
+def interpolate_velocity(u, S):
     """Evaluate the lattice velocity at shell nodes (interaction equation 2).
 
     U(q) = sum_x u(x) delta_h(x - X(q)) h^3; the h^3 cancels the kernel's
-    h^-3, leaving a weighted average with weights summing to one. Returns an
-    array shaped like X.
+    h^-3, leaving the weighted average S u with weights summing to one.
+    `u` is (3, N, N, N); returns (M, 3) in the row order of S.
     """
-    Xs = np.asarray(X, dtype=float)
-    Xf = Xs.reshape(-1, 3)
-    flat, w3 = _kernel_stencil(Xf, params)
     uf = np.asarray(u, dtype=float).reshape(3, -1)
-    U = np.einsum("cmk,mk->mc", uf[:, flat], w3)
-    return U.reshape(Xs.shape)
+    return np.stack([S @ uc for uc in uf], axis=-1)

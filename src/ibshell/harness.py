@@ -436,7 +436,7 @@ def plate_check(n: int = 65, lam: float = 26197503.0, mu: float = 523950.0,
     q = dq * np.arange(n)
     omega = np.sin(2 * np.pi * (3 * q[:, None] + 2 * q[None, :]))
     zeros = np.zeros((n, n, 2))
-    f = compute_force(Displacement(omega, zeros, zeros), coeff, geom)
+    f = compute_force(Displacement(omega, zeros), coeff, geom)
     lap = lambda w: Dm @ (Dm @ w) + (w @ Dm.T) @ Dm.T  # noqa: E731
     oracle3 = FORCE_ON_FLUID_SIGN * (2.0 / 3.0) * h0**3 * Dcoef * lap(lap(omega))
     err3 = np.abs(f.f3 - oracle3).max() / np.abs(oracle3).max()
@@ -448,7 +448,7 @@ def plate_check(n: int = 65, lam: float = 26197503.0, mu: float = 523950.0,
     # tangential component on a discrete gradient field
     chi = np.cos(2 * np.pi * (2 * q[:, None] - q[None, :]))
     W = np.stack([Dm @ chi, chi @ Dm.T], axis=-1)
-    f = compute_force(Displacement(np.zeros((n, n)), W, W), coeff, geom)
+    f = compute_force(Displacement(np.zeros((n, n)), W), coeff, geom)
     divW = Dm @ W[..., 0] + W[..., 1] @ Dm.T
     oracle_mu = -FORCE_ON_FLUID_SIGN * 2.0 * h0 * Dcoef * np.stack(
         [Dm @ divW, divW @ Dm.T], axis=-1
@@ -461,8 +461,8 @@ def plate_check(n: int = 65, lam: float = 26197503.0, mu: float = 523950.0,
 
     # scaling sanity: doubling h0 scales the normal operator by 8
     coeff2 = compute_coefficients(geom, MaterialParams(lam, mu, 2 * h0))
-    f1 = compute_force(Displacement(omega, zeros, zeros), coeff, geom)
-    f2 = compute_force(Displacement(omega, zeros, zeros), coeff2, geom)
+    f1 = compute_force(Displacement(omega, zeros), coeff, geom)
+    f2 = compute_force(Displacement(omega, zeros), coeff2, geom)
     ratio = np.abs(f2.f3).max() / np.abs(f1.f3).max()
     results.append(CheckResult(
         "normal operator scales as h0^3", abs(ratio - 8.0) < 1e-10,

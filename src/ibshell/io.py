@@ -16,7 +16,7 @@ Snapshot byte layout (little-endian, documented for cross-language reading):
     p         N^3 float64       same ordering as one u component
 
 String-valued configuration selectors are carried in the param block as
-small integer codes (see _ENUM_CODES).
+the index of the value in its choices (ModelConfig._CHOICES).
 """
 
 from __future__ import annotations
@@ -27,18 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .simulation import ModelConfig
+
 MAGIC = b"IBSH"
 VERSION = 1
+_HEADER = struct.Struct("<4sIIIIddI")  # magic, version, N, n1, n2, t, dt, n_params
 _NAME_BYTES = 24
-
-_ENUM_CODES = {
-    "thickness_law": {"exact": 0.0, "table": 1.0},
-    "coefficients_order": {"leading": 0.0, "quadratic": 1.0},
-}
-_ENUM_NAMES = {
-    key: {code: name for name, code in codes.items()}
-    for key, codes in _ENUM_CODES.items()
-}
 
 
 @dataclass
@@ -59,8 +53,8 @@ def config_param_block(cfg) -> dict:
     out = {}
     for f in fields(cfg):
         v = getattr(cfg, f.name)
-        if f.name in _ENUM_CODES:
-            out[f.name] = _ENUM_CODES[f.name][v]
+        if f.name in ModelConfig._CHOICES:
+            out[f.name] = float(ModelConfig._CHOICES[f.name].index(v))
         else:
             out[f.name] = float(v)
     return out
@@ -68,15 +62,17 @@ def config_param_block(cfg) -> dict:
 
 def params_to_config(params: dict):
     """Rebuild a ModelConfig from a snapshot param block."""
-    from .simulation import ModelConfig
-
     kwargs = {}
     for f in fields(ModelConfig):
         if f.name not in params:
             continue
         v = params[f.name]
-        if f.name in _ENUM_NAMES:
-            kwargs[f.name] = _ENUM_NAMES[f.name][v]
+        if f.name in ModelConfig._CHOICES:
+            choices = ModelConfig._CHOICES[f.name]
+            if v not in range(len(choices)):
+                raise ValueError(f"snapshot param {f.name} has unknown code "
+                                 f"{v!r}, not an index into {choices}")
+            kwargs[f.name] = choices[int(v)]
         elif f.name in ModelConfig._INT_FIELDS:
             kwargs[f.name] = int(round(v))
         else:
@@ -102,10 +98,8 @@ def write_snapshot(path, X, u, p, t, dt, params: dict):
     N = p.shape[0]
     try:
         with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<IIII", VERSION, N, n1, n2))
-            fh.write(struct.pack("<dd", float(t), float(dt)))
-            fh.write(struct.pack("<I", len(params)))
+            fh.write(_HEADER.pack(MAGIC, VERSION, N, n1, n2, float(t), float(dt),
+                                  len(params)))
             for name, value in params.items():
                 raw = name.encode("ascii")
                 if len(raw) > _NAME_BYTES:
@@ -127,15 +121,17 @@ def read_snapshot(path) -> Snapshot:
         raise OSError(f"reading snapshot {path}: {exc}") from exc
     if blob[:4] != MAGIC:
         raise ValueError(f"{path}: not a snapshot file (bad magic {blob[:4]!r})")
-    off = 4
-    version, N, n1, n2 = struct.unpack_from("<IIII", blob, off)
-    off += 16
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"{path}: truncated snapshot header ({len(blob)} bytes)")
+    _, version, N, n1, n2, t, dt, n_params = _HEADER.unpack_from(blob)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
-    t, dt = struct.unpack_from("<dd", blob, off)
-    off += 16
-    (n_params,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    off = _HEADER.size
+    size = off + n_params * (_NAME_BYTES + 8) + 8 * (3 * n1 * n2 + 4 * N**3)
+    if len(blob) != size:
+        raise ValueError(
+            f"{path}: snapshot is {len(blob)} bytes, its header implies {size}"
+        )
     params = {}
     for _ in range(n_params):
         name = blob[off:off + _NAME_BYTES].rstrip(b"\0").decode("ascii")
@@ -185,9 +181,14 @@ def read_displacement_map(path):
     blob = Path(path).read_bytes()
     if not blob.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM")
-    parts = blob.split(b"\n", 3)
-    width, height = (int(tok) for tok in parts[1].split())
-    data = np.frombuffer(parts[3], dtype=np.uint8, count=width * height)
+    try:
+        _, dims, _, pixels = blob.split(b"\n", 3)
+        width, height = (int(tok) for tok in dims.split())
+    except ValueError:
+        raise ValueError(f"{path}: malformed PGM header") from None
+    if len(pixels) < width * height:
+        raise ValueError(f"{path}: truncated PGM ({len(pixels)} pixel bytes)")
+    data = np.frombuffer(pixels, dtype=np.uint8, count=width * height)
     return data.reshape(height, width).copy()
 
 

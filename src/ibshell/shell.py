@@ -90,7 +90,6 @@ class ShellCoefficients:
     Omega: np.ndarray     # (n1, n2, 2, 2)
     Omegabar: np.ndarray  # (n1, n2, 2, 2, 2)
     Obbar: np.ndarray     # (n1, n2, 2, 2, 2, 2)
-    order: str = "leading"
 
     def active(self, name: str) -> bool:
         """Whether a coefficient field has any nonzero entry."""
@@ -103,7 +102,6 @@ class Displacement:
 
     omega: np.ndarray  # (n1, n2)
     W_low: np.ndarray  # (n1, n2, 2) covariant components W_mu
-    W_up: np.ndarray   # (n1, n2, 2) contravariant components W^mu
 
 
 @dataclass
@@ -212,7 +210,6 @@ def compute_coefficients(
         return ShellCoefficients(
             Lambda0=Lam0, A=A, Abar=Abar, Abbar=Abbar, Phi=Phi, Phibar=Phibar,
             Psi=Psi, Psibar=Psibar, Omega=Omega, Omegabar=Omegabar, Obbar=Obbar,
-            order=order,
         )
 
     # ---- quadratic closure: Taylor-expand every integrand factor in t ----
@@ -299,7 +296,6 @@ def compute_coefficients(
     return ShellCoefficients(
         Lambda0=Lam0, A=A, Abar=Abar, Abbar=Abbar, Phi=Phi, Phibar=Phibar,
         Psi=Psi, Psibar=Psibar, Omega=Omega, Omegabar=Omegabar, Obbar=Obbar,
-        order=order,
     )
 
 
@@ -313,8 +309,7 @@ def decompose_displacement(X, geom: SurfaceGeometry) -> Displacement:
     d = np.asarray(X, dtype=float) - geom.grid.X0
     omega = np.einsum("xyc,xyc->xy", d, geom.Nrm)
     W_low = np.einsum("xyc,xyac->xya", d, geom.T)
-    W_up = np.einsum("xyma,xya->xym", geom.ginv, W_low)
-    return Displacement(omega=omega, W_low=W_low, W_up=W_up)
+    return Displacement(omega=omega, W_low=W_low)
 
 
 def _cov_divergence(comps, index_types, geom):

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupling import interpolate_velocity, spread_force
+from .coupling import coupling_matrix, interpolate_velocity, spread_force
 from .fluid import FluidParams, FluidSolver
 from .geometry import SurfaceGrid, build_geometry
 from .shell import (
@@ -105,15 +105,11 @@ class ModelConfig:
             self.n2 = d2 if self.n2 is None else self.n2
         if self.z_imp is None:
             self.z_imp = self.a
-        if self.thickness_law not in ("exact", "table"):
-            raise ValueError(
-                f"thickness_law must be 'exact' or 'table', got {self.thickness_law!r}"
-            )
-        if self.coefficients_order not in ("leading", "quadratic"):
-            raise ValueError(
-                "coefficients_order must be 'leading' or 'quadratic', "
-                f"got {self.coefficients_order!r}"
-            )
+        for key, choices in self._CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ValueError(
+                    f"{key} must be one of {choices}, got {getattr(self, key)!r}"
+                )
         if self.n1 < 5 or self.n2 < 5:
             raise ValueError(f"surface grid {self.n1}x{self.n2} is too small")
 
@@ -141,11 +137,15 @@ class ModelConfig:
     # -- flat key-value config files ------------------------------------
 
     _INT_FIELDS = ("N", "n1", "n2", "snapshot_every")
-    _STR_FIELDS = ("thickness_law", "coefficients_order")
+    # string-valued fields; snapshots store the index, so only append
+    _CHOICES = {
+        "thickness_law": ("exact", "table"),
+        "coefficients_order": ("leading", "quadratic"),
+    }
 
     @classmethod
     def from_file(cls, path) -> "ModelConfig":
-        """Parse `key = value` lines; unknown keys are rejected."""
+        """Parse `key = value` lines; errors name the file and line."""
         text = Path(path).read_text()
         known = {f.name for f in fields(cls)}
         kwargs = {}
@@ -158,13 +158,20 @@ class ModelConfig:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in cls._STR_FIELDS:
-                kwargs[key] = val
-            elif key in cls._INT_FIELDS:
-                kwargs[key] = int(val)
-            else:
-                kwargs[key] = float(val)
-        return cls(**kwargs)
+            if key in kwargs:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            parse = (str if key in cls._CHOICES
+                     else int if key in cls._INT_FIELDS else float)
+            try:
+                kwargs[key] = parse(val)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: bad {parse.__name__} value {val!r} for {key}"
+                ) from None
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def to_file_text(self) -> str:
         lines = []
@@ -312,17 +319,18 @@ class Simulation:
         """One coupled step: force, spread (+impulse), fluid, advect."""
         cfg = self.cfg
         X = self.shell.X
+        S = coupling_matrix(X, self.fparams)
         f = self.shell_force_cartesian(X)
-        F = spread_force(f, X, self.dq_area, self.fparams)
+        F = spread_force(f, S, self.dq_area, self.fparams)
         if self.shell.step_count == 0:
             # the step-0 surface force density acts as an impulse: scaling by
             # 1/dt makes the injected momentum (and hence the whole run)
             # independent of the step size
             F += impulse_force(0.0, cfg, self.fparams) / cfg.dt
         self.u, self.p = self.solver.step(self.u, F)
-        U = interpolate_velocity(self.u, X, self.fparams)
+        U = interpolate_velocity(self.u, S)
         self.shell.X_prev = X
-        self.shell.X = X + cfg.dt * U
+        self.shell.X = X + cfg.dt * U.reshape(X.shape)
         self.shell.t += cfg.dt
         self.shell.step_count += 1
         drift = np.abs(self.shell.X - self.grid.X0).max()

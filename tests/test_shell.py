@@ -178,7 +178,6 @@ def test_decompose_trivial_cases(flat65):
     assert np.allclose(d.omega, 0.0, atol=1e-18)
     assert np.allclose(d.W_low[..., 0], eps, atol=1e-18)
     assert np.allclose(d.W_low[..., 1], 0.0, atol=1e-18)
-    assert np.allclose(d.W_up, d.W_low, atol=1e-18)  # flat metric
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +196,6 @@ def test_constant_normal_offset_annihilated(flat65):
     n1, n2 = grid.n1, grid.n2
     disp = Displacement(
         omega=np.full((n1, n2), 0.3), W_low=np.zeros((n1, n2, 2)),
-        W_up=np.zeros((n1, n2, 2)),
     )
     f = compute_force(disp, coeff, geom)
     scale = np.abs(coeff.Abar).max() / grid.dq1**4
@@ -210,8 +208,7 @@ def test_plate_limit_normal_mode(flat65):
     q1 = grid.dq1 * np.arange(n1)
     q2 = grid.dq1 * np.arange(n2)
     omega = np.sin(2 * np.pi * (3 * q1[:, None] + 2 * q2[None, :]))
-    disp = Displacement(omega=omega, W_low=np.zeros((n1, n2, 2)),
-                        W_up=np.zeros((n1, n2, 2)))
+    disp = Displacement(omega=omega, W_low=np.zeros((n1, n2, 2)))
     f = compute_force(disp, coeff, geom)
     h0 = float(mat.h0)
     oracle = FORCE_ON_FLUID_SIGN * (2.0 / 3.0) * h0**3 * DCOEF * oracles.biharmonic(
@@ -234,7 +231,7 @@ def test_plate_limit_tangential_gradient_field(flat65):
         ],
         axis=-1,
     )
-    disp = Displacement(omega=np.zeros((n1, n2)), W_low=W, W_up=W)
+    disp = Displacement(omega=np.zeros((n1, n2)), W_low=W)
     f = compute_force(disp, coeff, geom)
     h0 = float(mat.h0)
     oracle = -FORCE_ON_FLUID_SIGN * 2.0 * h0 * DCOEF * oracles.grad_div(
@@ -253,7 +250,6 @@ def test_force_linearity(flat65):
         return Displacement(
             omega=rng.standard_normal((n1, n2)),
             W_low=rng.standard_normal((n1, n2, 2)),
-            W_up=rng.standard_normal((n1, n2, 2)),
         )
 
     d1, d2 = rand_disp(), rand_disp()
@@ -261,7 +257,6 @@ def test_force_linearity(flat65):
     comb = Displacement(
         omega=a * d1.omega + b * d2.omega,
         W_low=a * d1.W_low + b * d2.W_low,
-        W_up=a * d1.W_up + b * d2.W_up,
     )
     f1 = compute_force(d1, coeff, geom)
     f2 = compute_force(d2, coeff, geom)
@@ -302,7 +297,7 @@ def test_energy_gradient_consistency(flat65):
         return 0.5 * float(np.sum(w * Lw))
 
     zeros = np.zeros((n1, n2, 2))
-    f = compute_force(Displacement(omega, zeros, zeros), coeff, geom)
+    f = compute_force(Displacement(omega, zeros), coeff, geom)
     work = float(np.sum(f.f3 * delta))
     eps = 1e-3
     dE = (

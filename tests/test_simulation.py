@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ibshell.coupling import interpolate_velocity, spread_force
+from ibshell.coupling import coupling_matrix, interpolate_velocity, spread_force
 from ibshell.io import (
     config_param_block,
     params_to_config,
@@ -68,6 +68,16 @@ def test_config_file_round_trip(tmp_path):
     path.write_text("N 16\n")
     with pytest.raises(ValueError, match="key = value"):
         ModelConfig.from_file(path)
+    # bad values and repeated keys name the file and the line
+    for text, where in (
+        ("N = 32.0\n", "model.cfg:1: bad int value '32.0' for N"),
+        ("N = 16\ndt = abc\n", "model.cfg:2: bad float value 'abc' for dt"),
+        ("N = 16\nN = 32\n", "model.cfg:2: repeated key 'N'"),
+        ("N = 16\nthickness_law = banana\n", "model.cfg: thickness_law must be"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=where):
+            ModelConfig.from_file(path)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +232,13 @@ def test_single_step_matches_hand_chained_modules(sim16):
     sim.step()  # includes the impulse
     # hand-chain the same first step
     ref = Simulation(cfg)
+    S0 = coupling_matrix(ref.grid.X0, ref.fparams)
     f = ref.shell_force_cartesian(ref.grid.X0)
-    F = spread_force(f, ref.grid.X0, ref.dq_area, ref.fparams)
+    F = spread_force(f, S0, ref.dq_area, ref.fparams)
     F += impulse_force(0.0, cfg, ref.fparams) / cfg.dt
     u, p = ref.solver.step(ref.u, F)
-    U = interpolate_velocity(u, ref.grid.X0, ref.fparams)
-    X = ref.grid.X0 + cfg.dt * U
+    U = interpolate_velocity(u, S0)
+    X = ref.grid.X0 + cfg.dt * U.reshape(ref.grid.X0.shape)
     assert np.array_equal(sim.u, u)
     assert np.array_equal(sim.p, p)
     assert np.array_equal(sim.X, X)
@@ -339,6 +350,23 @@ def test_snapshot_round_trip(tmp_path, sim16):
         read_snapshot(bad)
 
 
+def test_snapshot_rejects_wrong_length_and_unknown_codes(tmp_path, sim16):
+    sim = sim16
+    params = config_param_block(sim.cfg)
+    path = tmp_path / "snap.ibsh"
+    write_snapshot(path, sim.X, sim.u, sim.p, sim.t, sim.cfg.dt, params)
+    blob = path.read_bytes()
+    for size in (10, 30, 200, len(blob) - 8, len(blob) + 8):
+        bad = tmp_path / f"size{size}.ibsh"
+        bad.write_bytes((blob + bytes(8))[:size])
+        with pytest.raises(ValueError, match=bad.name):
+            read_snapshot(bad)
+
+    assert params["thickness_law"] == 1.0  # v1 code of "table"
+    with pytest.raises(ValueError, match="thickness_law has unknown code 7.0"):
+        params_to_config({**params, "thickness_law": 7.0})
+
+
 def test_snapshot_io_error_has_path_context(tmp_path):
     with pytest.raises(OSError, match="no/such/dir"):
         write_snapshot(
@@ -361,4 +389,10 @@ def test_graymap_conventions(tmp_path):
     write_displacement_map(w, path)
     img = read_displacement_map(path)
     assert img[0, 0] == 0 and img[4, 7] == 255
+
+    blob = path.read_bytes()
+    for size in (3, 7, len(blob) - 1):  # in the header, then in the pixels
+        path.write_bytes(blob[:size])
+        with pytest.raises(ValueError, match="zero.pgm"):
+            read_displacement_map(path)
     assert img[2, 3] == 128
