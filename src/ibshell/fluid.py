@@ -57,14 +57,28 @@ def upwind_advection(u, h: float):
     Backward differencing where u_k >= 0 (the tie at exactly zero takes the
     backward branch; the product vanishes there anyway), forward where
     u_k < 0.
+
+    Per axis and component, d[i] = (u[i] - u[i-1]) / h is formed once for
+    i = 0..n (periodic, d[n] = d[0]): the backward difference is d[:n] and
+    the forward one d[1:], so no shifted copy of u is made.
     """
     u = np.asarray(u, dtype=float)
     adv = np.zeros_like(u)
     for k in range(3):
-        ax = 1 + k
-        dm = (u - np.roll(u, 1, axis=ax)) / h
-        dp = (np.roll(u, -1, axis=ax) - u) / h
-        adv += u[k] * np.where(u[k] >= 0.0, dm, dp)
+        n = u.shape[1 + k]
+
+        def along(start, stop):
+            return (slice(None),) * k + (slice(start, stop),)
+
+        d = np.empty(u.shape[1:1 + k] + (n + 1,) + u.shape[2 + k:])
+        backward = u[k] >= 0.0
+        for c in range(3):
+            uc = u[c]
+            np.subtract(uc[along(1, n)], uc[along(0, n - 1)], out=d[along(1, n)])
+            np.subtract(uc[along(0, 1)], uc[along(n - 1, n)], out=d[along(0, 1)])
+            d /= h
+            d[along(n, n + 1)] = d[along(0, 1)]
+            adv[c] += u[k] * np.where(backward, d[along(0, n)], d[along(1, n + 1)])
     return adv
 
 

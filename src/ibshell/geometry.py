@@ -14,6 +14,7 @@ afterwards.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,21 +143,29 @@ def _covariant_derivative_raw(A, index_types, Gamma, grid: SurfaceGrid):
     A has shape (n1, n2, 2, 2, ...), one trailing length-2 axis per tensor
     slot; index_types gives 'l' (covariant) or 'u' (contravariant) per slot.
     Gamma[..., lam, mu, nu] = Gamma^lam_{mu nu}.
+
+    Each Christoffel correction, a sum over sigma in {0, 1}, is formed as a
+    two-term sum on (n1, n2) lattice slices, one output component at a time.
     """
     if len(index_types) > 4:
         raise ValueError(
             f"unsupported valence: {len(index_types)} slots (at most 4 supported)"
         )
     out = _diff_stack(A, grid)
+    lattice = (slice(None), slice(None))
     for k, t in enumerate(index_types):
-        Am = np.moveaxis(A, 2 + k, -1)
-        if t == "u":
-            # + Gamma^{nu_k}_{alpha sigma} A^{...sigma...}
-            corr = np.einsum("xyvas,xy...s->xya...v", Gamma, Am)
-        else:
-            # - Gamma^{sigma}_{alpha mu_k} A_{...sigma...}
-            corr = -np.einsum("xysav,xy...s->xya...v", Gamma, Am)
-        out += np.moveaxis(corr, -1, 3 + k)
+        for rest in itertools.product((0, 1), repeat=len(index_types) - 1):
+            head, tail = rest[:k], rest[k:]
+            A0 = A[lattice + head + (0,) + tail]
+            A1 = A[lattice + head + (1,) + tail]
+            for a, v in itertools.product((0, 1), repeat=2):
+                o = out[lattice + (a,) + head + (v,) + tail]
+                if t == "u":
+                    # + Gamma^{nu_k}_{alpha sigma} A^{...sigma...}
+                    o += Gamma[:, :, v, a, 0] * A0 + Gamma[:, :, v, a, 1] * A1
+                else:
+                    # - Gamma^{sigma}_{alpha mu_k} A_{...sigma...}
+                    o -= Gamma[:, :, 0, a, v] * A0 + Gamma[:, :, 1, a, v] * A1
     return out
 
 

@@ -315,13 +315,13 @@ def decompose_displacement(X, geom: SurfaceGeometry) -> Displacement:
 def _cov_divergence(comps, index_types, geom):
     """grad contracted against the first (contravariant) slot of comps."""
     cd = _covariant_derivative_raw(comps, index_types, geom.Gamma, geom.grid)
-    return np.trace(cd, axis1=2, axis2=3)
+    return cd[:, :, 0, 0] + cd[:, :, 1, 1]
 
 
 def _double_divergence(S, geom):
     """grad_s grad_t S^{s t}: inner derivative contracts the second slot."""
     inner = _covariant_derivative_raw(S, ("u", "u"), geom.Gamma, geom.grid)
-    V = np.trace(inner, axis1=2, axis2=4)  # contract derivative with slot t
+    V = inner[:, :, 0, :, 0] + inner[:, :, 1, :, 1]  # derivative with slot t
     return _cov_divergence(V, ("u",), geom)
 
 

@@ -112,6 +112,14 @@ class ModelConfig:
                 )
         if self.n1 < 5 or self.n2 < 5:
             raise ValueError(f"surface grid {self.n1}x{self.n2} is too small")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (math.isfinite(self.k_clamp) and self.k_clamp >= 0.0):
+            raise ValueError(f"k_clamp must be finite and >= 0, got {self.k_clamp!r}")
+        if self.snapshot_every < 0:
+            raise ValueError(
+                f"snapshot_every must be >= 0, got {self.snapshot_every!r}"
+            )
 
     @property
     def dq1(self) -> float:

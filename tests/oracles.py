@@ -8,7 +8,7 @@ oracles, never from the code under test.
 
 import numpy as np
 
-from ibshell.geometry import SurfaceGrid
+from ibshell.geometry import SurfaceGrid, _diff_stack
 
 # ---------------------------------------------------------------------------
 # Test charts
@@ -223,6 +223,30 @@ def grad_div(W, d1, d2):
     B = hybrid_diff_matrix(W.shape[1], d2)
     div = A @ W[..., 0] + W[..., 1] @ B.T
     return np.stack([A @ div, div @ B.T], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Covariant derivative through one einsum per tensor slot
+# ---------------------------------------------------------------------------
+
+
+def covariant_derivative_einsum(A, index_types, Gamma, grid):
+    """Covariant derivative with each Christoffel correction as one einsum.
+
+    The pre-slicing form of `geometry._covariant_derivative_raw`: the slot is
+    moved last and contracted against Gamma over sigma in a single einsum.
+    """
+    out = _diff_stack(A, grid)
+    for k, t in enumerate(index_types):
+        Am = np.moveaxis(A, 2 + k, -1)
+        if t == "u":
+            # + Gamma^{nu_k}_{alpha sigma} A^{...sigma...}
+            corr = np.einsum("xyvas,xy...s->xya...v", Gamma, Am)
+        else:
+            # - Gamma^{sigma}_{alpha mu_k} A_{...sigma...}
+            corr = -np.einsum("xysav,xy...s->xya...v", Gamma, Am)
+        out += np.moveaxis(corr, -1, 3 + k)
+    return out
 
 
 # ---------------------------------------------------------------------------

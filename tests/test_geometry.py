@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,25 @@ def test_covd_valence_limit():
     too_big = np.zeros((6, 6) + (2,) * 5)
     with pytest.raises(ValueError, match="valence"):
         _covariant_derivative_raw(too_big, ("l",) * 5, geo.Gamma, grid)
+
+
+def test_covd_matches_einsum_oracle_bitwise():
+    # every 'l'/'u' pattern of valence 0..4, on a curved chart and on the
+    # model helicoid (row-dependent dq2)
+    from ibshell.simulation import ModelConfig, build_model_shell
+
+    sphere, _ = oracles.sphere_grid(9, 11)
+    helicoid = build_model_shell(ModelConfig(N=16))
+    assert np.ptp(helicoid.dq2_of_row) > 0
+    rng = np.random.default_rng(3)
+    for grid in (sphere, helicoid):
+        geo = build_geometry(grid)
+        for valence in range(5):
+            A = rng.standard_normal((grid.n1, grid.n2) + (2,) * valence)
+            for types in itertools.product("lu", repeat=valence):
+                got = _covariant_derivative_raw(A, types, geo.Gamma, grid)
+                want = oracles.covariant_derivative_einsum(A, types, geo.Gamma, grid)
+                assert np.array_equal(got, want), types
 
 
 # ---------------------------------------------------------------------------

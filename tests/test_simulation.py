@@ -80,6 +80,26 @@ def test_config_file_round_trip(tmp_path):
             ModelConfig.from_file(path)
 
 
+def test_config_rejects_bad_step_clamp_and_cadence(tmp_path):
+    path = tmp_path / "model.cfg"
+    for key, val, msg in (
+        ("dt", -8e-8, "dt must be positive"),
+        ("dt", 0.0, "dt must be positive"),
+        ("dt", float("nan"), "dt must be positive"),
+        ("k_clamp", -1.0, "k_clamp must be finite and >= 0"),
+        ("k_clamp", float("inf"), "k_clamp must be finite and >= 0"),
+        ("snapshot_every", -3, "snapshot_every must be >= 0"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            ModelConfig(N=16, **{key: val})
+        path.write_text(f"N = 16\n{key} = {val}\n")
+        with pytest.raises(ValueError, match=f"model.cfg: {msg}"):
+            ModelConfig.from_file(path)
+    # the boundary values stay valid: no clamp, no snapshots
+    cfg = ModelConfig(N=16, k_clamp=0.0, snapshot_every=0)
+    assert (cfg.k_clamp, cfg.snapshot_every) == (0.0, 0)
+
+
 # ---------------------------------------------------------------------------
 # Thickness laws
 # ---------------------------------------------------------------------------
