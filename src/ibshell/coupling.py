@@ -13,27 +13,103 @@ total force exactly, and interpolation reproduces constants exactly.
 
 Interpolation is S u and spreading is S^T (f dq / h^3) with one matrix S of
 kernel weights, so they are adjoint: <spread(f), u> h^3 = <f, interp(u)> dq.
+
+S's columns depend only on the nodes' cells floor(X/h) - 1, not on where in
+its cell a node sits: `stencil_columns` builds them and `kernel_matrix` fills
+in the weights. A time loop keeps the columns and reuses them while no node
+changes cell, which in practice is the whole run.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .fluid import FluidParams
 
+#: nodes per block of the weight transpose: 64 weights x 512 nodes is 256 kB
+_BLOCK = 512
+
 
 def phi(r):
     """1D kernel weight; vectorized over any array shape."""
     x = np.abs(np.asarray(r, dtype=float))
-    out = np.zeros_like(x)
-    m1 = x <= 1.0
-    x1 = x[m1]
-    out[m1] = (3.0 - 2.0 * x1 + np.sqrt(1.0 + 4.0 * x1 - 4.0 * x1 * x1)) / 8.0
-    m2 = (x > 1.0) & (x < 2.0)
-    y = 2.0 - x[m2]
-    out[m2] = 0.5 - (3.0 - 2.0 * y + np.sqrt(1.0 + 4.0 * y - 4.0 * y * y)) / 8.0
+    inner = x <= 1.0
+    # y = |r| on the inner branch and 2 - |r| on the outer one, clipped at 0:
+    # past the support core is then exactly 1/2, so 1/2 - core is exactly 0
+    y = np.where(inner, x, np.fmax(2.0 - x, 0.0))
+    core = (3.0 - 2.0 * y + np.sqrt(1.0 + 4.0 * y - 4.0 * y * y)) / 8.0
+    out = np.where(inner, core, 0.5 - core)
     return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class Stencil:
+    """The column structure of S: it depends only on the nodes' cells.
+
+    cells (3, M) holds floor(X/h) - 1 per axis; row m of S has its 64
+    columns at indices[64 m : 64 m + 64], ordered (i, j, k) over the 4^3
+    offsets from cells[:, m] and wrapped periodically.
+    """
+
+    N: int
+    cells: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def node_cells(X, params: FluidParams):
+    """Lattice coordinates s = X/h and cells floor(s) - 1 of X (..., 3), as
+    (3, M) arrays. Raises ValueError on non-finite X."""
+    Xf = np.asarray(X, dtype=float).reshape(-1, 3)
+    if not np.isfinite(Xf).all():
+        raise ValueError("non-finite shell position in coupling_matrix")
+    s = np.ascontiguousarray(Xf.T) / params.h
+    return s, np.floor(s).astype(np.int64) - 1
+
+
+def stencil_columns(cells, N: int) -> Stencil:
+    """The column indices and row pointers of S for nodes in `cells`.
+
+    int32 while N^3 and 64 M fit, int64 beyond.
+    """
+    M = cells.shape[1]
+    big = max(N**3, 64 * M) > np.iinfo(np.int32).max
+    itype = np.int64 if big else np.int32
+    idx = ((cells[:, None, :] + np.arange(4)[:, None]) % N).astype(itype)
+    flat = (
+        (idx[0][:, None, None] * N + idx[1][None, :, None]) * N
+        + idx[2][None, None, :]
+    )  # (4, 4, 4, M)
+    return Stencil(
+        N=N,
+        cells=cells,
+        indices=flat.reshape(64, M).T.flatten(),
+        indptr=np.arange(0, 64 * M + 1, 64, dtype=itype),
+    )
+
+
+def kernel_matrix(s, stencil: Stencil):
+    """S from lattice coordinates s (3, M) on the columns of `stencil`.
+
+    The per-axis weights are formed as (3, 4, M). Their tensor product
+    (w0 w1) w2 is formed as (4, 4, 4, nodes) and transposed into the
+    row-major data one block of nodes at a time, so the transpose stays in
+    cache.
+    """
+    M = s.shape[1]
+    w = phi(s[:, None, :] - (stencil.cells[:, None, :] + np.arange(4)[:, None]))
+    data = np.empty((M, 64))
+    for a in range(0, M, _BLOCK):
+        wb = w[:, :, a:a + _BLOCK]
+        w3 = wb[0][:, None, None] * wb[1][None, :, None] * wb[2][None, None, :]
+        data[a:a + _BLOCK] = w3.reshape(64, -1).T
+    # not canonicalized: sorting or merging columns would reorder the sums
+    return sparse.csr_array(
+        (data.ravel(), stencil.indices, stencil.indptr), shape=(M, stencil.N**3)
+    )
 
 
 def coupling_matrix(X, params: FluidParams):
@@ -43,25 +119,8 @@ def coupling_matrix(X, params: FluidParams):
     of its (periodically wrapped) 4^3 neighborhood; for N < 4 the wrap repeats
     columns, which the sparse products sum. Raises ValueError on non-finite X.
     """
-    N, h = params.N, params.h
-    Xf = np.asarray(X, dtype=float).reshape(-1, 3)
-    if not np.isfinite(Xf).all():
-        raise ValueError("non-finite shell position in coupling_matrix")
-    s = Xf / h
-    base = np.floor(s).astype(np.int64) - 1
-    offs = base[:, :, None] + np.arange(4)[None, None, :]
-    w = phi(s[:, :, None] - offs)
-    idx = offs % N
-    w3 = w[:, 0, :, None, None] * w[:, 1, None, :, None] * w[:, 2, None, None, :]
-    flat = (
-        (idx[:, 0, :, None, None] * N + idx[:, 1, None, :, None]) * N
-        + idx[:, 2, None, None, :]
-    )
-    M = len(Xf)
-    # not canonicalized: sorting or merging columns would reorder the sums
-    return sparse.csr_array(
-        (w3.ravel(), flat.ravel(), 64 * np.arange(M + 1)), shape=(M, N**3)
-    )
+    s, cells = node_cells(X, params)
+    return kernel_matrix(s, stencil_columns(cells, params.N))
 
 
 def spread_force(f, S, dq, params: FluidParams):

@@ -121,26 +121,35 @@ class FluidSolver:
         """Advance one step from velocity u under body force F.
 
         Returns (u_new, p_new) satisfying the implicit system exactly (to
-        roundoff) and discretely divergence-free.
+        roundoff) and discretely divergence-free. Works in place on its own
+        temporaries only (u and F are left unchanged) and drops each one once
+        it is consumed, which lowers a step's peak memory.
         """
         prm = self.params
         h = prm.h
         r = prm.rho / prm.dt * u
         if include_advection:
-            r = r - prm.rho * upwind_advection(u, h)
+            adv = upwind_advection(u, h)
+            adv *= prm.rho
+            r -= adv
+            del adv
         if F is not None:
-            r = r + F
-        rhat = scipy.fft.rfftn(r, axes=(1, 2, 3))
+            r += F
+        rhat = scipy.fft.rfftn(r, axes=(1, 2, 3), overwrite_x=True)
+        del r
         # p_hat = (conj(g_hat) . r_hat) / |g_hat|^2, zero on the null modes
-        num = (-1j / h) * (
-            self._s[0] * rhat[0] + self._s[1] * rhat[1] + self._s[2] * rhat[2]
-        )
-        phat = np.where(self.zero_g, 0.0, num / self._gsq_safe)
-        uhat = np.empty_like(rhat)
+        phat = self._s[0] * rhat[0]
+        phat += self._s[1] * rhat[1]
+        phat += self._s[2] * rhat[2]
+        phat *= -1j / h
+        phat /= self._gsq_safe
+        phat[self.zero_g] = 0.0
+        # u_hat = (r_hat - g_hat p_hat) / a(k), built over r_hat
         for i in range(3):
-            uhat[i] = (rhat[i] - (1j / h) * self._s[i] * phat) / self.a_k
+            rhat[i] -= (1j / h) * self._s[i] * phat
+            rhat[i] /= self.a_k
         shape = (prm.N,) * 3
-        u_new = scipy.fft.irfftn(uhat, s=shape, axes=(1, 2, 3))
-        p_new = scipy.fft.irfftn(phat, s=shape)
+        u_new = scipy.fft.irfftn(rhat, s=shape, axes=(1, 2, 3), overwrite_x=True)
+        del rhat
+        p_new = scipy.fft.irfftn(phat, s=shape, overwrite_x=True)
         return u_new, p_new
-

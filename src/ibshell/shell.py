@@ -25,7 +25,7 @@ back toward the flat state.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,9 +91,15 @@ class ShellCoefficients:
     Omegabar: np.ndarray  # (n1, n2, 2, 2, 2)
     Obbar: np.ndarray     # (n1, n2, 2, 2, 2, 2)
 
+    def __post_init__(self):
+        # the fields are fixed once built: find the nonzero ones here, not
+        # on every force evaluation
+        self._active = {f.name: bool(np.any(getattr(self, f.name)))
+                        for f in fields(self)}
+
     def active(self, name: str) -> bool:
         """Whether a coefficient field has any nonzero entry."""
-        return bool(np.any(getattr(self, name)))
+        return self._active[name]
 
 
 @dataclass

@@ -28,7 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupling import coupling_matrix, interpolate_velocity, spread_force
+from .coupling import (
+    interpolate_velocity,
+    kernel_matrix,
+    node_cells,
+    spread_force,
+    stencil_columns,
+)
 from .fluid import FluidParams, FluidSolver
 from .geometry import SurfaceGrid, build_geometry
 from .shell import (
@@ -303,6 +309,7 @@ class Simulation:
         self.shell = ShellState(X=self.grid.X0.copy())
         self.u = np.zeros((3, cfg.N, cfg.N, cfg.N))
         self.p = np.zeros((cfg.N, cfg.N, cfg.N))
+        self._stencil = None  # S's columns, built at the first step
 
     # convenient aliases
     @property
@@ -323,11 +330,22 @@ class Simulation:
         """Current normal displacement field."""
         return decompose_displacement(self.X, self.geom).omega
 
+    def _coupling_matrix(self, X):
+        """`coupling.coupling_matrix(X, self.fparams)`, on held columns.
+
+        S's columns depend only on the nodes' cells; they are rebuilt only
+        when some node has changed cell since they were built.
+        """
+        s, cells = node_cells(X, self.fparams)
+        if self._stencil is None or not np.array_equal(cells, self._stencil.cells):
+            self._stencil = stencil_columns(cells, self.cfg.N)
+        return kernel_matrix(s, self._stencil)
+
     def step(self):
         """One coupled step: force, spread (+impulse), fluid, advect."""
         cfg = self.cfg
         X = self.shell.X
-        S = coupling_matrix(X, self.fparams)
+        S = self._coupling_matrix(X)
         f = self.shell_force_cartesian(X)
         F = spread_force(f, S, self.dq_area, self.fparams)
         if self.shell.step_count == 0:

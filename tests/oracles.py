@@ -7,7 +7,10 @@ oracles, never from the code under test.
 """
 
 import numpy as np
+import scipy.fft
+from scipy import sparse
 
+from ibshell.fluid import upwind_advection
 from ibshell.geometry import SurfaceGrid, _diff_stack
 
 # ---------------------------------------------------------------------------
@@ -247,6 +250,82 @@ def covariant_derivative_einsum(A, index_types, Gamma, grid):
             corr = -np.einsum("xysav,xy...s->xya...v", Gamma, Am)
         out += np.moveaxis(corr, -1, 3 + k)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Coupling matrix through boolean masks and node-major broadcasts
+# ---------------------------------------------------------------------------
+
+
+def phi_masked(r):
+    """The 1D kernel weight evaluated branch by branch on boolean masks.
+
+    The pre-`np.where` form of `coupling.phi`.
+    """
+    x = np.abs(np.asarray(r, dtype=float))
+    out = np.zeros_like(x)
+    m1 = x <= 1.0
+    x1 = x[m1]
+    out[m1] = (3.0 - 2.0 * x1 + np.sqrt(1.0 + 4.0 * x1 - 4.0 * x1 * x1)) / 8.0
+    m2 = (x > 1.0) & (x < 2.0)
+    y = 2.0 - x[m2]
+    out[m2] = 0.5 - (3.0 - 2.0 * y + np.sqrt(1.0 + 4.0 * y - 4.0 * y * y)) / 8.0
+    return out if out.ndim else float(out)
+
+
+def coupling_matrix_broadcast(X, params):
+    """S built in one pass from (M, 3, 4) offsets, int64 columns.
+
+    The pre-split form of `coupling.coupling_matrix`: weights and columns are
+    both formed per call as (M, 4, 4, 4) broadcasts.
+    """
+    N, h = params.N, params.h
+    Xf = np.asarray(X, dtype=float).reshape(-1, 3)
+    s = Xf / h
+    base = np.floor(s).astype(np.int64) - 1
+    offs = base[:, :, None] + np.arange(4)[None, None, :]
+    w = phi_masked(s[:, :, None] - offs)
+    idx = offs % N
+    w3 = w[:, 0, :, None, None] * w[:, 1, None, :, None] * w[:, 2, None, None, :]
+    flat = (
+        (idx[:, 0, :, None, None] * N + idx[:, 1, None, :, None]) * N
+        + idx[:, 2, None, None, :]
+    )
+    M = len(Xf)
+    return sparse.csr_array(
+        (w3.ravel(), flat.ravel(), 64 * np.arange(M + 1)), shape=(M, N**3)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Fluid step through fresh temporaries
+# ---------------------------------------------------------------------------
+
+
+def fluid_step_out_of_place(solver, u, F, include_advection=True):
+    """`FluidSolver.step` with every intermediate a new array.
+
+    The pre-in-place form: no `overwrite_x`, no operand updated in place.
+    """
+    prm = solver.params
+    h = prm.h
+    r = prm.rho / prm.dt * u
+    if include_advection:
+        r = r - prm.rho * upwind_advection(u, h)
+    if F is not None:
+        r = r + F
+    rhat = scipy.fft.rfftn(r, axes=(1, 2, 3))
+    num = (-1j / h) * (
+        solver._s[0] * rhat[0] + solver._s[1] * rhat[1] + solver._s[2] * rhat[2]
+    )
+    phat = np.where(solver.zero_g, 0.0, num / solver._gsq_safe)
+    uhat = np.empty_like(rhat)
+    for i in range(3):
+        uhat[i] = (rhat[i] - (1j / h) * solver._s[i] * phat) / solver.a_k
+    shape = (prm.N,) * 3
+    u_new = scipy.fft.irfftn(uhat, s=shape, axes=(1, 2, 3))
+    p_new = scipy.fft.irfftn(phat, s=shape)
+    return u_new, p_new
 
 
 # ---------------------------------------------------------------------------

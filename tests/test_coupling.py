@@ -1,4 +1,5 @@
 import numpy as np
+import oracles
 import pytest
 
 from ibshell.coupling import coupling_matrix, interpolate_velocity, phi, spread_force
@@ -43,6 +44,45 @@ def test_phi_partition_of_unity_and_parity_sums():
     odd = vals[:, j % 2 == 1].sum(axis=1)
     assert np.abs(even - 0.5).max() < 1e-12
     assert np.abs(odd - 0.5).max() < 1e-12
+
+
+def test_phi_matches_masked_oracle_bitwise():
+    rng = np.random.default_rng(9)
+    r = np.concatenate([
+        rng.uniform(-3.0, 3.0, size=4096),
+        [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1.5, 3.0, np.inf, -np.inf, np.nan],
+        np.nextafter([1.0, 2.0, -1.0, -2.0], 0.0),
+        np.nextafter([1.0, 2.0, -1.0, -2.0], 3.0),
+    ])
+    assert np.array_equal(phi(r), oracles.phi_masked(r))
+    r3 = r[:4095].reshape(-1, 5, 3)
+    assert np.array_equal(phi(r3), oracles.phi_masked(r3))
+    for x in (0.0, 1.0, -1.5, 2.0, 7.0):
+        assert phi(x) == oracles.phi_masked(x) and isinstance(phi(x), float)
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 16, 64])
+def test_coupling_matrix_matches_broadcast_oracle_bitwise(N):
+    prm = FluidParams(N=N, a=0.1, rho=1.0, mu_f=0.01, dt=1e-8)
+    rng = np.random.default_rng(N)
+    M = 300
+    h = prm.h
+    # negative and beyond-the-box coordinates wrap
+    X = rng.uniform(-1.5 * prm.a, 2.5 * prm.a, size=(M, 3))
+    # nodes on cell faces (integer s): |r| is exactly 0, 1 and 2 there
+    X[:60] = h * rng.integers(-2 * N, 3 * N, size=(60, 3))
+    # one axis on a face, the others generic
+    X[60:120, 1] = h * rng.integers(-N, 2 * N, size=60)
+    S = coupling_matrix(X, prm)
+    ref = oracles.coupling_matrix_broadcast(X, prm)
+    assert S.shape == ref.shape
+    assert np.array_equal(S.data, ref.data)
+    assert np.array_equal(S.indices, ref.indices)  # values; dtypes may differ
+    assert np.array_equal(S.indptr, ref.indptr)
+    u = rng.standard_normal(N**3)
+    g = rng.standard_normal(M)
+    assert np.array_equal(S @ u, ref @ u)
+    assert np.array_equal(S.T @ g, ref.T @ g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
+import oracles
 import pytest
 
+import ibshell.simulation
 from ibshell.coupling import coupling_matrix, interpolate_velocity, spread_force
 from ibshell.io import (
     config_param_block,
@@ -263,6 +265,41 @@ def test_single_step_matches_hand_chained_modules(sim16):
     assert np.array_equal(sim.p, p)
     assert np.array_equal(sim.X, X)
     assert np.array_equal(sim.shell.X_prev, ref.grid.X0)
+
+
+def test_cell_crossing_rebuilds_stencil_columns(monkeypatch):
+    cfg = ModelConfig(N=16, dt=8e-8)
+    sim = Simulation(cfg)
+    seen = []
+
+    def spy(f, S, dq, params):
+        seen.append(S)
+        return spread_force(f, S, dq, params)
+
+    monkeypatch.setattr(ibshell.simulation, "spread_force", spy)
+    sim.run(2)
+    # no node changed cell: the second step reuses the first step's column
+    # arrays (the same memory, not an equal copy)
+    assert np.shares_memory(seen[1].indices, seen[0].indices)
+    assert np.shares_memory(seen[1].indptr, seen[0].indptr)
+
+    # one interior node moves by more than a mesh width
+    X = sim.X.copy()
+    X[cfg.n1 // 2, cfg.n2 // 2, 0] += 1.5 * sim.fparams.h
+    sim.shell.X = X
+    S_ref = oracles.coupling_matrix_broadcast(X, sim.fparams)
+    f = sim.shell_force_cartesian(X)
+    u, p = sim.solver.step(sim.u, spread_force(f, S_ref, sim.dq_area, sim.fparams))
+    X_ref = X + cfg.dt * interpolate_velocity(u, S_ref).reshape(X.shape)
+    sim.step()
+    S = seen[2]
+    assert not np.shares_memory(S.indices, seen[1].indices)
+    assert np.array_equal(S.data, S_ref.data)
+    assert np.array_equal(S.indices, S_ref.indices)
+    assert np.array_equal(S.indptr, S_ref.indptr)
+    assert np.array_equal(sim.u, u)
+    assert np.array_equal(sim.p, p)
+    assert np.array_equal(sim.X, X_ref)
 
 
 def test_determinism_bitwise():
