@@ -67,6 +67,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def nonnegative_int(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _parse_ladder(text, cast):
     return tuple(cast(tok) for tok in text.split(",") if tok.strip())
 
@@ -85,15 +92,9 @@ def _cmd_study(args) -> int:
             f"{rec.wall_seconds:.1f} s wall"
         ),
     )
-    norms = [args.norm] if args.norm else ["1", "2", "inf"]
-    for fine, mid, coarse in zip(
-        study.records, study.records[1:], study.records[2:]
-    ):
-        for p in norms:
-            pval = int(p) if p in ("1", "2") else "inf"
-            r = harness.convergence_rates(fine, mid, coarse, pval)
-            print(f"rate L{p}: {r:.4f}   ({fine.label} | {mid.label} | "
-                  f"{coarse.label})")
+    for fine, mid, coarse, p, r in study.rates():
+        if args.norm in (None, p):
+            print(f"rate L{p}: {r:.4f}   ({fine} | {mid} | {coarse})")
     for path in study.csv_paths:
         print(f"wrote {path}")
     return 0
@@ -133,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="out", help="snapshot directory")
     run.add_argument("--n", type=int, help="fluid grid points per side")
     run.add_argument("--dt", type=float, help="time step (s)")
-    run.add_argument("--steps", type=int, help="step count (default T0/dt)")
+    run.add_argument("--steps", type=nonnegative_int,
+                     help="step count (default T0/dt)")
     run.set_defaults(func=_cmd_run)
 
     study = sub.add_parser("study", help="grid-refinement convergence study")

@@ -1,10 +1,14 @@
 """Coefficient tensors and the elastic force operator of the shell.
 
 The shell's elastic response is a linear fourth-order operator acting on the
-displacement decomposition (omega, W) of the middle surface. Its eleven
+displacement decomposition (omega, W) of the middle surface. Its ten
 coefficient tensor fields are through-thickness integrals of products of the
 surface curvature data; they are precomputed once at initialization and are
 immutable afterwards.
+
+The force is pointwise terms + div T + div div S, built from one table of
+linear terms, `_TERMS`, each a coefficient field contracted with omega, W,
+the hessian of omega or grad W.
 
 Two thickness closures of the integrals are available:
 
@@ -72,14 +76,13 @@ class MaterialParams:
 
 @dataclass
 class ShellCoefficients:
-    """The eleven precomputed coefficient tensor fields of the force operator.
+    """The ten precomputed coefficient tensor fields of the force operator.
 
     Index conventions follow the defining integrals: e.g. Psi[r, s, t] is the
     coefficient contracted as Psi^{r s t} W_r inside a double divergence over
     (s, t), and Omegabar[m, n, r] multiplies grad_m W_n with r free.
     """
 
-    Lambda0: np.ndarray   # (n1, n2, 2, 2, 2, 2)
     A: np.ndarray         # (n1, n2)
     Abar: np.ndarray      # (n1, n2, 2, 2, 2, 2)
     Abbar: np.ndarray     # (n1, n2, 2, 2)
@@ -214,7 +217,7 @@ def compute_coefficients(
         Omegabar = np.zeros(b.shape[:2] + (2, 2, 2))
         Obbar = I0[..., None, None, None, None] * Lam0
         return ShellCoefficients(
-            Lambda0=Lam0, A=A, Abar=Abar, Abbar=Abbar, Phi=Phi, Phibar=Phibar,
+            A=A, Abar=Abar, Abbar=Abbar, Phi=Phi, Phibar=Phibar,
             Psi=Psi, Psibar=Psibar, Omega=Omega, Omegabar=Omegabar, Obbar=Obbar,
         )
 
@@ -300,7 +303,7 @@ def compute_coefficients(
     )
     Obbar = close(brObbar, 0, zero6)
     return ShellCoefficients(
-        Lambda0=Lam0, A=A, Abar=Abar, Abbar=Abbar, Phi=Phi, Phibar=Phibar,
+        A=A, Abar=Abar, Abbar=Abbar, Phi=Phi, Phibar=Phibar,
         Psi=Psi, Psibar=Psibar, Omega=Omega, Omegabar=Omegabar, Obbar=Obbar,
     )
 
@@ -331,6 +334,30 @@ def _double_divergence(S, geom):
     return _cov_divergence(V, ("u",), geom)
 
 
+#: The force operator, one row per term: (coefficient field, contraction of
+#: the field with a jet entry, jet entry, accumulator, sign). The jet is
+#: omega, W, hess = grad D omega and gradW = grad W; terms land pointwise in
+#: f3 or fmu, under the divergence in T, or under the double divergence in S.
+_TERMS = (
+    ("A", "xy,xy->xy", "omega", "f3", +1),
+    ("Abar", "xystmn,xymn->xyst", "hess", "S", +1),
+    ("Abbar", "xyst,xy->xyst", "omega", "S", -1),
+    ("Abbar", "xyst,xyst->xy", "hess", "f3", -1),
+    ("Phi", "xyn,xyn->xy", "W", "f3", +1),
+    ("Phi", "xym,xy->xym", "omega", "fmu", +1),
+    ("Phibar", "xymn,xymn->xy", "gradW", "f3", +1),
+    ("Phibar", "xymn,xy->xymn", "omega", "T", -1),
+    ("Psi", "xymst,xym->xyst", "W", "S", -1),
+    ("Psi", "xymst,xyst->xym", "hess", "fmu", -1),
+    ("Psibar", "xystmn,xyst->xymn", "gradW", "S", -1),
+    ("Psibar", "xynmst,xyst->xynm", "hess", "T", +1),
+    ("Omega", "xymn,xyn->xym", "W", "fmu", +1),
+    ("Omegabar", "xystm,xyst->xym", "gradW", "fmu", +1),
+    ("Omegabar", "xysmt,xyt->xysm", "W", "T", -1),
+    ("Obbar", "xystnm,xyst->xynm", "gradW", "T", -1),
+)
+
+
 def compute_force(
     disp: Displacement, coeff: ShellCoefficients, geom: SurfaceGeometry
 ) -> ShellForceDensity:
@@ -338,60 +365,26 @@ def compute_force(
 
     All derivatives are the hybrid difference operator; the hessian of omega
     is the covariant derivative of the 1-form (D omega), exactly as the
-    operator is defined. Terms whose coefficient field is identically zero
+    operator is defined. Rows whose coefficient field is identically zero
     (the leading closure on a flat chart zeroes most of them) are skipped.
+    The divergences are linear, so each is taken once, of the summed T or S.
     """
     grid, Gamma = geom.grid, geom.Gamma
     omega, W = disp.omega, disp.W_low
     dw = _diff_stack(omega, grid)  # (D_mu omega)
-    hess = _covariant_derivative_raw(dw, ("l",), Gamma, grid)   # grad_m D_n w
-    gradW = _covariant_derivative_raw(W, ("l",), Gamma, grid)   # grad_m W_n
+    jet = {"omega": omega, "W": W,
+           "hess": _covariant_derivative_raw(dw, ("l",), Gamma, grid),
+           "gradW": _covariant_derivative_raw(W, ("l",), Gamma, grid)}
+    acc = {"f3": np.zeros_like(omega), "fmu": np.zeros_like(W),
+           "T": np.zeros(W.shape + (2,)), "S": np.zeros(W.shape + (2,))}
+    for name, spec, arg, target, sign in _TERMS:
+        if coeff.active(name):
+            acc[target] += sign * np.einsum(spec, getattr(coeff, name), jet[arg])
 
-    f3 = np.zeros_like(omega)
-    fmu = np.zeros_like(W)
-
-    if coeff.active("A"):
-        f3 += coeff.A * omega
-    if coeff.active("Abar"):
-        S = np.einsum("xystmn,xymn->xyst", coeff.Abar, hess)
-        f3 += _double_divergence(S, geom)
-    if coeff.active("Abbar"):
-        f3 -= _double_divergence(coeff.Abbar * omega[..., None, None], geom)
-        f3 -= np.einsum("xyst,xyst->xy", coeff.Abbar, hess)
-    if coeff.active("Phi"):
-        f3 += np.einsum("xyn,xyn->xy", coeff.Phi, W)
-        fmu += coeff.Phi * omega[..., None]
-    if coeff.active("Phibar"):
-        f3 += np.einsum("xymn,xymn->xy", coeff.Phibar, gradW)
-        fmu -= _cov_divergence(
-            coeff.Phibar * omega[..., None, None], ("u", "u"), geom
-        )
-    if coeff.active("Psi"):
-        f3 -= _double_divergence(
-            np.einsum("xymst,xym->xyst", coeff.Psi, W), geom
-        )
-        fmu -= np.einsum("xymst,xyst->xym", coeff.Psi, hess)
-    if coeff.active("Psibar"):
-        f3 -= _double_divergence(
-            np.einsum("xystmn,xyst->xymn", coeff.Psibar, gradW), geom
-        )
-        fmu += _cov_divergence(
-            np.einsum("xynmst,xyst->xynm", coeff.Psibar, hess), ("u", "u"), geom
-        )
-    if coeff.active("Omega"):
-        fmu += np.einsum("xymn,xyn->xym", coeff.Omega, W)
-    if coeff.active("Omegabar"):
-        fmu += np.einsum("xystm,xyst->xym", coeff.Omegabar, gradW)
-        fmu -= _cov_divergence(
-            np.einsum("xysmt,xyt->xysm", coeff.Omegabar, W), ("u", "u"), geom
-        )
-    if coeff.active("Obbar"):
-        fmu -= _cov_divergence(
-            np.einsum("xystnm,xyst->xynm", coeff.Obbar, gradW), ("u", "u"), geom
-        )
-
-    f3 *= FORCE_ON_FLUID_SIGN
-    fmu *= FORCE_ON_FLUID_SIGN
+    f3 = FORCE_ON_FLUID_SIGN * (acc["f3"] + _double_divergence(acc["S"], geom))
+    fmu = FORCE_ON_FLUID_SIGN * (
+        acc["fmu"] + _cov_divergence(acc["T"], ("u", "u"), geom)
+    )
     return ShellForceDensity(
         f3=f3, fmu=fmu, cartesian=force_to_cartesian(f3, fmu, geom)
     )

@@ -284,12 +284,11 @@ def impulse_force(t: float, cfg: ModelConfig, params: FluidParams) -> np.ndarray
 
 @dataclass
 class ShellState:
-    """Current shell positions and time; X_prev holds the pre-step positions."""
+    """Current shell positions, time and step count."""
 
     X: np.ndarray
     t: float = 0.0
     step_count: int = 0
-    X_prev: np.ndarray = None
 
 
 class Simulation:
@@ -355,7 +354,6 @@ class Simulation:
             F += impulse_force(0.0, cfg, self.fparams) / cfg.dt
         self.u, self.p = self.solver.step(self.u, F)
         U = interpolate_velocity(self.u, S)
-        self.shell.X_prev = X
         self.shell.X = X + cfg.dt * U.reshape(X.shape)
         self.shell.t += cfg.dt
         self.shell.step_count += 1

@@ -11,7 +11,14 @@ import scipy.fft
 from scipy import sparse
 
 from ibshell.fluid import upwind_advection
-from ibshell.geometry import SurfaceGrid, _diff_stack
+from ibshell.geometry import SurfaceGrid, _covariant_derivative_raw, _diff_stack
+from ibshell.shell import (
+    FORCE_ON_FLUID_SIGN,
+    ShellForceDensity,
+    _cov_divergence,
+    _double_divergence,
+    force_to_cartesian,
+)
 
 # ---------------------------------------------------------------------------
 # Test charts
@@ -326,6 +333,73 @@ def fluid_step_out_of_place(solver, u, F, include_advection=True):
     u_new = scipy.fft.irfftn(uhat, s=shape, axes=(1, 2, 3))
     p_new = scipy.fft.irfftn(phat, s=shape)
     return u_new, p_new
+
+
+# ---------------------------------------------------------------------------
+# Shell force term by term
+# ---------------------------------------------------------------------------
+
+
+def compute_force_termwise(disp, coeff, geom):
+    """`shell.compute_force` with one divergence per term.
+
+    The pre-table form: each coefficient field has its own block, and every
+    term under a divergence or double divergence takes its own.
+    """
+    grid, Gamma = geom.grid, geom.Gamma
+    omega, W = disp.omega, disp.W_low
+    dw = _diff_stack(omega, grid)  # (D_mu omega)
+    hess = _covariant_derivative_raw(dw, ("l",), Gamma, grid)   # grad_m D_n w
+    gradW = _covariant_derivative_raw(W, ("l",), Gamma, grid)   # grad_m W_n
+
+    f3 = np.zeros_like(omega)
+    fmu = np.zeros_like(W)
+
+    if coeff.active("A"):
+        f3 += coeff.A * omega
+    if coeff.active("Abar"):
+        S = np.einsum("xystmn,xymn->xyst", coeff.Abar, hess)
+        f3 += _double_divergence(S, geom)
+    if coeff.active("Abbar"):
+        f3 -= _double_divergence(coeff.Abbar * omega[..., None, None], geom)
+        f3 -= np.einsum("xyst,xyst->xy", coeff.Abbar, hess)
+    if coeff.active("Phi"):
+        f3 += np.einsum("xyn,xyn->xy", coeff.Phi, W)
+        fmu += coeff.Phi * omega[..., None]
+    if coeff.active("Phibar"):
+        f3 += np.einsum("xymn,xymn->xy", coeff.Phibar, gradW)
+        fmu -= _cov_divergence(
+            coeff.Phibar * omega[..., None, None], ("u", "u"), geom
+        )
+    if coeff.active("Psi"):
+        f3 -= _double_divergence(
+            np.einsum("xymst,xym->xyst", coeff.Psi, W), geom
+        )
+        fmu -= np.einsum("xymst,xyst->xym", coeff.Psi, hess)
+    if coeff.active("Psibar"):
+        f3 -= _double_divergence(
+            np.einsum("xystmn,xyst->xymn", coeff.Psibar, gradW), geom
+        )
+        fmu += _cov_divergence(
+            np.einsum("xynmst,xyst->xynm", coeff.Psibar, hess), ("u", "u"), geom
+        )
+    if coeff.active("Omega"):
+        fmu += np.einsum("xymn,xyn->xym", coeff.Omega, W)
+    if coeff.active("Omegabar"):
+        fmu += np.einsum("xystm,xyst->xym", coeff.Omegabar, gradW)
+        fmu -= _cov_divergence(
+            np.einsum("xysmt,xyt->xysm", coeff.Omegabar, W), ("u", "u"), geom
+        )
+    if coeff.active("Obbar"):
+        fmu -= _cov_divergence(
+            np.einsum("xystnm,xyst->xynm", coeff.Obbar, gradW), ("u", "u"), geom
+        )
+
+    f3 *= FORCE_ON_FLUID_SIGN
+    fmu *= FORCE_ON_FLUID_SIGN
+    return ShellForceDensity(
+        f3=f3, fmu=fmu, cartesian=force_to_cartesian(f3, fmu, geom)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,56 @@ def test_run_resolution_overrides(tmp_path):
     assert snap.N == 16 and snap.n1 == 161
 
 
+def test_run_rejects_negative_steps(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--out", str(tmp_path), "--n", "16", "--steps", "-5"])
+    assert exc.value.code == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    # zero steps still writes the t = 0 snapshot
+    assert main(["run", "--out", str(tmp_path), "--n", "16", "--dt", "8e-8",
+                 "--steps", "0"]) == 0
+    assert read_snapshot(tmp_path / "snapshot_final.ibsh").t == 0.0
+
+
+def test_study_prints_rates_per_norm(monkeypatch, capsys):
+    import ibshell.harness as harness
+
+    rng = np.random.default_rng(5)
+    X0 = rng.standard_normal((3, 4, 3))
+    times = np.linspace(0.25, 1.0, 4)
+    records = [
+        harness.StudyRecord(
+            label=f"{i + 1}/{N}", N=N, dt=1.0 / N, T0=1.0, times=times,
+            X=X0 + rng.standard_normal((4, 3, 4, 3)) / N, X0=X0,
+        )
+        for i, N in enumerate((128, 64, 32, 16))
+    ]
+
+    def fake_study(base, N_list, dt_list, out_dir, progress):
+        for rec in records:
+            progress(rec)
+        return harness.StudySet(records=records, common_dims=(3, 4))
+
+    monkeypatch.setattr(harness, "run_convergence_study", fake_study)
+    # (norm, line) in the order the lines are printed
+    lines = []
+    for fine, mid, coarse in zip(records, records[1:], records[2:]):
+        for p in ("1", "2", "inf"):
+            r = harness.convergence_rates(
+                fine, mid, coarse, "inf" if p == "inf" else int(p))
+            lines.append((p, f"rate L{p}: {r:.4f}   ({fine.label} | "
+                             f"{mid.label} | {coarse.label})"))
+    runs = [f"run {rec.label}: 4 samples, 0.0 s wall" for rec in records]
+
+    assert main(["study"]) == 0
+    assert capsys.readouterr().out.splitlines() == runs + [t for _, t in lines]
+    for p in ("1", "2", "inf"):
+        assert main(["study", "--norm", p]) == 0
+        assert capsys.readouterr().out.splitlines() == runs + [
+            t for q, t in lines if q == p]
+
+
 def test_checks_pass_and_exit_zero(capsys):
     assert main(["kernel-check"]) == 0
     assert main(["plate-check"]) == 0

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -336,3 +338,38 @@ def test_cartesian_assembly_identity_helicoid():
         f.fmu[i, j, 0] * geom.T[i, j, 0] + f.fmu[i, j, 1] * geom.T[i, j, 1]
     )
     assert np.allclose(f.cartesian[i, j], expect, rtol=1e-14, atol=1e-30)
+
+
+def test_force_matches_termwise_oracle():
+    # one divergence of the summed T and one double divergence of the summed
+    # S against one per term: equal up to the summation order
+    from ibshell.simulation import ModelConfig, build_model_shell, thickness_field
+
+    cfg = ModelConfig(N=16)
+    helicoid = build_geometry(build_model_shell(cfg))
+    h0 = thickness_field(cfg)
+    sphere = build_geometry(oracles.sphere_grid(17, 17)[0])
+    flat = build_geometry(oracles.flat_grid(17, 13))
+    cases = [
+        (helicoid, MaterialParams(cfg.lam, cfg.mu, h0), "leading"),
+        (helicoid, MaterialParams(cfg.lam, cfg.mu, h0), "quadratic"),
+        (sphere, MaterialParams(LAM, MU, 1e-3), "leading"),
+        (flat, MaterialParams(LAM, MU, 1e-3), "leading"),
+    ]
+    rng = np.random.default_rng(11)
+    for geom, mat, order in cases:
+        coeff = compute_coefficients(geom, mat, order=order)
+        if order == "quadratic":  # every row of the table runs
+            assert all(coeff.active(f.name) for f in fields(coeff))
+        n1, n2 = geom.grid.n1, geom.grid.n2
+        disp = Displacement(
+            omega=1e-4 * rng.standard_normal((n1, n2)),
+            W_low=1e-4 * rng.standard_normal((n1, n2, 2)),
+        )
+        got = compute_force(disp, coeff, geom)
+        want = oracles.compute_force_termwise(disp, coeff, geom)
+        for name in ("f3", "fmu", "cartesian"):
+            a, b = getattr(got, name), getattr(want, name)
+            scale = np.abs(b).max()
+            assert scale > 0, (order, name)
+            assert np.abs(a - b).max() <= 1e-13 * scale, (order, name)

@@ -264,7 +264,6 @@ def test_single_step_matches_hand_chained_modules(sim16):
     assert np.array_equal(sim.u, u)
     assert np.array_equal(sim.p, p)
     assert np.array_equal(sim.X, X)
-    assert np.array_equal(sim.shell.X_prev, ref.grid.X0)
 
 
 def test_cell_crossing_rebuilds_stencil_columns(monkeypatch):
