@@ -16,31 +16,41 @@ fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import harness, io
-from .simulation import ModelConfig, Simulation
+from .geometry import build_geometry
+from .shell import decompose_displacement
+from .simulation import ModelConfig, Simulation, build_model_shell
+
+
+@contextlib.contextmanager
+def _reading(source: str):
+    """An error met while reading an input becomes a usage error naming it."""
+    try:
+        yield
+    except (OSError, ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentError(None, f"{source}: {exc}") from exc
 
 
 def _load_config(args) -> ModelConfig:
-    cfg = ModelConfig.from_file(args.config) if args.config else ModelConfig()
-    overrides = {}
-    if getattr(args, "n", None) is not None:
-        overrides = {"N": int(args.n), "n1": None, "n2": None}
-    if getattr(args, "dt", None) is not None:
-        overrides["dt"] = float(args.dt)
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
-    return cfg
+    with _reading("--config"):
+        return ModelConfig.from_file(args.config) if args.config else ModelConfig()
 
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
+    if args.n is not None:
+        with _reading("--n"):
+            cfg = replace(cfg, N=args.n, n1=None, n2=None)
+    if args.dt is not None:
+        with _reading("--dt"):
+            cfg = replace(cfg, dt=args.dt)
     steps = args.steps if args.steps is not None else int(round(cfg.T0 / cfg.dt))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -55,9 +65,9 @@ def _cmd_run(args) -> int:
         written.append(path)
 
     for k in range(cadence, steps + 1, cadence) if cadence > 0 else ():
-        sim.run(k - sim.shell.step_count)
+        sim.run(k - sim.step_count)
         snap(f"{k:06d}")
-    sim.run(steps - sim.shell.step_count)
+    sim.run(steps - sim.step_count)
     snap("final")
     drift = np.abs(sim.X - sim.grid.X0).max()
     print(f"ran {steps} steps to t = {sim.t:.6e} s on N = {cfg.N}; "
@@ -79,12 +89,15 @@ def _parse_ladder(text, cast):
 
 
 def _cmd_study(args) -> int:
-    base = ModelConfig.from_file(args.config) if args.config else ModelConfig()
-    N_list = _parse_ladder(args.n, int) if args.n else harness.STUDY_N
-    if args.dt:
-        dt_list = _parse_ladder(args.dt, float)
-    else:
+    base = _load_config(args)
+    with _reading("--n"):
+        N_list = _parse_ladder(args.n, int) if args.n else harness.STUDY_N
         dt_list = tuple(harness.STUDY_DT_SCALE / N for N in N_list)
+    if args.dt:
+        with _reading("--dt"):
+            dt_list = _parse_ladder(args.dt, float)
+    with _reading("--n/--dt ladder"):
+        harness.study_configs(base, N_list, dt_list)
     study = harness.run_convergence_study(
         base, N_list=N_list, dt_list=dt_list, out_dir=args.out,
         progress=lambda rec: print(
@@ -109,12 +122,9 @@ def _run_checks(results) -> int:
 
 
 def _cmd_render(args) -> int:
-    snap = io.read_snapshot(args.snapshot)
-    cfg = io.params_to_config(snap.params)
-    from .geometry import build_geometry
-    from .shell import decompose_displacement
-    from .simulation import build_model_shell
-
+    with _reading("snapshot"):
+        snap = io.read_snapshot(args.snapshot)
+        cfg = io.params_to_config(snap.params)
     geom = build_geometry(build_model_shell(cfg))
     omega = decompose_displacement(snap.X, geom).omega
     out = Path(args.out) if args.out else Path(args.snapshot).with_suffix(".pgm")
@@ -166,8 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))  # exits with status 2
 
 
 if __name__ == "__main__":

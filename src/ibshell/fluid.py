@@ -43,8 +43,9 @@ class FluidParams:
         if self.N < 2 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two, got {self.N}")
         for name in ("a", "rho", "mu_f", "dt"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive")
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
     @property
     def h(self) -> float:
@@ -100,14 +101,10 @@ class FluidSolver:
         k = np.arange(N)
         s = np.sin(2.0 * np.pi * k / N)
         s[0] = 0.0
-        if N % 2 == 0:
-            s[N // 2] = 0.0  # exact Nyquist zero of the centered-gradient symbol
+        s[N // 2] = 0.0  # exact Nyquist zero of the centered-gradient symbol
         sh = np.sin(np.pi * k / N) ** 2
-        kr = np.arange(N // 2 + 1)
-        sr = np.sin(2.0 * np.pi * kr / N)
-        sr[0] = 0.0
-        sr[-1] = 0.0
-        shr = np.sin(np.pi * kr / N) ** 2
+        sr = s[:N // 2 + 1]  # the rfft half of the last axis, k = 0..N/2
+        shr = sh[:N // 2 + 1]
         # broadcastable symbol arrays over the rfft layout (N, N, N//2+1)
         self._s = (s[:, None, None], s[None, :, None], sr[None, None, :])
         self.a_k = params.rho / params.dt + (4.0 * params.mu_f / h**2) * (

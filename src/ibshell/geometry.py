@@ -89,7 +89,7 @@ def surface_diff(values, axis: int, spacing):
 
     Centered differences at interior nodes, one-sided forward/backward at the
     first/last node of the axis. `spacing` is a scalar for axis 1; for axis 2
-    it may be a per-row array of length n1 (row-dependent mesh width).
+    it is a per-row array of length n1 (row-dependent mesh width).
 
     `values` may carry any trailing component axes; the first two axes are the
     lattice.
@@ -111,14 +111,11 @@ def surface_diff(values, axis: int, spacing):
         out[-1] = (v[-1] - v[-2]) / d
     else:
         sp = np.asarray(spacing, dtype=float)
-        if sp.ndim == 0:
-            d_in = d_lo = d_hi = float(sp)
-        elif sp.ndim == 1 and sp.shape[0] == v.shape[0]:
-            # broadcast (n1,) against (n1, n2-slice, components...)
-            d_in = sp.reshape((-1,) + (1,) * (v.ndim - 1))
-            d_lo = d_hi = sp.reshape((-1,) + (1,) * (v.ndim - 2))
-        else:
-            raise ValueError("axis-2 spacing must be scalar or shape (n1,)")
+        if sp.shape != v.shape[:1]:
+            raise ValueError("axis-2 spacing must have shape (n1,)")
+        # broadcast (n1,) against (n1, n2-slice, components...)
+        d_in = sp.reshape((-1,) + (1,) * (v.ndim - 1))
+        d_lo = d_hi = sp.reshape((-1,) + (1,) * (v.ndim - 2))
         out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * d_in)
         out[:, 0] = (v[:, 1] - v[:, 0]) / d_lo
         out[:, -1] = (v[:, -1] - v[:, -2]) / d_hi

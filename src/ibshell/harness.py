@@ -10,12 +10,13 @@ second half of the simulated interval.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
 from .coupling import phi
-from .geometry import build_geometry
+from .geometry import SurfaceGrid, build_geometry
 from .io import write_csv
 from .shell import (
     FORCE_ON_FLUID_SIGN,
@@ -32,6 +33,8 @@ from .simulation import ModelConfig, Simulation, build_model_shell
 STUDY_N = (16, 32, 64)
 STUDY_DT_SCALE = 3.2e-7
 STUDY_DT = tuple(STUDY_DT_SCALE / N for N in STUDY_N)
+#: the norms every study table reports
+NORMS_P = (1, 2, "inf")
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +138,12 @@ def convergence_rates(
 class StudySet:
     records: list
     common_dims: tuple
-    norms_p: tuple = (1, 2, "inf")
     csv_paths: list = field(default_factory=list)
 
     def pair_norms(self):
         rows = []
         for fine, coarse in zip(self.records, self.records[1:]):
-            for p in self.norms_p:
+            for p in NORMS_P:
                 rows.append(
                     (fine.label, coarse.label, str(p),
                      spacetime_norm(fine, coarse, p))
@@ -153,7 +155,7 @@ class StudySet:
         for fine, mid, coarse in zip(
             self.records, self.records[1:], self.records[2:]
         ):
-            for p in self.norms_p:
+            for p in NORMS_P:
                 rows.append(
                     (fine.label, mid.label, coarse.label, str(p),
                      convergence_rates(fine, mid, coarse, p))
@@ -191,7 +193,7 @@ def run_sampled(cfg: ModelConfig, n_samples: int, common_dims) -> StudyRecord:
     out = np.empty((n_samples,) + tuple(common_dims) + (3,))
     t0 = time.perf_counter()
     for j, k in enumerate(steps):
-        sim.run(k - sim.shell.step_count)
+        sim.run(k - sim.step_count)
         out[j] = restrict_to_common_grid(sim.X, common_dims)
     return StudyRecord(
         label=f"{cfg.dt * 1e8:g}/{cfg.N}",
@@ -203,6 +205,15 @@ def run_sampled(cfg: ModelConfig, n_samples: int, common_dims) -> StudyRecord:
         X0=restrict_to_common_grid(sim.grid.X0, common_dims),
         wall_seconds=time.perf_counter() - t0,
     )
+
+
+def study_configs(base_cfg: ModelConfig, N_list, dt_list) -> list:
+    """One config per rung of the ladder; raises ValueError on a bad ladder."""
+    if len(N_list) < 2:
+        raise ValueError("a study needs at least two runs")
+    if len(N_list) != len(dt_list):
+        raise ValueError("N_list and dt_list must pair up")
+    return [base_cfg.with_resolution(N, dt) for N, dt in zip(N_list, dt_list)]
 
 
 def run_convergence_study(
@@ -220,12 +231,7 @@ def run_convergence_study(
     finest first in the returned StudySet. CSV tables land in out_dir when
     given.
     """
-    base_cfg = base_cfg or ModelConfig()
-    if len(N_list) < 2:
-        raise ValueError("a study needs at least two runs")
-    if len(N_list) != len(dt_list):
-        raise ValueError("N_list and dt_list must pair up")
-    cfgs = [base_cfg.with_resolution(N, dt) for N, dt in zip(N_list, dt_list)]
+    cfgs = study_configs(base_cfg or ModelConfig(), N_list, dt_list)
     common = (min(c.n1 for c in cfgs) - 1, min(c.n2 for c in cfgs) - 1)
     records = []
     for cfg in sorted(cfgs, key=lambda c: -c.N):  # finest first
@@ -241,44 +247,29 @@ def run_convergence_study(
 
 def write_study_csvs(study: StudySet, out_dir) -> list:
     """study_runs.csv, study_norms.csv, study_rates.csv, study_reldiff.csv."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    p = out / "study_runs.csv"
-    write_csv(
-        p,
-        ["label", "N", "dt", "T0", "samples", "wall_seconds"],
-        [
-            (r.label, r.N, r.dt, r.T0, len(r.times), r.wall_seconds)
-            for r in study.records
-        ],
-    )
-    paths.append(p)
-
-    p = out / "study_norms.csv"
-    write_csv(p, ["fine", "coarse", "p", "spacetime_norm"], study.pair_norms())
-    paths.append(p)
-
-    p = out / "study_rates.csv"
-    write_csv(p, ["fine", "mid", "coarse", "p", "rate"], study.rates())
-    paths.append(p)
-
-    rows = []
+    reldiff = []
     for j in range(1, len(study.records)):
-        for p_ in study.norms_p:
-            series = study.relative_difference_series(j - 1, j, p_)
+        for p in NORMS_P:
+            series = study.relative_difference_series(j - 1, j, p)
             ref = study.records[j - 1]
-            rows.extend(
-                (ref.label, study.records[j].label, str(p_), t, e)
+            reldiff.extend(
+                (ref.label, study.records[j].label, str(p), t, e)
                 for t, e in zip(ref.times, series)
             )
-    p = out / "study_reldiff.csv"
-    write_csv(p, ["fine", "coarse", "p", "t", "E"], rows)
-    paths.append(p)
-    return paths
+    tables = (
+        ("study_runs.csv", ["label", "N", "dt", "T0", "samples", "wall_seconds"],
+         [(r.label, r.N, r.dt, r.T0, len(r.times), r.wall_seconds)
+          for r in study.records]),
+        ("study_norms.csv", ["fine", "coarse", "p", "spacetime_norm"],
+         study.pair_norms()),
+        ("study_rates.csv", ["fine", "mid", "coarse", "p", "rate"], study.rates()),
+        ("study_reldiff.csv", ["fine", "coarse", "p", "t", "E"], reldiff),
+    )
+    for name, header, rows in tables:
+        write_csv(out / name, header, rows)
+    return [out / name for name, _, _ in tables]
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +307,6 @@ def run_traveling_wave(
             "first_snapshot_step, snapshot_stride and n_snapshots must be >= 1"
         )
     base = base_cfg or ModelConfig()
-    from dataclasses import replace
-
     cfg = replace(base, N=N, dt=dt, n1=None, n2=None, thickness_law=thickness_law)
     sim = Simulation(cfg)
     k2c = sim.grid.n2 // 2
@@ -325,7 +314,7 @@ def run_traveling_wave(
     omega = np.empty((n_snapshots, sim.grid.n1))
     omega_full = np.empty((n_snapshots, sim.grid.n1, sim.grid.n2))
     for j, k in enumerate(steps):
-        sim.run(k - sim.shell.step_count)
+        sim.run(k - sim.step_count)
         omega_full[j] = sim.omega()
         omega[j] = omega_full[j, :, k2c]
     return WaveRecord(
@@ -359,7 +348,7 @@ def kernel_check(n_samples: int = 10_000, seed: int = 0, tol: float = 1e-12):
     total_err = np.abs(vals.sum(axis=1) - 1.0).max()
     even_err = np.abs(vals[:, j % 2 == 0].sum(axis=1) - 0.5).max()
     odd_err = np.abs(vals[:, j % 2 == 1].sum(axis=1) - 0.5).max()
-    results = [
+    return [
         CheckResult("phi(0) = 1/2", abs(phi(0.0) - 0.5) < tol),
         CheckResult("phi(+-1) = 1/4", abs(phi(1.0) - 0.25) < tol
                      and abs(phi(-1.0) - 0.25) < tol),
@@ -370,15 +359,12 @@ def kernel_check(n_samples: int = 10_000, seed: int = 0, tol: float = 1e-12):
         CheckResult("even/odd sums = 1/2", even_err < tol and odd_err < tol,
                     f"max err {max(even_err, odd_err):.2e}"),
     ]
-    return results
 
 
 def _flat_chart_config(n: int, dq: float):
     X0 = np.zeros((n, n, 3))
     X0[..., 0] = dq * np.arange(n)[:, None]
     X0[..., 1] = dq * np.arange(n)[None, :]
-    from .geometry import SurfaceGrid
-
     return SurfaceGrid(dq1=dq, dq2_of_row=dq, X0=X0)
 
 
@@ -436,10 +422,10 @@ def plate_check(n: int = 65, lam: float = 26197503.0, mu: float = 523950.0,
     q = dq * np.arange(n)
     omega = np.sin(2 * np.pi * (3 * q[:, None] + 2 * q[None, :]))
     zeros = np.zeros((n, n, 2))
-    f = compute_force(Displacement(omega, zeros), coeff, geom)
+    f1 = compute_force(Displacement(omega, zeros), coeff, geom)
     lap = lambda w: Dm @ (Dm @ w) + (w @ Dm.T) @ Dm.T  # noqa: E731
     oracle3 = FORCE_ON_FLUID_SIGN * (2.0 / 3.0) * h0**3 * Dcoef * lap(lap(omega))
-    err3 = np.abs(f.f3 - oracle3).max() / np.abs(oracle3).max()
+    err3 = np.abs(f1.f3 - oracle3).max() / np.abs(oracle3).max()
     results.append(CheckResult(
         "normal force = (2/3) h0^3 D biharmonic(omega)", err3 < tol,
         f"rel err {err3:.2e}",
@@ -461,7 +447,6 @@ def plate_check(n: int = 65, lam: float = 26197503.0, mu: float = 523950.0,
 
     # scaling sanity: doubling h0 scales the normal operator by 8
     coeff2 = compute_coefficients(geom, MaterialParams(lam, mu, 2 * h0))
-    f1 = compute_force(Displacement(omega, zeros), coeff, geom)
     f2 = compute_force(Displacement(omega, zeros), coeff2, geom)
     ratio = np.abs(f2.f3).max() / np.abs(f1.f3).max()
     results.append(CheckResult(
@@ -481,66 +466,62 @@ def _order_check(name, errors, floor):
                        f"observed {order:.2f}")
 
 
+def _cylinder_chart(n1: int, R=0.2, arc=0.6, height=0.2):
+    """Cylinder patch on n1 x 17 nodes: grid, interior window, exact g, b, Gamma."""
+    dq1, dq2 = arc / (n1 - 1), height / 16
+    q1 = dq1 * np.arange(n1)
+    X0 = np.empty((n1, 17, 3))
+    X0[..., 0] = (R * np.cos(q1 / R))[:, None]
+    X0[..., 1] = (R * np.sin(q1 / R))[:, None]
+    X0[..., 2] = (dq2 * np.arange(17))[None, :]
+    s = max(1, (n1 - 1) // 16)
+    inner = (slice(2 * s, -2 * s), slice(2, -2))
+    b_exact = np.zeros((n1, 17, 2, 2))
+    b_exact[..., 0, 0] = 1.0 / R
+    exact = {"g": np.broadcast_to(np.eye(2), b_exact.shape), "b": b_exact,
+             "Gamma": np.zeros((n1, 17, 2, 2, 2))}
+    return SurfaceGrid(dq1=dq1, dq2_of_row=dq2, X0=X0), inner, exact
+
+
+def _sphere_chart(n: int, Rs=0.3, th0=0.7, th1=1.3, ph1=0.8):
+    """Sphere patch on n x n nodes: grid, interior window, exact g, b, Gamma."""
+    dq1 = Rs * (th1 - th0) / (n - 1)
+    dq2 = Rs * ph1 / (n - 1)
+    th = th0 + (th1 - th0) * np.arange(n) / (n - 1)
+    ph = ph1 * np.arange(n) / (n - 1)
+    TH, PH = np.meshgrid(th, ph, indexing="ij")
+    X0 = np.stack(
+        [Rs * np.sin(TH) * np.cos(PH), Rs * np.sin(TH) * np.sin(PH),
+         Rs * np.cos(TH)], axis=-1)
+    s = max(1, (n - 1) // 16)
+    inner = (slice(2 * s, -2 * s), slice(2 * s, -2 * s))
+    g_ex = np.zeros((n, n, 2, 2))
+    g_ex[..., 0, 0] = 1.0
+    g_ex[..., 1, 1] = np.sin(TH) ** 2
+    G_ex = np.zeros((n, n, 2, 2, 2))
+    G_ex[..., 0, 1, 1] = -np.sin(TH) * np.cos(TH) / Rs
+    G_ex[..., 1, 0, 1] = G_ex[..., 1, 1, 0] = 1.0 / (Rs * np.tan(TH))
+    exact = {"g": g_ex, "b": g_ex / Rs, "Gamma": G_ex}
+    return SurfaceGrid(dq1=dq1, dq2_of_row=dq2, X0=X0), inner, exact
+
+
 def geometry_check():
     """Observed interior convergence order of g, b, Gamma on curved charts."""
-    from .geometry import SurfaceGrid
-
     results = []
-
-    # cylinder
-    R, arc, height = 0.2, 0.6, 0.2
-    errs = {"g": [], "b": [], "Gamma": []}
-    for n1 in (17, 33, 65):
-        dq1, dq2 = arc / (n1 - 1), height / 16
-        q1 = dq1 * np.arange(n1)
-        X0 = np.empty((n1, 17, 3))
-        X0[..., 0] = (R * np.cos(q1 / R))[:, None]
-        X0[..., 1] = (R * np.sin(q1 / R))[:, None]
-        X0[..., 2] = (dq2 * np.arange(17))[None, :]
-        geo = build_geometry(SurfaceGrid(dq1=dq1, dq2_of_row=dq2, X0=X0))
-        s = max(1, (n1 - 1) // 16)
-        inner = (slice(2 * s, -2 * s), slice(2, -2))
-        b_exact = np.zeros((n1, 17, 2, 2))
-        b_exact[..., 0, 0] = 1.0 / R
-        errs["g"].append(np.abs(geo.g[inner] - np.eye(2)).max())
-        errs["b"].append(np.abs(geo.b[inner] - b_exact[inner]).max())
-        errs["Gamma"].append(np.abs(geo.Gamma[inner]).max())
-    for name, e in errs.items():
-        results.append(_order_check(f"cylinder {name}", e, floor=1e-11))
-
-    # sphere patch
-    Rs, th0, th1, ph1 = 0.3, 0.7, 1.3, 0.8
-    errs = {"g": [], "b": [], "Gamma": []}
-    for n in (17, 33, 65):
-        dq1 = Rs * (th1 - th0) / (n - 1)
-        dq2 = Rs * ph1 / (n - 1)
-        th = th0 + (th1 - th0) * np.arange(n) / (n - 1)
-        ph = ph1 * np.arange(n) / (n - 1)
-        TH, PH = np.meshgrid(th, ph, indexing="ij")
-        X0 = np.stack(
-            [Rs * np.sin(TH) * np.cos(PH), Rs * np.sin(TH) * np.sin(PH),
-             Rs * np.cos(TH)], axis=-1)
-        geo = build_geometry(SurfaceGrid(dq1=dq1, dq2_of_row=dq2, X0=X0))
-        s = max(1, (n - 1) // 16)
-        inner = (slice(2 * s, -2 * s), slice(2 * s, -2 * s))
-        g_ex = np.zeros((n, n, 2, 2))
-        g_ex[..., 0, 0] = 1.0
-        g_ex[..., 1, 1] = np.sin(TH) ** 2
-        G_ex = np.zeros((n, n, 2, 2, 2))
-        G_ex[..., 0, 1, 1] = -np.sin(TH) * np.cos(TH) / Rs
-        G_ex[..., 1, 0, 1] = G_ex[..., 1, 1, 0] = 1.0 / (Rs * np.tan(TH))
-        errs["g"].append(np.abs(geo.g[inner] - g_ex[inner]).max())
-        errs["b"].append(np.abs(geo.b[inner] - g_ex[inner] / Rs).max())
-        errs["Gamma"].append(np.abs(geo.Gamma[inner] - G_ex[inner]).max())
-    for name, e in errs.items():
-        results.append(_order_check(f"sphere {name}", e, floor=1e-11))
+    for chart, build in (("cylinder", _cylinder_chart), ("sphere", _sphere_chart)):
+        errs = {"g": [], "b": [], "Gamma": []}
+        for n in (17, 33, 65):
+            grid, inner, exact = build(n)
+            geo = build_geometry(grid)
+            for name, e in errs.items():
+                e.append(np.abs(getattr(geo, name)[inner] - exact[name][inner]).max())
+        for name, e in errs.items():
+            results.append(_order_check(f"{chart} {name}", e, floor=1e-11))
 
     # helicoidal strip: frame against its closed form
     cfg0 = ModelConfig(N=16)
     errsT = []
     for n1, n2 in ((81, 7), (161, 13), (321, 25)):
-        from dataclasses import replace
-
         cfg = replace(cfg0, n1=n1, n2=n2)
         grid = build_model_shell(cfg)
         geom = build_geometry(grid)

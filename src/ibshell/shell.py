@@ -170,12 +170,6 @@ class _TPoly:
                 out[i + j] = term if out[i + j] is None else out[i + j] + term
         return _TPoly(out)
 
-    def coeff(self, k, like=None):
-        if self.c[k] is not None:
-            return self.c[k]
-        ref = next(a for a in self.c if a is not None) if like is None else like
-        return np.zeros_like(ref)
-
 
 def compute_coefficients(
     geom: SurfaceGeometry, mat: MaterialParams, order: str = "leading"
@@ -204,16 +198,17 @@ def compute_coefficients(
     gradb = geom.gradb  # [alpha, beta, gamma] = (grad b)_{alpha beta}^{gamma}
     I0 = 2.0 * h0          # integral of dt
     I2 = (2.0 / 3.0) * h0**3  # integral of t^2 dt
+    # explicit t^2: through h0^3 only the bracket's t^0 term, Lam0, survives
+    Abar = I2[..., None, None, None, None] * Lam0
+    Omega = np.einsum("xystlr,xystm,xylrn->xymn", Abar, gradb, gradb)
 
     if order == "leading":
         A = I0 * np.einsum("xyabgd,xyab,xygd->xy", Lam0, b, b)
-        Abar = I2[..., None, None, None, None] * Lam0
         Abbar = np.zeros(b.shape)
         Phi = np.zeros(b.shape[:2] + (2,))
         Phibar = I0[..., None, None] * np.einsum("xyabmn,xyab->xymn", Lam0, b)
         Psi = np.zeros(b.shape[:2] + (2, 2, 2))
         Psibar = np.zeros(Lam0.shape)
-        Omega = np.einsum("xystlr,xystm,xylrn->xymn", Abar, gradb, gradb)
         Omegabar = np.zeros(b.shape[:2] + (2, 2, 2))
         Obbar = I0[..., None, None, None, None] * Lam0
         return ShellCoefficients(
@@ -270,8 +265,6 @@ def compute_coefficients(
     zero6 = np.zeros_like(Lam0)
     brA = Lam.mul(Blow, "xyabgd,xyab->xygd").mul(Blow, "xygd,xygd->xy")
     A = close(brA, 0, np.zeros((n1, n2)))
-    # Abar: explicit t^2, so only the degree-0 bracket survives through h0^3
-    Abar = I2[..., None, None, None, None] * Lam.coeff(0)
     brAbbar = (
         Lam.mul(Blow, "xyabgd,xyab->xygd")
         .mul(theta, "xygd,xygm->xymd")
@@ -293,7 +286,6 @@ def compute_coefficients(
         .mul(theta, "xystmd,xydn->xystmn")
     )
     Psibar = close(brPsibar, 1, zero6)
-    Omega = np.einsum("xystlr,xystm,xylrn->xymn", Abar, gradb, gradb)
     Omegabar = np.einsum("xymntl,xytlr->xymnr", Psibar, gradb)
     brObbar = (
         Lam.mul(theta, "xyabgd,xyas->xysbgd")

@@ -118,14 +118,13 @@ class ModelConfig:
                 )
         if self.n1 < 5 or self.n2 < 5:
             raise ValueError(f"surface grid {self.n1}x{self.n2} is too small")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not (math.isfinite(self.k_clamp) and self.k_clamp >= 0.0):
             raise ValueError(f"k_clamp must be finite and >= 0, got {self.k_clamp!r}")
         if self.snapshot_every < 0:
             raise ValueError(
                 f"snapshot_every must be >= 0, got {self.snapshot_every!r}"
             )
+        self.fluid_params()  # FluidParams holds the lattice and fluid rules
 
     @property
     def dq1(self) -> float:
@@ -282,15 +281,6 @@ def impulse_force(t: float, cfg: ModelConfig, params: FluidParams) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ShellState:
-    """Current shell positions, time and step count."""
-
-    X: np.ndarray
-    t: float = 0.0
-    step_count: int = 0
-
-
 class Simulation:
     """Owns the precomputed geometry/coefficients/solver and the state."""
 
@@ -305,19 +295,16 @@ class Simulation:
         self.fparams = cfg.fluid_params()
         self.solver = FluidSolver(self.fparams)
         self.dq_area = self.grid.node_areas
-        self.shell = ShellState(X=self.grid.X0.copy())
+        self.X = self.grid.X0.copy()
+        self.step_count = 0
         self.u = np.zeros((3, cfg.N, cfg.N, cfg.N))
         self.p = np.zeros((cfg.N, cfg.N, cfg.N))
         self._stencil = None  # S's columns, built at the first step
 
-    # convenient aliases
     @property
-    def X(self):
-        return self.shell.X
-
-    @property
-    def t(self):
-        return self.shell.t
+    def t(self) -> float:
+        """Simulated time, step_count * dt: a product, so it does not drift."""
+        return self.step_count * self.cfg.dt
 
     def shell_force_cartesian(self, X) -> np.ndarray:
         """Elastic force density plus edge clamp springs, in cartesian frame."""
@@ -343,25 +330,24 @@ class Simulation:
     def step(self):
         """One coupled step: force, spread (+impulse), fluid, advect."""
         cfg = self.cfg
-        X = self.shell.X
+        X = self.X
         S = self._coupling_matrix(X)
         f = self.shell_force_cartesian(X)
         F = spread_force(f, S, self.dq_area, self.fparams)
-        if self.shell.step_count == 0:
+        if self.step_count == 0:
             # the step-0 surface force density acts as an impulse: scaling by
             # 1/dt makes the injected momentum (and hence the whole run)
             # independent of the step size
             F += impulse_force(0.0, cfg, self.fparams) / cfg.dt
         self.u, self.p = self.solver.step(self.u, F)
         U = interpolate_velocity(self.u, S)
-        self.shell.X = X + cfg.dt * U.reshape(X.shape)
-        self.shell.t += cfg.dt
-        self.shell.step_count += 1
-        drift = np.abs(self.shell.X - self.grid.X0).max()
+        self.X = X + cfg.dt * U.reshape(X.shape)
+        self.step_count += 1
+        drift = np.abs(self.X - self.grid.X0).max()
         if not drift <= 0.5 * cfg.a:  # also catches a NaN drift
             raise InstabilityError(
                 f"max |X - X0| = {drift:.3e} exceeded a/2 at step "
-                f"{self.shell.step_count}"
+                f"{self.step_count}"
             )
 
     def run(self, n_steps: int):

@@ -22,11 +22,11 @@ def test_run_writes_snapshots(tmp_path, capsys):
         "snapshot_000003.ibsh", "snapshot_000006.ibsh", "snapshot_final.ibsh",
     ]
     snap = read_snapshot(snaps[-1])
-    assert snap.N == 16 and snap.t == pytest.approx(6 * 8e-8)
+    assert snap.N == 16 and snap.t == 6 * 8e-8
     # each snapshot holds the state of a simulation stepped by hand that far
     sim = Simulation(cfg)
     for steps, path in ((3, snaps[0]), (6, snaps[1]), (6, snaps[2])):
-        while sim.shell.step_count < steps:
+        while sim.step_count < steps:
             sim.step()
         snap = read_snapshot(path)
         assert np.array_equal(snap.X, sim.X) and np.array_equal(snap.u, sim.u)
@@ -52,6 +52,33 @@ def test_run_rejects_negative_steps(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path), "--n", "16", "--dt", "8e-8",
                  "--steps", "0"]) == 0
     assert read_snapshot(tmp_path / "snapshot_final.ibsh").t == 0.0
+
+
+def test_input_errors_are_usage_errors(tmp_path, capsys):
+    # each names the flag it came from, and the path when it is one
+    out = tmp_path / "out"
+    missing = str(tmp_path / "missing")
+    for argv, source in (
+        (["run", "--n", "-4"], "--n"),
+        (["run", "--n", "3"], "--n"),
+        (["run", "--n", "24"], "--n"),
+        (["run", "--dt", "-1"], "--dt"),
+        (["run", "--config", missing], "--config"),
+        (["study", "--n", "16"], "--n/--dt ladder"),
+        (["study", "--n", "16,abc"], "--n"),
+        (["study", "--n", "16,32", "--dt", "1e-8"], "--n/--dt ladder"),
+        (["render", missing], "snapshot"),
+    ):
+        if argv[0] != "render":
+            argv += ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ibshell"), argv
+        assert f"ibshell: error: {source}: " in err, argv
+        assert missing in err or missing not in argv, argv
+        assert not out.exists(), argv
 
 
 def test_study_prints_rates_per_norm(monkeypatch, capsys):

@@ -91,10 +91,15 @@ def test_config_rejects_bad_step_clamp_and_cadence(tmp_path):
         ("k_clamp", -1.0, "k_clamp must be finite and >= 0"),
         ("k_clamp", float("inf"), "k_clamp must be finite and >= 0"),
         ("snapshot_every", -3, "snapshot_every must be >= 0"),
+        # the lattice and fluid rules of FluidParams, checked at config time
+        ("N", 48, "N must be a power of two"),
+        ("a", -0.1, "a must be positive"),
+        ("rho", 0.0, "rho must be positive"),
     ):
+        kwargs = {"N": 16, key: val}
         with pytest.raises(ValueError, match=msg):
-            ModelConfig(N=16, **{key: val})
-        path.write_text(f"N = 16\n{key} = {val}\n")
+            ModelConfig(**kwargs)
+        path.write_text("".join(f"{k} = {v}\n" for k, v in kwargs.items()))
         with pytest.raises(ValueError, match=f"model.cfg: {msg}"):
             ModelConfig.from_file(path)
     # the boundary values stay valid: no clamp, no snapshots
@@ -285,7 +290,7 @@ def test_cell_crossing_rebuilds_stencil_columns(monkeypatch):
     # one interior node moves by more than a mesh width
     X = sim.X.copy()
     X[cfg.n1 // 2, cfg.n2 // 2, 0] += 1.5 * sim.fparams.h
-    sim.shell.X = X
+    sim.X = X
     S_ref = oracles.coupling_matrix_broadcast(X, sim.fparams)
     f = sim.shell_force_cartesian(X)
     u, p = sim.solver.step(sim.u, spread_force(f, S_ref, sim.dq_area, sim.fparams))
@@ -330,13 +335,16 @@ def test_stability_envelope_coarse_pairs():
     for N, dt in ((16, 8e-8), (32, 4e-8)):
         cfg = ModelConfig(N=N, dt=dt)
         sim = Simulation(cfg)
-        sim.run(int(round(cfg.T0 / dt)))  # full T0 without the detector firing
+        n = int(round(cfg.T0 / dt))
+        sim.run(n)  # full T0 without the detector firing
         assert np.isfinite(sim.X).all()
+        # the clock is step_count * dt, not a sum of n steps that drifts
+        assert sim.step_count == n and sim.t == n * cfg.dt
 
 
 def test_instability_detector_fires():
     sim = Simulation(ModelConfig(N=16, dt=8e-8))
-    sim.shell.X = sim.grid.X0 + 0.06  # beyond a/2
+    sim.X = sim.grid.X0 + 0.06  # beyond a/2
     with pytest.raises(InstabilityError):
         sim.step()
     # a blow-up to NaN is caught at the step that produces it
@@ -357,7 +365,7 @@ def test_total_energy_decays_from_elastic_perturbation():
     bump[:2] = bump[-2:] = 0.0
     bump[:, :2] = bump[:, -2:] = 0.0
     amp = 1e-6
-    sim.shell.X = sim.grid.X0 + amp * bump[..., None] * sim.geom.Nrm
+    sim.X = sim.grid.X0 + amp * bump[..., None] * sim.geom.Nrm
 
     def energies(s):
         from ibshell.shell import compute_force, decompose_displacement
