@@ -21,7 +21,7 @@ for k in (1, 2, 4, 8, 15):
     u[1] = np.broadcast_to(
         np.sin(2 * np.pi * k * x / prm.a)[:, None, None], (prm.N,) * 3
     )
-    u1, _ = solver.step(u, None, include_advection=False)
+    u1, _ = solver.step(u, np.zeros_like(u))  # u_y(x) does not advect itself
     amp = (prm.rho / prm.dt) / (
         prm.rho / prm.dt
         + 4 * prm.mu_f / prm.h**2 * np.sin(np.pi * k / prm.N) ** 2

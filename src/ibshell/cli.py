@@ -122,6 +122,9 @@ def _run_checks(results) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.vmax is not None and not 0.0 < args.vmax < np.inf:
+        raise argparse.ArgumentError(
+            None, f"--vmax: must be positive and finite, got {args.vmax!r}")
     with _reading("snapshot"):
         snap = io.read_snapshot(args.snapshot)
         cfg = io.params_to_config(snap.params)
@@ -170,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("snapshot", help="snapshot file")
     render.add_argument("--out", help="output PGM path (default beside input)")
     render.add_argument("--vmax", type=float,
-                        help="gray scale saturates at this |omega|")
+                        help="gray scale saturates at this |omega| (> 0)")
     render.set_defaults(func=_cmd_render)
     return ap
 

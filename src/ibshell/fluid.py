@@ -110,11 +110,11 @@ class FluidSolver:
         self.a_k = params.rho / params.dt + (4.0 * params.mu_f / h**2) * (
             sh[:, None, None] + sh[None, :, None] + shr[None, None, :]
         )
-        self.gsq = (self._s[0] ** 2 + self._s[1] ** 2 + self._s[2] ** 2) / h**2
-        self.zero_g = self.gsq == 0.0
-        self._gsq_safe = np.where(self.zero_g, 1.0, self.gsq)
+        gsq = (self._s[0] ** 2 + self._s[1] ** 2 + self._s[2] ** 2) / h**2
+        self.zero_g = gsq == 0.0
+        self._gsq_safe = np.where(self.zero_g, 1.0, gsq)
 
-    def step(self, u, F, include_advection: bool = True):
+    def step(self, u, F):
         """Advance one step from velocity u under body force F.
 
         Returns (u_new, p_new) satisfying the implicit system exactly (to
@@ -125,13 +125,11 @@ class FluidSolver:
         prm = self.params
         h = prm.h
         r = prm.rho / prm.dt * u
-        if include_advection:
-            adv = upwind_advection(u, h)
-            adv *= prm.rho
-            r -= adv
-            del adv
-        if F is not None:
-            r += F
+        adv = upwind_advection(u, h)
+        adv *= prm.rho
+        r -= adv
+        del adv
+        r += F
         rhat = scipy.fft.rfftn(r, axes=(1, 2, 3), overwrite_x=True)
         del r
         # p_hat = (conj(g_hat) . r_hat) / |g_hat|^2, zero on the null modes

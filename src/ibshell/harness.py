@@ -33,6 +33,8 @@ from .simulation import ModelConfig, Simulation, build_model_shell
 STUDY_N = (16, 32, 64)
 STUDY_DT_SCALE = 3.2e-7
 STUDY_DT = tuple(STUDY_DT_SCALE / N for N in STUDY_N)
+#: samples per study run, evenly spaced over (0, T0]
+STUDY_SAMPLES = 50
 #: the norms every study table reports
 NORMS_P = (1, 2, "inf")
 
@@ -137,7 +139,6 @@ def convergence_rates(
 @dataclass
 class StudySet:
     records: list
-    common_dims: tuple
     csv_paths: list = field(default_factory=list)
 
     def pair_norms(self):
@@ -207,31 +208,34 @@ def run_sampled(cfg: ModelConfig, n_samples: int, common_dims) -> StudyRecord:
     )
 
 
-def study_configs(base_cfg: ModelConfig, N_list, dt_list) -> list:
-    """One config per rung of the ladder; raises ValueError on a bad ladder."""
+def study_configs(base_cfg: ModelConfig, N_list, dt_list,
+                  n_samples: int = STUDY_SAMPLES) -> list:
+    """One config per rung; ValueError on a bad ladder or an unsampleable rung."""
     if len(N_list) < 2:
         raise ValueError("a study needs at least two runs")
     if len(N_list) != len(dt_list):
         raise ValueError("N_list and dt_list must pair up")
-    return [base_cfg.with_resolution(N, dt) for N, dt in zip(N_list, dt_list)]
+    cfgs = [base_cfg.with_resolution(N, dt) for N, dt in zip(N_list, dt_list)]
+    for cfg in cfgs:
+        sample_steps(cfg, n_samples)
+    return cfgs
 
 
 def run_convergence_study(
     base_cfg: ModelConfig | None = None,
     N_list=STUDY_N,
     dt_list=STUDY_DT,
-    n_samples: int = 50,
+    n_samples: int = STUDY_SAMPLES,
     out_dir=None,
     progress=None,
 ) -> StudySet:
     """Run the resolution ladder and assemble norms/rates tables.
 
     Samples n_samples times evenly over (0, T0]; the space-time norms use the
-    ones in [T0/2, T0] (>= 25 with the default sampling). Runs are ordered
-    finest first in the returned StudySet. CSV tables land in out_dir when
-    given.
+    ones in [T0/2, T0] (>= 25 by default). The ladder is checked before any
+    rung runs; runs come finest first. CSV tables land in out_dir when given.
     """
-    cfgs = study_configs(base_cfg or ModelConfig(), N_list, dt_list)
+    cfgs = study_configs(base_cfg or ModelConfig(), N_list, dt_list, n_samples)
     common = (min(c.n1 for c in cfgs) - 1, min(c.n2 for c in cfgs) - 1)
     records = []
     for cfg in sorted(cfgs, key=lambda c: -c.N):  # finest first
@@ -239,7 +243,7 @@ def run_convergence_study(
         records.append(rec)
         if progress is not None:
             progress(rec)
-    study = StudySet(records=records, common_dims=common)
+    study = StudySet(records=records)
     if out_dir is not None:
         study.csv_paths = write_study_csvs(study, out_dir)
     return study
@@ -339,9 +343,10 @@ class CheckResult:
         )
 
 
-def kernel_check(n_samples: int = 10_000, seed: int = 0, tol: float = 1e-12):
+def kernel_check():
     """Kernel invariants on random points plus the frozen point values."""
-    rng = np.random.default_rng(seed)
+    n_samples, tol = 10_000, 1e-12
+    rng = np.random.default_rng(0)
     r = rng.uniform(-3.0, 3.0, size=n_samples)
     j = np.arange(-6, 7)
     vals = phi(r[:, None] - j[None, :])
@@ -378,14 +383,15 @@ def _dense_diff_matrix(n: int, d: float):
     return D
 
 
-def plate_check(n: int = 65, lam: float = 26197503.0, mu: float = 523950.0,
-                h0: float = 1e-3, tol: float = 1e-10):
+def plate_check():
     """Flat-chart equivalence of the general operator with the plate forms.
 
     The independent route composes dense hybrid-difference matrices into the
     discrete biharmonic and grad-div; the production route runs the full
     coefficient/covariant-derivative path.
     """
+    n, h0, tol = 65, 1e-3, 1e-10  # a 65 x 65 flat chart, h0 in cm
+    lam, mu = ModelConfig.lam, ModelConfig.mu  # the model's Lame pair
     dq = 1.0 / (n - 1)
     grid = _flat_chart_config(n, dq)
     geom = build_geometry(grid)

@@ -159,8 +159,10 @@ def write_displacement_map(omega, path, vmax: float | None = None):
 
     Black (0) is the maximal downward displacement, white (255) the maximal
     upward one; a zero field renders uniform mid-gray 128. `vmax` pins the
-    scale; by default it is max |omega|.
+    scale and must be positive and finite; by default it is max |omega|.
     """
+    if vmax is not None and not 0.0 < vmax < np.inf:
+        raise ValueError(f"vmax must be positive and finite, got {vmax!r}")
     w = np.asarray(omega, dtype=float)
     scale = float(np.abs(w).max()) if vmax is None else float(vmax)
     if scale == 0.0:

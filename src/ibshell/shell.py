@@ -35,7 +35,6 @@ import numpy as np
 
 from .geometry import (
     SurfaceGeometry,
-    SurfaceGrid,
     _covariant_derivative_raw,
     _diff_stack,
     mixed_second_form,
@@ -69,9 +68,6 @@ class MaterialParams:
             raise ValueError("lam + 2*mu must be positive")
         if not (self.h0 > 0.0).all():
             raise ValueError("h0 must be positive everywhere")
-
-    def h0_field(self, grid: SurfaceGrid) -> np.ndarray:
-        return np.broadcast_to(self.h0, (grid.n1, grid.n2)).astype(float)
 
 
 @dataclass
@@ -158,13 +154,13 @@ class _TPoly:
     def __init__(self, coeffs):
         self.c = list(coeffs)  # arrays or None, degree-indexed
 
-    def mul(self, other, spec, max_deg=2):
-        out = [None] * (max_deg + 1)
+    def mul(self, other, spec):
+        out = [None] * 3
         for i, A in enumerate(self.c):
             if A is None:
                 continue
             for j, B in enumerate(other.c):
-                if B is None or i + j > max_deg:
+                if B is None or i + j > 2:
                     continue
                 term = np.einsum(spec, A, B)
                 out[i + j] = term if out[i + j] is None else out[i + j] + term
@@ -182,7 +178,7 @@ def compute_coefficients(
     if order not in ("leading", "quadratic"):
         raise ValueError(f"order must be 'leading' or 'quadratic', got {order!r}")
     grid = geom.grid
-    h0 = mat.h0_field(grid)
+    h0 = np.broadcast_to(mat.h0, (grid.n1, grid.n2)).astype(float)
     kappa = _curvature_scale(geom.b, geom.ginv)
     hk = float(np.max(h0 * kappa))
     if hk >= 1.0:
@@ -226,8 +222,7 @@ def compute_coefficients(
     gmix = _TPoly([eye, 2.0 * bmix,
                    np.einsum("xyas,xysb->xyab", bmix, bmix)])
     # inverse metric of the offset surfaces: (g + 2tb + t^2 b g^-1 b)^-1
-    g1 = 2.0 * b
-    g2 = np.einsum("xyas,xysb->xyab", bmix, b)
+    g1, g2 = 2.0 * b, Blow.c[1]
     G0 = geom.ginv
     mm = lambda *As: np.einsum(  # noqa: E731 - chained per-node 2x2 products
         {2: "xyab,xybc->xyac", 3: "xyab,xybc,xycd->xyad",
@@ -262,38 +257,23 @@ def compute_coefficients(
             out += Im.reshape(Im.shape + (1,) * (cj.ndim - 2)) * cj
         return out
 
+    # each product shared by several brackets is formed once
     zero6 = np.zeros_like(Lam0)
-    brA = Lam.mul(Blow, "xyabgd,xyab->xygd").mul(Blow, "xygd,xygd->xy")
-    A = close(brA, 0, np.zeros((n1, n2)))
-    brAbbar = (
-        Lam.mul(Blow, "xyabgd,xyab->xygd")
-        .mul(theta, "xygd,xygm->xymd")
-        .mul(theta, "xymd,xydn->xymn")
+    LamB = Lam.mul(Blow, "xyabgd,xyab->xygd")
+    LamBt = LamB.mul(theta, "xygd,xygm->xymd")
+    LamtGt = (
+        Lam.mul(theta, "xyabgd,xyas->xysbgd")
+        .mul(gmix, "xysbgd,xybt->xystgd")
+        .mul(theta, "xystgd,xygm->xystmd")
     )
-    Abbar = close(brAbbar, 1, np.zeros_like(b))
+    A = close(LamB.mul(Blow, "xygd,xygd->xy"), 0, np.zeros((n1, n2)))
+    Abbar = close(LamBt.mul(theta, "xymd,xydn->xymn"), 1, np.zeros_like(b))
     Phi = np.einsum("xytr,xytrm->xym", Abbar, gradb)
-    brPhibar = (
-        Lam.mul(Blow, "xyabgd,xyab->xygd")
-        .mul(theta, "xygd,xygm->xymd")
-        .mul(gmix, "xymd,xydn->xymn")
-    )
-    Phibar = close(brPhibar, 0, np.zeros_like(b))
+    Phibar = close(LamBt.mul(gmix, "xymd,xydn->xymn"), 0, np.zeros_like(b))
     Psi = np.einsum("xystmn,xystr->xyrmn", Abar, gradb)
-    brPsibar = (
-        Lam.mul(theta, "xyabgd,xyas->xysbgd")
-        .mul(gmix, "xysbgd,xybt->xystgd")
-        .mul(theta, "xystgd,xygm->xystmd")
-        .mul(theta, "xystmd,xydn->xystmn")
-    )
-    Psibar = close(brPsibar, 1, zero6)
+    Psibar = close(LamtGt.mul(theta, "xystmd,xydn->xystmn"), 1, zero6)
     Omegabar = np.einsum("xymntl,xytlr->xymnr", Psibar, gradb)
-    brObbar = (
-        Lam.mul(theta, "xyabgd,xyas->xysbgd")
-        .mul(gmix, "xysbgd,xybt->xystgd")
-        .mul(theta, "xystgd,xygm->xystmd")
-        .mul(gmix, "xystmd,xydn->xystmn")
-    )
-    Obbar = close(brObbar, 0, zero6)
+    Obbar = close(LamtGt.mul(gmix, "xystmd,xydn->xystmn"), 0, zero6)
     return ShellCoefficients(
         A=A, Abar=Abar, Abbar=Abbar, Phi=Phi, Phibar=Phibar,
         Psi=Psi, Psibar=Psibar, Omega=Omega, Omegabar=Omegabar, Obbar=Obbar,

@@ -288,10 +288,8 @@ class Simulation:
         self.cfg = cfg
         self.grid = build_model_shell(cfg)
         self.geom = build_geometry(self.grid)
-        self.mat = MaterialParams(lam=cfg.lam, mu=cfg.mu, h0=thickness_field(cfg))
-        self.coeff = compute_coefficients(
-            self.geom, self.mat, order=cfg.coefficients_order
-        )
+        mat = MaterialParams(lam=cfg.lam, mu=cfg.mu, h0=thickness_field(cfg))
+        self.coeff = compute_coefficients(self.geom, mat, order=cfg.coefficients_order)
         self.fparams = cfg.fluid_params()
         self.solver = FluidSolver(self.fparams)
         self.dq_area = self.grid.node_areas

@@ -309,7 +309,7 @@ def coupling_matrix_broadcast(X, params):
 # ---------------------------------------------------------------------------
 
 
-def fluid_step_out_of_place(solver, u, F, include_advection=True):
+def fluid_step_out_of_place(solver, u, F):
     """`FluidSolver.step` with every intermediate a new array.
 
     The pre-in-place form: no `overwrite_x`, no operand updated in place.
@@ -317,10 +317,8 @@ def fluid_step_out_of_place(solver, u, F, include_advection=True):
     prm = solver.params
     h = prm.h
     r = prm.rho / prm.dt * u
-    if include_advection:
-        r = r - prm.rho * upwind_advection(u, h)
-    if F is not None:
-        r = r + F
+    r = r - prm.rho * upwind_advection(u, h)
+    r = r + F
     rhat = scipy.fft.rfftn(r, axes=(1, 2, 3))
     num = (-1j / h) * (
         solver._s[0] * rhat[0] + solver._s[1] * rhat[1] + solver._s[2] * rhat[2]

@@ -58,6 +58,7 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
     # each names the flag it came from, and the path when it is one
     out = tmp_path / "out"
     missing = str(tmp_path / "missing")
+    snap = str(tmp_path / "snapshot_final.ibsh")  # the flag is checked first
     for argv, source in (
         (["run", "--n", "-4"], "--n"),
         (["run", "--n", "3"], "--n"),
@@ -67,7 +68,13 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
         (["study", "--n", "16"], "--n/--dt ladder"),
         (["study", "--n", "16,abc"], "--n"),
         (["study", "--n", "16,32", "--dt", "1e-8"], "--n/--dt ladder"),
+        (["study", "--n", "16,32", "--dt", "8e-8,4e-8"], "--n/--dt ladder"),
+        (["study", "--n", "16,32", "--dt", "3e-8,1e-8"], "--n/--dt ladder"),
         (["render", missing], "snapshot"),
+        (["render", snap, "--vmax", "0"], "--vmax"),
+        (["render", snap, "--vmax=-2e-12"], "--vmax"),
+        (["render", snap, "--vmax", "inf"], "--vmax"),
+        (["render", snap, "--vmax", "nan"], "--vmax"),
     ):
         if argv[0] != "render":
             argv += ["--out", str(out)]
@@ -98,7 +105,7 @@ def test_study_prints_rates_per_norm(monkeypatch, capsys):
     def fake_study(base, N_list, dt_list, out_dir, progress):
         for rec in records:
             progress(rec)
-        return harness.StudySet(records=records, common_dims=(3, 4))
+        return harness.StudySet(records=records)
 
     monkeypatch.setattr(harness, "run_convergence_study", fake_study)
     # (norm, line) in the order the lines are printed

@@ -23,7 +23,7 @@ def roll_upwind(u, h):
     return adv
 
 
-def residual(u_new, p_new, u_old, F, prm, include_advection=True):
+def residual(u_new, p_new, u_old, F, prm):
     """Physical-space residual of the implicit momentum system (test-local stencils)."""
     h = prm.h
     visc = np.zeros_like(u_new)
@@ -36,8 +36,7 @@ def residual(u_new, p_new, u_old, F, prm, include_advection=True):
         [(np.roll(p_new, -1, axis=k) - np.roll(p_new, 1, axis=k)) / (2 * h)
          for k in range(3)]
     )
-    adv = roll_upwind(u_old, h) if include_advection else np.zeros_like(u_old)
-    return prm.rho * ((u_new - u_old) / prm.dt + adv) - (
+    return prm.rho * ((u_new - u_old) / prm.dt + roll_upwind(u_old, h)) - (
         -gradp + prm.mu_f * visc + F
     )
 
@@ -177,14 +176,13 @@ def test_step_matches_out_of_place_oracle_bitwise(N):
     u[:, ::3] = 0.0  # exact zeros hit the upwind tie
     F = 1e3 * rng.standard_normal((3, N, N, N))
     u_in, F_in = u.copy(), F.copy()
-    for include_advection in (True, False):
-        for force in (F, None):
-            got = solver.step(u, force, include_advection=include_advection)
-            ref = oracles.fluid_step_out_of_place(solver, u, force, include_advection)
-            assert np.array_equal(got[0], ref[0])
-            assert np.array_equal(got[1], ref[1])
-            # in-place work touches only the step's own temporaries
-            assert np.array_equal(u, u_in) and np.array_equal(F, F_in)
+    for force in (F, np.zeros_like(F)):
+        got = solver.step(u, force)
+        ref = oracles.fluid_step_out_of_place(solver, u, force)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+        # in-place work touches only the step's own temporaries
+        assert np.array_equal(u, u_in) and np.array_equal(F, F_in)
 
 
 def test_zero_is_fixed_point():
@@ -228,9 +226,12 @@ def test_momentum_bookkeeping():
     F = rng.standard_normal((3, 16, 16, 16))
     # start from a divergence-free random state via one projection step
     u0, _ = solver.step(np.zeros((3, 16, 16, 16)), rng.standard_normal((3, 16, 16, 16)))
-    u1, _ = solver.step(u0, F, include_advection=False)
+    u1, _ = solver.step(u0, F)
     dmom = (u1 - u0).sum(axis=(1, 2, 3)) * prm.h**3
-    expect = prm.dt * F.sum(axis=(1, 2, 3)) * prm.h**3 / prm.rho
+    # the mean mode has a(0) = rho/dt and no pressure: force in, advection out
+    adv = upwind_advection(u0, prm.h)
+    expect = prm.dt * (F.sum(axis=(1, 2, 3)) / prm.rho
+                       - adv.sum(axis=(1, 2, 3))) * prm.h**3
     assert np.allclose(dmom, expect, rtol=1e-12, atol=1e-20 * np.abs(expect).max())
 
 
@@ -245,7 +246,7 @@ def test_viscous_mode_decay():
         u[1] = np.broadcast_to(
             np.sin(2 * np.pi * k * x / prm.a)[:, None, None], (N,) * 3
         )  # u_y(x): divergence-free
-        u_new, p_new = solver.step(u, None, include_advection=False)
+        u_new, p_new = solver.step(u, np.zeros_like(u))  # u_y(x) does not advect itself
         amp = prm.rho / prm.dt / (
             prm.rho / prm.dt + 4 * prm.mu_f / h**2 * np.sin(np.pi * k / N) ** 2
         )

@@ -157,7 +157,6 @@ def test_two_run_study_smoke(tmp_path):
         N_list=(16, 32), dt_list=(2e-8, 1e-8), out_dir=tmp_path
     )
     assert [r.N for r in study.records] == [32, 16]
-    assert study.common_dims == (160, 6)
     assert study.records[0].X.shape == (50, 160, 6, 3)
     norms = study.pair_norms()
     assert len(norms) == 3  # one pair x three norms
@@ -174,11 +173,19 @@ def test_two_run_study_smoke(tmp_path):
     assert len(rows) == 3 * 50
 
 
-def test_study_rejects_bad_ladders():
-    with pytest.raises(ValueError, match="at least two"):
-        run_convergence_study(N_list=(16,), dt_list=(2e-8,))
-    with pytest.raises(ValueError, match="pair up"):
-        run_convergence_study(N_list=(16, 32), dt_list=(2e-8,))
+def test_study_rejects_bad_ladders(monkeypatch):
+    def no_run(cfg):
+        raise AssertionError(f"rung N = {cfg.N} ran before the ladder was checked")
+
+    monkeypatch.setattr(harness, "Simulation", no_run)
+    for N_list, dt_list, match in (
+        ((16,), (2e-8,), "at least two"),
+        ((16, 32), (2e-8,), "pair up"),
+        ((16, 32), (8e-8, 4e-8), "sampled"),  # 25 steps at N = 16
+        ((16, 32), (3e-8, 1e-8), "whole number"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            run_convergence_study(N_list=N_list, dt_list=dt_list)
 
 
 @pytest.mark.slow

@@ -453,6 +453,11 @@ def test_graymap_conventions(tmp_path):
     write_displacement_map(w, path)
     img = read_displacement_map(path)
     assert img[0, 0] == 0 and img[4, 7] == 255
+    # an explicit scale must be positive and finite: no inverted or flat map
+    for vmax in (0.0, -3.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="vmax"):
+            write_displacement_map(w, tmp_path / "bad.pgm", vmax=vmax)
+    assert not (tmp_path / "bad.pgm").exists()
 
     blob = path.read_bytes()
     for size in (3, 7, len(blob) - 1):  # in the header, then in the pixels
