@@ -16,10 +16,31 @@ zero there and u_hat = r_hat / a(k).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+#: threads a coupled step runs on: two where the process has a second core
+LANES = min(2, _cores())
+
+#: lattices of at least this many points run their FFTs on LANES threads;
+#: pocketfft splits a batch of 1-D transforms among threads, so each one sums
+#: as it does on one thread. Five alternating pairs of runs of the two-lane
+#: step on a 2-core host (scipy 1.17.1) gave step medians, one thread vs two,
+#: of 50.7-51.2 vs 44.6-47.5 ms at N = 64 (two won 5 of 5) and 8.8-8.9 vs
+#: 8.6-9.4 ms at N = 32 (two lost 3 of 5).
+FFT_THREADS_MIN_POINTS = 64**3
 
 
 @dataclass(frozen=True)
@@ -113,24 +134,33 @@ class FluidSolver:
         gsq = (self._s[0] ** 2 + self._s[1] ** 2 + self._s[2] ** 2) / h**2
         self.zero_g = gsq == 0.0
         self._gsq_safe = np.where(self.zero_g, 1.0, gsq)
+        self._workers = LANES if N**3 >= FFT_THREADS_MIN_POINTS else 1
 
     def step(self, u, F):
-        """Advance one step from velocity u under body force F.
+        """Advance one step from velocity u under body force F: `solve`
+        with the upwind advection of u."""
+        return self.solve(u, upwind_advection(u, self.params.h), F)
+
+    def solve(self, u, adv, F):
+        """Advance one step from velocity u under body force F, given the
+        advection term adv = `upwind_advection(u, h)`.
 
         Returns (u_new, p_new) satisfying the implicit system exactly (to
-        roundoff) and discretely divergence-free. Works in place on its own
-        temporaries only (u and F are left unchanged) and drops each one once
-        it is consumed, which lowers a step's peak memory.
+        roundoff) and discretely divergence-free. Scales adv in place; u and
+        F are left unchanged. Works in place on its own temporaries and
+        drops each one, adv and F included, once it is consumed, which
+        lowers a step's peak memory.
         """
         prm = self.params
         h = prm.h
         r = prm.rho / prm.dt * u
-        adv = upwind_advection(u, h)
         adv *= prm.rho
         r -= adv
         del adv
         r += F
-        rhat = scipy.fft.rfftn(r, axes=(1, 2, 3), overwrite_x=True)
+        del F
+        workers = self._workers
+        rhat = scipy.fft.rfftn(r, axes=(1, 2, 3), overwrite_x=True, workers=workers)
         del r
         # p_hat = (conj(g_hat) . r_hat) / |g_hat|^2, zero on the null modes
         phat = self._s[0] * rhat[0]
@@ -144,7 +174,8 @@ class FluidSolver:
             rhat[i] -= (1j / h) * self._s[i] * phat
             rhat[i] /= self.a_k
         shape = (prm.N,) * 3
-        u_new = scipy.fft.irfftn(rhat, s=shape, axes=(1, 2, 3), overwrite_x=True)
+        u_new = scipy.fft.irfftn(rhat, s=shape, axes=(1, 2, 3), overwrite_x=True,
+                                 workers=workers)
         del rhat
-        p_new = scipy.fft.irfftn(phat, s=shape, overwrite_x=True)
+        p_new = scipy.fft.irfftn(phat, s=shape, overwrite_x=True, workers=workers)
         return u_new, p_new

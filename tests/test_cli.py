@@ -88,6 +88,21 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+def test_config_without_run_time_is_a_usage_error(tmp_path, capsys):
+    # with no positive run time, run would take a negative step count and
+    # study would fail only after building every rung
+    out = tmp_path / "out"
+    for command, value in (("run", "-2e-6"), ("study", "0")):
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(f"N = 16\ndt = 8e-8\nT0 = {value}\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"ibshell: error: --config: {cfg}: T0 must be positive and finite" in err
+        assert not out.exists()
+
+
 def test_study_prints_rates_per_norm(monkeypatch, capsys):
     import ibshell.harness as harness
 

@@ -1,6 +1,7 @@
 import numpy as np
 import oracles
 import pytest
+import scipy.fft
 
 from ibshell.fluid import (
     FluidParams,
@@ -167,7 +168,7 @@ def test_divergence_streamfunction_and_mode():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("N", [2, 8, 16, 32])
+@pytest.mark.parametrize("N", [2, 8, 16, 32, 64])
 def test_step_matches_out_of_place_oracle_bitwise(N):
     prm = FluidParams(N=N, a=0.1, rho=1.034, mu_f=0.0197, dt=4e-8)
     solver = FluidSolver(prm)
@@ -183,6 +184,20 @@ def test_step_matches_out_of_place_oracle_bitwise(N):
         assert np.array_equal(got[1], ref[1])
         # in-place work touches only the step's own temporaries
         assert np.array_equal(u, u_in) and np.array_equal(F, F_in)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_threaded_ffts_match_one_thread_bitwise(N):
+    # the solver's FFTs run on two threads at N >= 64 (FFT_THREADS_MIN_POINTS);
+    # a scipy build whose threads change the summation order fails here
+    rng = np.random.default_rng(N)
+    for shape, axes in (((3, N, N, N), (1, 2, 3)), ((N, N, N), None)):
+        r = rng.standard_normal(shape)
+        rhat = scipy.fft.rfftn(r, axes=axes, workers=1)
+        assert np.array_equal(scipy.fft.rfftn(r, axes=axes, workers=2), rhat)
+        back = scipy.fft.irfftn(rhat, s=(N,) * 3, axes=axes, workers=1)
+        assert np.array_equal(
+            scipy.fft.irfftn(rhat, s=(N,) * 3, axes=axes, workers=2), back)
 
 
 def test_zero_is_fixed_point():

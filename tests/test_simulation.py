@@ -1,9 +1,14 @@
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import oracles
 import pytest
 
 import ibshell.simulation
 from ibshell.coupling import coupling_matrix, interpolate_velocity, spread_force
+from ibshell.fluid import upwind_advection
 from ibshell.io import (
     config_param_block,
     params_to_config,
@@ -91,6 +96,10 @@ def test_config_rejects_bad_step_clamp_and_cadence(tmp_path):
         ("k_clamp", -1.0, "k_clamp must be finite and >= 0"),
         ("k_clamp", float("inf"), "k_clamp must be finite and >= 0"),
         ("snapshot_every", -3, "snapshot_every must be >= 0"),
+        ("T0", -2e-6, "T0 must be positive and finite"),
+        ("T0", 0.0, "T0 must be positive and finite"),
+        ("T0", float("nan"), "T0 must be positive and finite"),
+        ("T0", float("inf"), "T0 must be positive and finite"),
         # the lattice and fluid rules of FluidParams, checked at config time
         ("N", 48, "N must be a power of two"),
         ("a", -0.1, "a must be positive"),
@@ -306,6 +315,69 @@ def test_cell_crossing_rebuilds_stencil_columns(monkeypatch):
     assert np.array_equal(sim.X, X_ref)
 
 
+@pytest.fixture
+def worker_lane():
+    """A one-thread pool for the worker lane, so the two-lane step also runs
+    where the process has one core."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_two_lane_step_matches_serial_step(N, monkeypatch, worker_lane):
+    cfg = ModelConfig(N=N, dt=1.28e-6 / N)
+    lane = []
+
+    def spy(u, h):
+        lane.append(threading.current_thread())
+        return upwind_advection(u, h)
+
+    monkeypatch.setattr(ibshell.simulation, "upwind_advection", spy)
+    runs = []
+    for pool in (None, worker_lane):
+        monkeypatch.setattr(ibshell.simulation, "_lane_pool", lambda: pool)
+        sim = Simulation(cfg)
+        sim.run(5)
+        runs.append(sim)
+    serial, two = runs
+    # the serial run advects on this thread, the two-lane run on the worker
+    assert lane[:5] == [threading.current_thread()] * 5
+    assert threading.current_thread() not in lane[5:] and len(lane) == 10
+    assert np.array_equal(two.X, serial.X)
+    assert np.array_equal(two.u, serial.u)
+    assert np.array_equal(two.p, serial.p)
+
+
+@pytest.mark.parametrize("two_lanes", [False, True])
+def test_nonfinite_position_fails_the_step_unchanged(two_lanes, monkeypatch,
+                                                     worker_lane):
+    monkeypatch.setattr(ibshell.simulation, "_lane_pool",
+                        lambda: worker_lane if two_lanes else None)
+    running = []
+
+    def slow_advection(u, h):
+        running.append(1)
+        time.sleep(0.2)  # still queued or running when S has failed
+        running.pop()
+        return upwind_advection(u, h)
+
+    monkeypatch.setattr(ibshell.simulation, "upwind_advection", slow_advection)
+    cfg = ModelConfig(N=16, dt=8e-8)
+    sim = Simulation(cfg)
+    sim.step()
+    X = sim.X.copy()
+    X[cfg.n1 // 2, 3, 1] = np.nan
+    sim.X = X
+    u, p = sim.u, sim.p
+    with pytest.raises(ValueError, match="non-finite shell position"):
+        sim.step()
+    assert not running  # both lanes were joined before the error surfaced
+    assert sim.X is X and sim.u is u and sim.p is p and sim.step_count == 1
+    fresh = Simulation(cfg)
+    fresh.run(2)
+    assert fresh.step_count == 2 and np.isfinite(fresh.X).all()
+
+
 def test_determinism_bitwise():
     cfg = ModelConfig(N=16, dt=8e-8)
     a, b = Simulation(cfg), Simulation(cfg)
@@ -345,8 +417,12 @@ def test_stability_envelope_coarse_pairs():
 def test_instability_detector_fires():
     sim = Simulation(ModelConfig(N=16, dt=8e-8))
     sim.X = sim.grid.X0 + 0.06  # beyond a/2
+    u = sim.u
     with pytest.raises(InstabilityError):
         sim.step()
+    # the failed step is complete: state and count are the step's results
+    assert sim.step_count == 1 and sim.u is not u and sim.p is not None
+    assert np.abs(sim.X - sim.grid.X0).max() > 0.05
     # a blow-up to NaN is caught at the step that produces it
     sim = Simulation(ModelConfig(N=16, dt=8e-8))
     sim.u[:] = np.nan
