@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from . import lanes
 from .fluid import FluidParams
 
 #: nodes per block of the weight transpose: 64 weights x 512 nodes is 256 kB
@@ -94,18 +95,19 @@ def stencil_columns(cells, N: int) -> Stencil:
 def kernel_matrix(s, stencil: Stencil):
     """S from lattice coordinates s (3, M) on the columns of `stencil`.
 
-    The per-axis weights are formed as (3, 4, M). Their tensor product
-    (w0 w1) w2 is formed as (4, 4, 4, nodes) and transposed into the
-    row-major data one block of nodes at a time, so the transpose stays in
-    cache.
+    One block of nodes at a time, the per-axis weights are formed as
+    (3, 4, nodes), their tensor product (w0 w1) w2 as (4, 4, 4, nodes), and
+    that is transposed into the row-major data, so the block's temporaries
+    stay in cache and no temporary grows with M.
     """
     M = s.shape[1]
-    w = phi(s[:, None, :] - (stencil.cells[:, None, :] + np.arange(4)[:, None]))
+    offsets = np.arange(4)[:, None]
     data = np.empty((M, 64))
     for a in range(0, M, _BLOCK):
-        wb = w[:, :, a:a + _BLOCK]
+        b = slice(a, a + _BLOCK)
+        wb = phi(s[:, None, b] - (stencil.cells[:, None, b] + offsets))
         w3 = wb[0][:, None, None] * wb[1][None, :, None] * wb[2][None, None, :]
-        data[a:a + _BLOCK] = w3.reshape(64, -1).T
+        data[b] = w3.reshape(64, -1).T
     # not canonicalized: sorting or merging columns would reorder the sums
     return sparse.csr_array(
         (data.ravel(), stencil.indices, stencil.indptr), shape=(M, stencil.N**3)
@@ -129,14 +131,18 @@ def spread_force(f, S, dq, params: FluidParams):
     F(x) = sum_q f(q) delta_h(x - X(q)) dq(q), delta_h the tensor-product
     kernel scaled by h^-3, i.e. F = S^T (f dq / h^3) per component with
     S = coupling_matrix(X, params). `f` is (..., 3) and `dq` the matching
-    per-node parameter area weight. Returns (3, N, N, N).
+    per-node parameter area weight. Returns (3, N, N, N). The components
+    are shared between the lanes on large lattices (`lanes.share`).
     """
     N, h = params.N, params.h
     ff = np.asarray(f, dtype=float).reshape(-1, 3)
     coef = np.asarray(dq, dtype=float).reshape(-1) / h**3
     F = np.empty((3, N, N, N))
-    for c in range(3):
+
+    def spread(c):
         F[c] = (S.T @ (ff[:, c] * coef)).reshape(N, N, N)
+
+    lanes.share(spread, range(3), N**3)
     return F
 
 
@@ -145,7 +151,14 @@ def interpolate_velocity(u, S):
 
     U(q) = sum_x u(x) delta_h(x - X(q)) h^3; the h^3 cancels the kernel's
     h^-3, leaving the weighted average S u with weights summing to one.
-    `u` is (3, N, N, N); returns (M, 3) in the row order of S.
+    `u` is (3, N, N, N); returns (M, 3) in the row order of S. The
+    components are shared between the lanes on large lattices.
     """
     uf = np.asarray(u, dtype=float).reshape(3, -1)
-    return np.stack([S @ uc for uc in uf], axis=-1)
+    U = np.empty((S.shape[0], 3))
+
+    def interpolate(c):
+        U[:, c] = S @ uf[c]
+
+    lanes.share(interpolate, range(3), uf.shape[1])
+    return U

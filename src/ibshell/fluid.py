@@ -16,31 +16,32 @@ zero there and u_hat = r_hat / a(k).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
+from . import lanes
 
-def _cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+#: rows of the first lattice axis per block of the row-wise work on split
+#: lattices; below `lanes.SPLIT_MIN_POINTS` the rows go as one block, which
+#: spares the per-block numpy calls. Small blocks keep the temporaries small
+#: on whichever thread forms them (at N = 64, 8 rows of the advection are
+#: 0.3 MB per array; the worker's freed blocks are not reused by the calling
+#: thread, so large ones raise the peak memory) and let a thread that other
+#: load slows take fewer blocks.
+BLOCK_ROWS = 8
 
 
-#: threads a coupled step runs on: two where the process has a second core
-LANES = min(2, _cores())
-
-#: lattices of at least this many points run their FFTs on LANES threads;
-#: pocketfft splits a batch of 1-D transforms among threads, so each one sums
-#: as it does on one thread. Five alternating pairs of runs of the two-lane
-#: step on a 2-core host (scipy 1.17.1) gave step medians, one thread vs two,
-#: of 50.7-51.2 vs 44.6-47.5 ms at N = 64 (two won 5 of 5) and 8.8-8.9 vs
-#: 8.6-9.4 ms at N = 32 (two lost 3 of 5).
-FFT_THREADS_MIN_POINTS = 64**3
+def _by_rows(fn, n: int, points: int):
+    """fn(lo, hi) over rows 0..n of a lattice of `points` points: in blocks
+    of BLOCK_ROWS rows shared between the lanes (`lanes.share`) from
+    `lanes.SPLIT_MIN_POINTS` points on, else as one block."""
+    if points < lanes.SPLIT_MIN_POINTS:
+        fn(0, n)
+        return
+    blocks = [(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
+    lanes.share(lambda block: fn(*block), blocks, points)
 
 
 @dataclass(frozen=True)
@@ -80,28 +81,52 @@ def upwind_advection(u, h: float):
     backward branch; the product vanishes there anyway), forward where
     u_k < 0.
 
-    Per axis and component, d[i] = (u[i] - u[i-1]) / h is formed once for
-    i = 0..n (periodic, d[n] = d[0]): the backward difference is d[:n] and
-    the forward one d[1:], so no shifted copy of u is made.
+    The rows along the first axis are formed in blocks (`_by_rows`), shared
+    between the lanes on large lattices. Each node's value is the same
+    sequence of operations either way, so the result is bit for bit the
+    one-thread one.
     """
     u = np.asarray(u, dtype=float)
     adv = np.zeros_like(u)
-    for k in range(3):
-        n = u.shape[1 + k]
-
-        def along(start, stop):
-            return (slice(None),) * k + (slice(start, stop),)
-
-        d = np.empty(u.shape[1:1 + k] + (n + 1,) + u.shape[2 + k:])
-        backward = u[k] >= 0.0
-        for c in range(3):
-            uc = u[c]
-            np.subtract(uc[along(1, n)], uc[along(0, n - 1)], out=d[along(1, n)])
-            np.subtract(uc[along(0, 1)], uc[along(n - 1, n)], out=d[along(0, 1)])
-            d /= h
-            d[along(n, n + 1)] = d[along(0, 1)]
-            adv[c] += u[k] * np.where(backward, d[along(0, n)], d[along(1, n + 1)])
+    _by_rows(lambda lo, hi: _advect_rows(u, h, lo, hi, adv), u.shape[1],
+             u[0].size)
     return adv
+
+
+def _advect_rows(u, h: float, lo: int, hi: int, adv):
+    """Add the upwind advection of rows lo:hi (first lattice axis) of u into
+    adv[:, lo:hi].
+
+    Per axis k and component, d[j] = (u[i] - u[i-1]) / h is formed once for
+    the rows i = lo + j, j = 0..m, of the slab along k (periodic; along
+    k = 0, m = hi - lo and the slab reaches one row past each end, along
+    k > 0 it is the whole axis): the backward difference is d[:m] and the
+    forward one d[1:], so no shifted copy of u is made.
+    """
+    slab, out = u[:, lo:hi], adv[:, lo:hi]
+    for k in range(3):
+        src, first, stop = (u, lo, hi) if k == 0 else (slab, 0, slab.shape[1 + k])
+        n, m = src.shape[1 + k], stop - first
+
+        def along(start, end):
+            return (slice(None),) * k + (slice(start, end),)
+
+        d = np.empty(slab.shape[1:1 + k] + (m + 1,) + slab.shape[2 + k:])
+        # rows whose lower neighbour needs no wrap: j in [j0, j1)
+        j0, j1 = int(first == 0), m + int(stop < n)
+        wraps = [j for j, w in ((0, first == 0), (m, stop == n)) if w]
+        backward = slab[k] >= 0.0
+        for c in range(3):
+            uc = src[c]
+            np.subtract(uc[along(first + j0, first + j1)],
+                        uc[along(first + j0 - 1, first + j1 - 1)],
+                        out=d[along(j0, j1)])
+            for j in wraps:
+                np.subtract(uc[along(0, 1)], uc[along(n - 1, n)],
+                            out=d[along(j, j + 1)])
+            d /= h
+            out[c] += slab[k] * np.where(backward, d[along(0, m)],
+                                         d[along(1, m + 1)])
 
 
 def divergence(u, h: float):
@@ -134,48 +159,77 @@ class FluidSolver:
         gsq = (self._s[0] ** 2 + self._s[1] ** 2 + self._s[2] ** 2) / h**2
         self.zero_g = gsq == 0.0
         self._gsq_safe = np.where(self.zero_g, 1.0, gsq)
-        self._workers = LANES if N**3 >= FFT_THREADS_MIN_POINTS else 1
 
     def step(self, u, F):
-        """Advance one step from velocity u under body force F: `solve`
-        with the upwind advection of u."""
-        return self.solve(u, upwind_advection(u, self.params.h), F)
-
-    def solve(self, u, adv, F):
-        """Advance one step from velocity u under body force F, given the
-        advection term adv = `upwind_advection(u, h)`.
+        """Advance one step from velocity u under body force F.
 
         Returns (u_new, p_new) satisfying the implicit system exactly (to
-        roundoff) and discretely divergence-free. Scales adv in place; u and
-        F are left unchanged. Works in place on its own temporaries and
-        drops each one, adv and F included, once it is consumed, which
-        lowers a step's peak memory.
+        roundoff) and discretely divergence-free. Works in place on its own
+        temporaries only (u and F are left unchanged) and drops each one once
+        it is consumed, which lowers a step's peak memory. On lattices of at
+        least `lanes.SPLIT_MIN_POINTS` points its row blocks and its FFTs,
+        one field component each, are shared between the lanes, bit for bit
+        as on one thread; smaller lattices transform each field as one batch.
         """
         prm = self.params
-        h = prm.h
-        r = prm.rho / prm.dt * u
-        adv *= prm.rho
-        r -= adv
+        N = prm.N
+        shape = (N,) * 3
+        split = N**3 >= lanes.SPLIT_MIN_POINTS
+        r = np.empty(np.shape(u))
+        adv = upwind_advection(u, prm.h)
+        _by_rows(lambda lo, hi: self._rhs_rows(u, adv, F, r, lo, hi), N, N**3)
         del adv
-        r += F
-        del F
-        workers = self._workers
-        rhat = scipy.fft.rfftn(r, axes=(1, 2, 3), overwrite_x=True, workers=workers)
+        if split:
+            rhat = np.empty((3, N, N, N // 2 + 1), dtype=complex)
+
+            def forward(c):
+                rhat[c] = scipy.fft.rfftn(r[c], overwrite_x=True)
+
+            lanes.share(forward, range(3), N**3)
+        else:
+            rhat = scipy.fft.rfftn(r, axes=(1, 2, 3), overwrite_x=True)
         del r
-        # p_hat = (conj(g_hat) . r_hat) / |g_hat|^2, zero on the null modes
-        phat = self._s[0] * rhat[0]
-        phat += self._s[1] * rhat[1]
-        phat += self._s[2] * rhat[2]
-        phat *= -1j / h
-        phat /= self._gsq_safe
-        phat[self.zero_g] = 0.0
-        # u_hat = (r_hat - g_hat p_hat) / a(k), built over r_hat
-        for i in range(3):
-            rhat[i] -= (1j / h) * self._s[i] * phat
-            rhat[i] /= self.a_k
-        shape = (prm.N,) * 3
-        u_new = scipy.fft.irfftn(rhat, s=shape, axes=(1, 2, 3), overwrite_x=True,
-                                 workers=workers)
-        del rhat
-        p_new = scipy.fft.irfftn(phat, s=shape, overwrite_x=True, workers=workers)
+        phat = np.empty(rhat.shape[1:], dtype=rhat.dtype)
+        _by_rows(lambda lo, hi: self._spectral_rows(rhat, phat, lo, hi), N, N**3)
+        if not split:
+            u_new = scipy.fft.irfftn(rhat, s=shape, axes=(1, 2, 3), overwrite_x=True)
+            del rhat
+            return u_new, scipy.fft.irfftn(phat, s=shape, overwrite_x=True)
+        u_new, p_new = np.empty((3,) + shape), np.empty(shape)
+
+        def inverse(c):  # c = 3 is the pressure
+            spectrum, out = (rhat[c], u_new[c]) if c < 3 else (phat, p_new)
+            out[...] = scipy.fft.irfftn(spectrum, s=shape, overwrite_x=True)
+
+        lanes.share(inverse, range(4), N**3)
         return u_new, p_new
+
+    def _rhs_rows(self, u, adv, F, r, lo, hi):
+        """Rows lo:hi (first lattice axis) of r = (rho/dt) u - rho adv + F;
+        scales those rows of adv in place."""
+        prm = self.params
+        rows = (slice(None), slice(lo, hi))
+        out, a = r[rows], adv[rows]
+        np.multiply(prm.rho / prm.dt, u[rows], out=out)
+        a *= prm.rho
+        out -= a
+        out += F[rows]
+
+    def _spectral_rows(self, rhat, phat, lo, hi):
+        """Rows lo:hi (first axis) of p_hat, and of u_hat over r_hat."""
+        h = self.params.h
+        rows = slice(lo, hi)
+        s0 = self._s[0][rows]
+        s1, s2 = self._s[1], self._s[2]
+        r, p = rhat[:, rows], phat[rows]
+        # p_hat = (conj(g_hat) . r_hat) / |g_hat|^2, zero on the null modes
+        np.multiply(s0, r[0], out=p)
+        p += s1 * r[1]
+        p += s2 * r[2]
+        p *= -1j / h
+        p /= self._gsq_safe[rows]
+        p[self.zero_g[rows]] = 0.0
+        # u_hat = (r_hat - g_hat p_hat) / a(k), built over r_hat
+        for i, si in enumerate((s0, s1, s2)):
+            r[i] -= (1j / h) * si * p
+            r[i] /= self.a_k[rows]

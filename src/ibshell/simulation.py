@@ -23,13 +23,12 @@ step, (4) advect the shell nodes with the interpolated new velocity.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent import futures
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import lanes
 from .coupling import (
     interpolate_velocity,
     kernel_matrix,
@@ -37,7 +36,7 @@ from .coupling import (
     spread_force,
     stencil_columns,
 )
-from .fluid import LANES, FluidParams, FluidSolver, upwind_advection
+from .fluid import FluidParams, FluidSolver
 from .geometry import SurfaceGrid, build_geometry
 from .shell import (
     MaterialParams,
@@ -284,32 +283,6 @@ def impulse_force(t: float, cfg: ModelConfig, params: FluidParams) -> np.ndarray
 # The coupled time loop
 # ---------------------------------------------------------------------------
 
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _lane_pool():
-    """The worker thread of a two-lane step, started at the first step that
-    asks for it; None on one core."""
-    global _pool
-    if LANES < 2:
-        return None
-    with _pool_lock:
-        if _pool is None:
-            _pool = futures.ThreadPoolExecutor(
-                max_workers=LANES - 1, thread_name_prefix="ibshell-lane")
-    return _pool
-
-
-def _start(fn, *args) -> futures.Future:
-    """fn(*args) on the worker lane; here and now when there is none."""
-    pool = _lane_pool()
-    if pool is not None:
-        return pool.submit(fn, *args)
-    job = futures.Future()
-    job.set_result(fn(*args))
-    return job
-
 
 class Simulation:
     """Owns the precomputed geometry/coefficients/solver and the state."""
@@ -358,35 +331,21 @@ class Simulation:
     def step(self):
         """One coupled step: force, spread (+impulse), fluid, advect.
 
-        S and the advection read only the old X and u, so a worker lane
-        builds S and then the advection while this thread forms the shell
-        force. Both are joined before the fluid solve, and the result is
-        bit for bit the serial step's. On one core the worker lane's two
-        jobs run first, in order, on this thread.
+        S reads only the old X, so on large lattices the worker lane
+        (`lanes.beside`) builds it while this thread forms the shell force;
+        the result is bit for bit the serial step's.
         """
         cfg = self.cfg
         X = self.X
-        s_job = _start(self._coupling_matrix, X)
-        adv_job = _start(upwind_advection, self.u, self.fparams.h)
-        try:
-            f = self.shell_force_cartesian(X)
-            S = s_job.result()
-            F = spread_force(f, S, self.dq_area, self.fparams)
-            if self.step_count == 0:
-                # the step-0 surface force density acts as an impulse: scaling
-                # by 1/dt makes the injected momentum (and hence the whole
-                # run) independent of the step size
-                F += impulse_force(0.0, cfg, self.fparams) / cfg.dt
-            handed = [adv_job.result(), F]
-        finally:
-            futures.wait((s_job, adv_job))  # leave no task running
-        # hand adv and F over with no reference left here (a finished job
-        # holds its result): `solve` drops each once used, which frees them
-        # before its FFTs. The step never reads the old p, so it is dropped
-        # too. Both keep the step's peak memory down.
-        del adv_job, F
-        self.p = None
-        self.u, self.p = self.solver.solve(self.u, handed.pop(0), handed.pop())
+        S, f = lanes.beside(lambda: self._coupling_matrix(X),
+                            lambda: self.shell_force_cartesian(X), cfg.N**3)
+        F = spread_force(f, S, self.dq_area, self.fparams)
+        if self.step_count == 0:
+            # the step-0 surface force density acts as an impulse: scaling by
+            # 1/dt makes the injected momentum (and hence the whole run)
+            # independent of the step size
+            F += impulse_force(0.0, cfg, self.fparams) / cfg.dt
+        self.u, self.p = self.solver.step(self.u, F)
         U = interpolate_velocity(self.u, S)
         self.X = X + cfg.dt * U.reshape(X.shape)
         self.step_count += 1

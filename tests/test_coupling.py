@@ -83,6 +83,15 @@ def test_coupling_matrix_matches_broadcast_oracle_bitwise(N):
     g = rng.standard_normal(M)
     assert np.array_equal(S @ u, ref @ u)
     assert np.array_equal(S.T @ g, ref.T @ g)
+    # per component, as at N = 64, where the lanes share the components
+    f = rng.standard_normal((M, 3))
+    dq = rng.uniform(1e-6, 1e-5, size=M)
+    F = spread_force(f, S, dq, prm)
+    v = rng.standard_normal((3, N, N, N))
+    U = interpolate_velocity(v, S)
+    for c in range(3):
+        assert np.array_equal(F[c].ravel(), ref.T @ (f[:, c] * (dq / h**3)))
+        assert np.array_equal(U[:, c], ref @ v[c].ravel())
 
 
 # ---------------------------------------------------------------------------

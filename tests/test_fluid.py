@@ -6,6 +6,7 @@ import scipy.fft
 from ibshell.fluid import (
     FluidParams,
     FluidSolver,
+    _advect_rows,
     divergence,
     upwind_advection,
 )
@@ -133,11 +134,19 @@ def test_upwind_matches_naive_loops():
 def test_upwind_matches_roll_oracle_bitwise():
     # exact zeros exercise the u_k >= 0 tie; N = 2 wraps onto itself
     rng = np.random.default_rng(4)
-    for N in (2, 5, 8, 16):
+    for N in (2, 5, 8, 16, 64):
         u = rng.standard_normal((3, N, N, N))
         u[rng.random(u.shape) < 0.2] = 0.0
         h = 0.1 / N
-        assert np.array_equal(upwind_advection(u, h), roll_upwind(u, h)), N
+        ref = roll_upwind(u, h)
+        assert np.array_equal(upwind_advection(u, h), ref), N
+        if N > 8:
+            continue
+        for half in range(N + 1):  # the two lanes' row split, at every row
+            adv = np.zeros_like(u)
+            _advect_rows(u, h, 0, half, adv)
+            _advect_rows(u, h, half, N, adv)
+            assert np.array_equal(adv, ref), (N, half)
 
 
 def test_divergence_streamfunction_and_mode():
@@ -187,17 +196,16 @@ def test_step_matches_out_of_place_oracle_bitwise(N):
 
 
 @pytest.mark.parametrize("N", [16, 64])
-def test_threaded_ffts_match_one_thread_bitwise(N):
-    # the solver's FFTs run on two threads at N >= 64 (FFT_THREADS_MIN_POINTS);
-    # a scipy build whose threads change the summation order fails here
+def test_component_ffts_match_batched_bitwise(N):
+    # FluidSolver.step transforms one field component per call, so that the
+    # lanes can share them; each must sum as in the batched transform
     rng = np.random.default_rng(N)
-    for shape, axes in (((3, N, N, N), (1, 2, 3)), ((N, N, N), None)):
-        r = rng.standard_normal(shape)
-        rhat = scipy.fft.rfftn(r, axes=axes, workers=1)
-        assert np.array_equal(scipy.fft.rfftn(r, axes=axes, workers=2), rhat)
-        back = scipy.fft.irfftn(rhat, s=(N,) * 3, axes=axes, workers=1)
-        assert np.array_equal(
-            scipy.fft.irfftn(rhat, s=(N,) * 3, axes=axes, workers=2), back)
+    r = rng.standard_normal((3, N, N, N))
+    rhat = scipy.fft.rfftn(r, axes=(1, 2, 3))
+    back = scipy.fft.irfftn(rhat, s=(N,) * 3, axes=(1, 2, 3))
+    for c in range(3):
+        assert np.array_equal(scipy.fft.rfftn(r[c]), rhat[c])
+        assert np.array_equal(scipy.fft.irfftn(rhat[c], s=(N,) * 3), back[c])
 
 
 def test_zero_is_fixed_point():

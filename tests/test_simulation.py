@@ -6,9 +6,10 @@ import numpy as np
 import oracles
 import pytest
 
+import ibshell.fluid
+import ibshell.lanes
 import ibshell.simulation
 from ibshell.coupling import coupling_matrix, interpolate_velocity, spread_force
-from ibshell.fluid import upwind_advection
 from ibshell.io import (
     config_param_block,
     params_to_config,
@@ -323,56 +324,110 @@ def worker_lane():
         yield pool
 
 
-@pytest.mark.parametrize("N", [16, 64])
-def test_two_lane_step_matches_serial_step(N, monkeypatch, worker_lane):
+@pytest.mark.parametrize("N, gate", [(16, None), (64, None), (16, 1)])
+def test_two_lane_step_matches_serial_step(N, gate, monkeypatch, worker_lane):
+    # gate 1 runs the lanes at N = 16, below lanes.SPLIT_MIN_POINTS
+    if gate is not None:
+        monkeypatch.setattr(ibshell.lanes, "SPLIT_MIN_POINTS", gate)
     cfg = ModelConfig(N=N, dt=1.28e-6 / N)
-    lane = []
+    split = N**3 >= ibshell.lanes.SPLIT_MIN_POINTS
+    seen = []  # (job, first row, on the calling thread) per job call
+    build, rows = Simulation._coupling_matrix, ibshell.fluid._advect_rows
+    force = Simulation.shell_force_cartesian
+    main = threading.current_thread()
+    s_begun, block_taken = threading.Event(), threading.Event()
+    lanes_on = []
 
-    def spy(u, h):
-        lane.append(threading.current_thread())
-        return upwind_advection(u, h)
+    # on split lattices the calling thread waits for the worker to begin S
+    # and to take one advection block, so that both lanes take part in
+    # every step
+    def spy_build(sim, X):
+        here = threading.current_thread() is main
+        seen.append(("S", 0, here))
+        if not here:
+            s_begun.set()
+        return build(sim, X)
 
-    monkeypatch.setattr(ibshell.simulation, "upwind_advection", spy)
-    runs = []
+    def spy_force(sim, X):
+        if lanes_on and split:
+            assert s_begun.wait(10)
+        s_begun.clear()
+        block_taken.clear()
+        return force(sim, X)
+
+    def spy_rows(u, h, lo, hi, adv):
+        here = threading.current_thread() is main
+        seen.append(("advection", lo, here))
+        if not here:
+            block_taken.set()
+        elif lanes_on and split:
+            assert block_taken.wait(10)
+        rows(u, h, lo, hi, adv)
+
+    monkeypatch.setattr(Simulation, "_coupling_matrix", spy_build)
+    monkeypatch.setattr(Simulation, "shell_force_cartesian", spy_force)
+    monkeypatch.setattr(ibshell.fluid, "_advect_rows", spy_rows)
+    runs, jobs = [], []
     for pool in (None, worker_lane):
-        monkeypatch.setattr(ibshell.simulation, "_lane_pool", lambda: pool)
+        monkeypatch.setattr(ibshell.lanes, "_lane_pool", lambda: pool)
+        if pool is not None:
+            lanes_on.append(True)
+        seen.clear()
         sim = Simulation(cfg)
         sim.run(5)
         runs.append(sim)
+        jobs.append(list(seen))
     serial, two = runs
-    # the serial run advects on this thread, the two-lane run on the worker
-    assert lane[:5] == [threading.current_thread()] * 5
-    assert threading.current_thread() not in lane[5:] and len(lane) == 10
+    # the serial run does every job on this thread; the two-lane run does
+    # the same jobs, and on split lattices builds S on the worker beside the
+    # force and shares the advection's rows between the threads
+    assert all(here for _, _, here in jobs[0])
+    assert sorted(j[:2] for j in jobs[1]) == sorted(j[:2] for j in jobs[0])
+    assert [here for job, _, here in jobs[1] if job == "S"] == [not split] * 5
+    shared = any(job == "advection" and not here for job, _, here in jobs[1])
+    assert shared == split
     assert np.array_equal(two.X, serial.X)
     assert np.array_equal(two.u, serial.u)
     assert np.array_equal(two.p, serial.p)
 
 
 @pytest.mark.parametrize("two_lanes", [False, True])
-def test_nonfinite_position_fails_the_step_unchanged(two_lanes, monkeypatch,
-                                                     worker_lane):
-    monkeypatch.setattr(ibshell.simulation, "_lane_pool",
+@pytest.mark.parametrize("failing", ["S", "force"])
+def test_failed_step_joins_the_worker_lane(failing, two_lanes, monkeypatch,
+                                           worker_lane):
+    monkeypatch.setattr(ibshell.lanes, "_lane_pool",
                         lambda: worker_lane if two_lanes else None)
+    monkeypatch.setattr(ibshell.lanes, "SPLIT_MIN_POINTS", 1)  # lanes at N = 16
     running = []
+    build = Simulation._coupling_matrix
 
-    def slow_advection(u, h):
+    def slow_build(sim, X):
         running.append(1)
-        time.sleep(0.2)  # still queued or running when S has failed
+        time.sleep(0.2)  # still running when the force has failed
         running.pop()
-        return upwind_advection(u, h)
+        return build(sim, X)
 
-    monkeypatch.setattr(ibshell.simulation, "upwind_advection", slow_advection)
+    def failing_force(sim, X):
+        raise RuntimeError("force failed")
+
+    monkeypatch.setattr(Simulation, "_coupling_matrix", slow_build)
     cfg = ModelConfig(N=16, dt=8e-8)
     sim = Simulation(cfg)
     sim.step()
     X = sim.X.copy()
-    X[cfg.n1 // 2, 3, 1] = np.nan
+    if failing == "S":
+        X[cfg.n1 // 2, 3, 1] = np.nan
+        error = (ValueError, "non-finite shell position")
+    else:
+        monkeypatch.setattr(Simulation, "shell_force_cartesian", failing_force)
+        error = (RuntimeError, "force failed")
     sim.X = X
     u, p = sim.u, sim.p
-    with pytest.raises(ValueError, match="non-finite shell position"):
+    with pytest.raises(error[0], match=error[1]):
         sim.step()
-    assert not running  # both lanes were joined before the error surfaced
+    assert not running  # the worker lane was joined before the error surfaced
     assert sim.X is X and sim.u is u and sim.p is p and sim.step_count == 1
+    monkeypatch.undo()
     fresh = Simulation(cfg)
     fresh.run(2)
     assert fresh.step_count == 2 and np.isfinite(fresh.X).all()
