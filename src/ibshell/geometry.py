@@ -10,6 +10,13 @@ the first/last node of an axis.
 
 All geometric products are computed once per grid and treated as immutable
 afterwards.
+
+Storage is components-first: a tensor field with component axes (2, 2, ...)
+is stored as one array (2, 2, ..., n1, n2), so each component is a
+contiguous (n1, n2) lattice slice, and the difference operator and the
+covariant derivative work on the last two axes. The public attributes keep
+the lattice-first shape (n1, n2, 2, 2, ...) as `np.moveaxis` views of that
+storage (`lattice_first`); `components_first` recovers the stored array.
 """
 
 from __future__ import annotations
@@ -84,49 +91,112 @@ class SurfaceGrid:
         ).copy()
 
 
-def surface_diff(values, axis: int, spacing):
+def components_first(a):
+    """(n1, n2, ...) -> (..., n1, n2) view: the storage order of tensor fields.
+
+    The view `np.moveaxis(a, (0, 1), (-2, -1))` gives, at a fraction of its
+    call cost.
+    """
+    nd = np.ndim(a)
+    return np.transpose(a, tuple(range(2, nd)) + (0, 1))
+
+
+def lattice_first(a):
+    """(..., n1, n2) -> (n1, n2, ...) view of a components-first field."""
+    nd = np.ndim(a)
+    return np.transpose(a, (nd - 2, nd - 1) + tuple(range(nd - 2)))
+
+
+#: lattice nodes per block of `store_components_first`'s copy: a block of
+#: every component stays in cache while it is scattered
+_STORE_BLOCK = 256
+
+
+def store_components_first(a):
+    """Copy a lattice-first field into components-first storage.
+
+    Returns the (n1, n2, ...) view of the copy, so readers see the old shape.
+    """
+    a = np.asarray(a, dtype=float)
+    n1, n2 = a.shape[:2]
+    out = np.empty(a.shape[2:] + (n1, n2))
+    src, dst = a.reshape(n1 * n2, -1), out.reshape(-1, n1 * n2).T
+    for k in range(0, n1 * n2, _STORE_BLOCK):
+        dst[k:k + _STORE_BLOCK] = src[k:k + _STORE_BLOCK]
+    return lattice_first(out)
+
+
+def surface_diff(values, axis: int, spacing, out=None):
     """Hybrid difference D_alpha along parameter axis 1 or 2.
 
     Centered differences at interior nodes, one-sided forward/backward at the
     first/last node of the axis. `spacing` is a scalar for axis 1; for axis 2
     it is a per-row array of length n1 (row-dependent mesh width).
 
-    `values` may carry any trailing component axes; the first two axes are the
-    lattice.
+    `values` may carry any leading component axes; the last two axes are the
+    lattice. The result goes to `out` when it is given; its lattice axes
+    must be contiguous.
     """
     v = np.asarray(values, dtype=float)
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
-    n = v.shape[axis - 1]
+    n = v.shape[axis - 3]
     if n < 2:
         raise ValueError(f"need at least 2 nodes along axis {axis}, got {n}")
 
-    out = np.empty_like(v)
+    if out is None:
+        out = np.empty(v.shape)
     if axis == 1:
         d = float(np.asarray(spacing).item()) if np.ndim(spacing) == 0 else None
         if d is None:
             raise ValueError("axis-1 spacing must be a scalar")
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * d)
-        out[0] = (v[1] - v[0]) / d
-        out[-1] = (v[-1] - v[-2]) / d
+        parts = (
+            (out[..., 1:-1, :], v[..., 2:, :], v[..., :-2, :], 2.0 * d),
+            (out[..., 0, :], v[..., 1, :], v[..., 0, :], d),
+            (out[..., -1, :], v[..., -1, :], v[..., -2, :], d),
+        )
     else:
         sp = np.asarray(spacing, dtype=float)
-        if sp.shape != v.shape[:1]:
+        if sp.shape != v.shape[-2:-1]:
             raise ValueError("axis-2 spacing must have shape (n1,)")
-        # broadcast (n1,) against (n1, n2-slice, components...)
-        d_in = sp.reshape((-1,) + (1,) * (v.ndim - 1))
-        d_lo = d_hi = sp.reshape((-1,) + (1,) * (v.ndim - 2))
-        out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * d_in)
-        out[:, 0] = (v[:, 1] - v[:, 0]) / d_lo
-        out[:, -1] = (v[:, -1] - v[:, -2]) / d_hi
+        # the centered difference runs along the flattened lattice, rows
+        # joined end to end; the joins land on edge nodes, written after it
+        flat = v.shape[:-2] + (-1,)
+        vf, of = v.reshape(flat), out.reshape(flat)
+        if not np.may_share_memory(of, out):
+            raise ValueError("out must have contiguous lattice axes")
+        parts = (
+            (of[..., 1:-1], vf[..., 2:], vf[..., :-2],
+             np.repeat(2.0 * sp, v.shape[-1])[1:-1]),
+            (out[..., 0], v[..., 1], v[..., 0], sp),
+            (out[..., -1], v[..., -1], v[..., -2], sp),
+        )
+    for o, hi, lo, d in parts:
+        np.subtract(hi, lo, out=o)
+        o /= d
     return out
 
 
 def _diff_stack(values, grid: SurfaceGrid) -> np.ndarray:
-    """Stack (D_1 v, D_2 v) along a new axis at position 2."""
-    return np.stack(
-        [surface_diff(values, 1, grid.dq1), surface_diff(values, 2, grid.dq2_of_row)],
-        axis=2,
+    """(D_1 v, D_2 v) of a components-first field, along a new first axis.
+
+    Both differences are written straight into one (2, ...) array.
+    """
+    v = np.asarray(values, dtype=float)
+    out = np.empty((2,) + v.shape)
+    surface_diff(v, 1, grid.dq1, out=out[0])
+    surface_diff(v, 2, grid.dq2_of_row, out=out[1])
+    return out
+
+
+def _lattice_first_diff(values, grid: SurfaceGrid) -> np.ndarray:
+    """(D_1 v, D_2 v) of a lattice-first field, contiguous (n1, n2, 2, ...).
+
+    The initialization einsums read this layout, in which they sum in the
+    order they always have.
+    """
+    return np.ascontiguousarray(
+        lattice_first(_diff_stack(components_first(values), grid))
     )
 
 
@@ -134,36 +204,61 @@ def _diff_stack(values, grid: SurfaceGrid) -> np.ndarray:
 # Covariant differentiation
 # ---------------------------------------------------------------------------
 
+def _add_christoffel(component, A, index_types, Gamma):
+    """Add the Christoffel terms of grad A, in one fixed order, in place.
+
+    component(alpha, slots) is the (n1, n2) array that holds component
+    (alpha, *slots) of grad A, or None where that component is not formed.
+    Each correction, a sum over sigma in {0, 1}, is a two-term sum on
+    (n1, n2) lattice slices.
+    """
+    for k, t in enumerate(index_types):
+        for rest in itertools.product((0, 1), repeat=len(index_types) - 1):
+            head, tail = rest[:k], rest[k:]
+            A0 = A[head + (0,) + tail]
+            A1 = A[head + (1,) + tail]
+            for a, v in itertools.product((0, 1), repeat=2):
+                o = component(a, head + (v,) + tail)
+                if o is None:
+                    continue
+                if t == "u":
+                    # + Gamma^{nu_k}_{alpha sigma} A^{...sigma...}
+                    o += Gamma[v, a, 0] * A0 + Gamma[v, a, 1] * A1
+                else:
+                    # - Gamma^{sigma}_{alpha mu_k} A_{...sigma...}
+                    o -= Gamma[0, a, v] * A0 + Gamma[1, a, v] * A1
+
+
 def _covariant_derivative_raw(A, index_types, Gamma, grid: SurfaceGrid):
     """Covariant derivative of raw components; new lower index is prepended.
 
-    A has shape (n1, n2, 2, 2, ...), one trailing length-2 axis per tensor
-    slot; index_types gives 'l' (covariant) or 'u' (contravariant) per slot.
-    Gamma[..., lam, mu, nu] = Gamma^lam_{mu nu}.
-
-    Each Christoffel correction, a sum over sigma in {0, 1}, is formed as a
-    two-term sum on (n1, n2) lattice slices, one output component at a time.
+    A is components-first, (2, 2, ..., n1, n2), one leading length-2 axis per
+    tensor slot; index_types gives 'l' (covariant) or 'u' (contravariant) per
+    slot. Gamma is components-first too: Gamma[lam, mu, nu] = Gamma^lam_{mu nu}.
     """
     if len(index_types) > 4:
         raise ValueError(
             f"unsupported valence: {len(index_types)} slots (at most 4 supported)"
         )
     out = _diff_stack(A, grid)
-    lattice = (slice(None), slice(None))
-    for k, t in enumerate(index_types):
-        for rest in itertools.product((0, 1), repeat=len(index_types) - 1):
-            head, tail = rest[:k], rest[k:]
-            A0 = A[lattice + head + (0,) + tail]
-            A1 = A[lattice + head + (1,) + tail]
-            for a, v in itertools.product((0, 1), repeat=2):
-                o = out[lattice + (a,) + head + (v,) + tail]
-                if t == "u":
-                    # + Gamma^{nu_k}_{alpha sigma} A^{...sigma...}
-                    o += Gamma[:, :, v, a, 0] * A0 + Gamma[:, :, v, a, 1] * A1
-                else:
-                    # - Gamma^{sigma}_{alpha mu_k} A_{...sigma...}
-                    o -= Gamma[:, :, 0, a, v] * A0 + Gamma[:, :, 1, a, v] * A1
+    _add_christoffel(lambda a, slots: out[(a,) + slots], A, index_types, Gamma)
     return out
+
+
+def _covariant_divergence(A, index_types, slot: int, Gamma, grid: SurfaceGrid):
+    """grad_alpha A^{... alpha ...}: the derivative traced against `slot`.
+
+    Forms only the components (alpha, ..., alpha at `slot`, ...) of
+    `_covariant_derivative_raw(A, ...)` that the trace reads, each exactly as
+    it forms them, and adds the alpha = 0 and 1 parts.
+    """
+    lead = (slice(None),) * slot
+    d = np.empty(A.shape)  # d[..., alpha at slot, ...] = (grad A)[alpha, ...]
+    for a, (axis, spacing) in enumerate(((1, grid.dq1), (2, grid.dq2_of_row))):
+        surface_diff(A[lead + (a,)], axis, spacing, out=d[lead + (a,)])
+    _add_christoffel(lambda a, slots: d[slots] if slots[slot] == a else None,
+                     A, index_types, Gamma)
+    return d[lead + (0,)] + d[lead + (1,)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +268,11 @@ def _covariant_derivative_raw(A, index_types, Gamma, grid: SurfaceGrid):
 @dataclass(frozen=True)
 class SurfaceGeometry:
     """All intrinsic tensors of the reference surface, built once per grid.
+
+    T, Nrm, Gamma and gradb are stored components-first; each attribute is
+    the lattice-first `np.moveaxis` view of that storage, with the shape
+    listed here (`components_first` gives the stored array). g, ginv and b
+    feed only the coefficient build and stay lattice-first arrays.
 
     T      : tangent frame T_alpha = D_alpha X0, shape (n1, n2, 2, 3)
     Nrm    : unit normal (T1 x T2)/|T1 x T2|, shape (n1, n2, 3)
@@ -195,8 +295,12 @@ class SurfaceGeometry:
 
 
 def build_frame(grid: SurfaceGrid):
-    """Tangent fields T_alpha = D_alpha X0 and the unit normal."""
-    T = _diff_stack(grid.X0, grid)
+    """Tangent fields T_alpha = D_alpha X0 and the unit normal.
+
+    T, (n1, n2, 2, 3), is the lattice-first view of the components-first
+    differences; the normal is a lattice-first (n1, n2, 3) array.
+    """
+    T = lattice_first(_diff_stack(components_first(grid.X0), grid))
     cr = np.cross(T[..., 0, :], T[..., 1, :])
     nrm = np.linalg.norm(cr, axis=-1)
     if np.min(nrm) < 1e-14:
@@ -226,14 +330,14 @@ def build_second_form(Nrm, T, grid: SurfaceGrid):
     The discrete product is not exactly symmetric; the continuum tensor is,
     and the force operator assumes it, so b <- (b + b^T)/2.
     """
-    dN = _diff_stack(Nrm, grid)
+    dN = _lattice_first_diff(Nrm, grid)
     b = np.einsum("xymc,xync->xymn", dN, T)
     return 0.5 * (b + np.swapaxes(b, -1, -2))
 
 
 def build_christoffel(g, ginv, grid: SurfaceGrid):
     """Gamma^lam_{mu nu} = 1/2 g^{sig lam}(D_nu g_{mu sig} + D_mu g_{sig nu} - D_sig g_{mu nu})."""
-    dg = _diff_stack(g, grid)  # dg[..., sig, mu, nu] = D_sig g_{mu nu}
+    dg = _lattice_first_diff(g, grid)  # dg[..., sig, mu, nu] = D_sig g_{mu nu}
     bracket = (
         dg.transpose(0, 1, 4, 3, 2)  # D_nu g_{mu sig}
         + dg.transpose(0, 1, 3, 2, 4)  # D_mu g_{sig nu}
@@ -248,13 +352,22 @@ def mixed_second_form(b, ginv):
 
 
 def build_geometry(grid: SurfaceGrid) -> SurfaceGeometry:
-    """Run the full initialization chain on a grid."""
+    """Run the full initialization chain on a grid.
+
+    T and gradb are built components-first. The other tensors are built
+    lattice-first, and Nrm and Gamma are then copied once into
+    components-first storage.
+    """
     T, Nrm = build_frame(grid)
-    g, ginv = build_metric(T)
-    b = build_second_form(Nrm, T, grid)
-    Gamma = build_christoffel(g, ginv, grid)
+    T_lf = np.ascontiguousarray(T)  # the layout the einsums below sum in
+    g, ginv = build_metric(T_lf)
+    b = build_second_form(Nrm, T_lf, grid)
+    Gamma = store_components_first(build_christoffel(g, ginv, grid))
     bmix = mixed_second_form(b, ginv)
-    gradb = _covariant_derivative_raw(bmix, ("l", "u"), Gamma, grid)
+    gradb = _covariant_derivative_raw(
+        components_first(bmix), ("l", "u"), components_first(Gamma), grid
+    )
     return SurfaceGeometry(
-        grid=grid, T=T, Nrm=Nrm, g=g, ginv=ginv, b=b, Gamma=Gamma, gradb=gradb
+        grid=grid, T=T, Nrm=store_components_first(Nrm),
+        g=g, ginv=ginv, b=b, Gamma=Gamma, gradb=lattice_first(gradb),
     )

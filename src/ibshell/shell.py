@@ -10,6 +10,15 @@ The force is pointwise terms + div T + div div S, built from one table of
 linear terms, `_TERMS`, each a coefficient field contracted with omega, W,
 the hessian of omega or grad W.
 
+Like the geometry, every tensor field here is stored components-first,
+(2, ..., n1, n2): the ten coefficient fields, the jet, the accumulators and
+the tangential parts of the displacement and the force. The attributes of
+`ShellCoefficients`, `Displacement` and `ShellForceDensity` keep their
+lattice-first shapes (n1, n2, 2, ...) as `np.moveaxis` views of that storage;
+the force reads the stored arrays back through `components_first`. Each
+contraction is an explicit sum of (n1, n2) slices, in the order `np.einsum`
+sums it on the lattice-first arrays (the tests pin every one).
+
 Two thickness closures of the integrals are available:
 
 - "leading"  : every integrand factor evaluated on the middle surface and the
@@ -36,8 +45,12 @@ import numpy as np
 from .geometry import (
     SurfaceGeometry,
     _covariant_derivative_raw,
+    _covariant_divergence,
     _diff_stack,
+    components_first,
+    lattice_first,
     mixed_second_form,
+    store_components_first,
 )
 
 #: global sign relating the returned force to the printed energy gradient
@@ -77,6 +90,8 @@ class ShellCoefficients:
     Index conventions follow the defining integrals: e.g. Psi[r, s, t] is the
     coefficient contracted as Psi^{r s t} W_r inside a double divergence over
     (s, t), and Omegabar[m, n, r] multiplies grad_m W_n with r free.
+    `compute_coefficients` stores each field components-first and passes the
+    lattice-first views listed here.
     """
 
     A: np.ndarray         # (n1, n2)
@@ -103,7 +118,10 @@ class ShellCoefficients:
 
 @dataclass
 class Displacement:
-    """Normal/tangential decomposition of X - X0 against the reference frame."""
+    """Normal/tangential decomposition of X - X0 against the reference frame.
+
+    `decompose_displacement` stores W components-first and passes its view.
+    """
 
     omega: np.ndarray  # (n1, n2)
     W_low: np.ndarray  # (n1, n2, 2) covariant components W_mu
@@ -111,7 +129,10 @@ class Displacement:
 
 @dataclass
 class ShellForceDensity:
-    """Force density (per unit parameter area) the shell applies to the fluid."""
+    """Force density (per unit parameter area) the shell applies to the fluid.
+
+    `compute_force` stores fmu components-first and passes its view.
+    """
 
     f3: np.ndarray         # (n1, n2) normal component
     fmu: np.ndarray        # (n1, n2, 2) tangential components (upper index)
@@ -191,7 +212,9 @@ def compute_coefficients(
 
     Lam0 = elasticity_form(geom.ginv, mat.lam, mat.mu)
     b = geom.b
-    gradb = geom.gradb  # [alpha, beta, gamma] = (grad b)_{alpha beta}^{gamma}
+    # [alpha, beta, gamma] = (grad b)_{alpha beta}^{gamma}, as a contiguous
+    # lattice-first array, the layout the einsums below sum in
+    gradb = np.ascontiguousarray(geom.gradb)
     I0 = 2.0 * h0          # integral of dt
     I2 = (2.0 / 3.0) * h0**3  # integral of t^2 dt
     # explicit t^2: through h0^3 only the bracket's t^0 term, Lam0, survives
@@ -199,17 +222,22 @@ def compute_coefficients(
     Omega = np.einsum("xystlr,xystm,xylrn->xymn", Abar, gradb, gradb)
 
     if order == "leading":
+        def zeros(*components):  # allocated components-first
+            return lattice_first(np.zeros(components + (grid.n1, grid.n2)))
+
+        def times_I0(a):  # elementwise: formed straight into storage
+            out = np.empty(a.shape[2:] + I0.shape)
+            return lattice_first(np.multiply(I0, components_first(a), out=out))
+
         A = I0 * np.einsum("xyabgd,xyab,xygd->xy", Lam0, b, b)
-        Abbar = np.zeros(b.shape)
-        Phi = np.zeros(b.shape[:2] + (2,))
-        Phibar = I0[..., None, None] * np.einsum("xyabmn,xyab->xymn", Lam0, b)
-        Psi = np.zeros(b.shape[:2] + (2, 2, 2))
-        Psibar = np.zeros(Lam0.shape)
-        Omegabar = np.zeros(b.shape[:2] + (2, 2, 2))
-        Obbar = I0[..., None, None, None, None] * Lam0
+        Phibar = times_I0(np.einsum("xyabmn,xyab->xymn", Lam0, b))
+        Obbar = times_I0(Lam0)
         return ShellCoefficients(
-            A=A, Abar=Abar, Abbar=Abbar, Phi=Phi, Phibar=Phibar,
-            Psi=Psi, Psibar=Psibar, Omega=Omega, Omegabar=Omegabar, Obbar=Obbar,
+            A=A, Abar=store_components_first(Abar), Abbar=zeros(2, 2),
+            Phi=zeros(2), Phibar=Phibar,
+            Psi=zeros(2, 2, 2), Psibar=zeros(2, 2, 2, 2),
+            Omega=store_components_first(Omega), Omegabar=zeros(2, 2, 2),
+            Obbar=Obbar,
         )
 
     # ---- quadratic closure: Taylor-expand every integrand factor in t ----
@@ -274,10 +302,13 @@ def compute_coefficients(
     Psibar = close(LamtGt.mul(theta, "xystmd,xydn->xystmn"), 1, zero6)
     Omegabar = np.einsum("xymntl,xytlr->xymnr", Psibar, gradb)
     Obbar = close(LamtGt.mul(gmix, "xystmd,xydn->xystmn"), 0, zero6)
-    return ShellCoefficients(
-        A=A, Abar=Abar, Abbar=Abbar, Phi=Phi, Phibar=Phibar,
-        Psi=Psi, Psibar=Psibar, Omega=Omega, Omegabar=Omegabar, Obbar=Obbar,
-    )
+    return ShellCoefficients(**{
+        name: store_components_first(field) for name, field in (
+            ("A", A), ("Abar", Abar), ("Abbar", Abbar), ("Phi", Phi),
+            ("Phibar", Phibar), ("Psi", Psi), ("Psibar", Psibar),
+            ("Omega", Omega), ("Omegabar", Omegabar), ("Obbar", Obbar),
+        )
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -286,47 +317,94 @@ def compute_coefficients(
 
 
 def decompose_displacement(X, geom: SurfaceGeometry) -> Displacement:
-    """Split X - X0 into the normal function omega and tangential W."""
+    """Split X - X0 into the normal function omega and tangential W.
+
+    Each is a 3-term dot summed as np.einsum sums it: (c0 + c2) + c1.
+    """
     d = np.asarray(X, dtype=float) - geom.grid.X0
-    omega = np.einsum("xyc,xyc->xy", d, geom.Nrm)
-    W_low = np.einsum("xyc,xyac->xya", d, geom.T)
-    return Displacement(omega=omega, W_low=W_low)
+    d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
+    Nrm, T = components_first(geom.Nrm), components_first(geom.T)
+    omega = (d0 * Nrm[0] + d2 * Nrm[2]) + d1 * Nrm[1]
+    W = (d0 * T[:, 0] + d2 * T[:, 2]) + d1 * T[:, 1]
+    return Displacement(omega=omega, W_low=lattice_first(W))
 
 
 def _cov_divergence(comps, index_types, geom):
     """grad contracted against the first (contravariant) slot of comps."""
-    cd = _covariant_derivative_raw(comps, index_types, geom.Gamma, geom.grid)
-    return cd[:, :, 0, 0] + cd[:, :, 1, 1]
+    return _covariant_divergence(
+        comps, index_types, 0, components_first(geom.Gamma), geom.grid
+    )
 
 
 def _double_divergence(S, geom):
     """grad_s grad_t S^{s t}: inner derivative contracts the second slot."""
-    inner = _covariant_derivative_raw(S, ("u", "u"), geom.Gamma, geom.grid)
-    V = inner[:, :, 0, :, 0] + inner[:, :, 1, :, 1]  # derivative with slot t
+    V = _covariant_divergence(
+        S, ("u", "u"), 1, components_first(geom.Gamma), geom.grid
+    )
     return _cov_divergence(V, ("u",), geom)
+
+
+def _contraction(spec, order="pairwise"):
+    """np.einsum(spec, C, x) on components-first fields, as an explicit sum.
+
+    `spec` names the lattice axes "xy", first as on lattice-first fields;
+    here they are last. With the coefficient field's axes
+    ordered (free..., summed...), each product of its slices with the jet
+    entry's is formed apart; a single summed index adds its two products, a
+    summed pair (i, j) adds its four in `order`: "pairwise"
+    (p00 + p10) + (p01 + p11) or "running" ((p00 + p01) + p10) + p11.
+    """
+    ins, free = (part.replace("xy", "") for part in spec.split("->"))
+    c_idx, x_idx = ins.split(",")
+    axes = free + "".join(i for i in c_idx if i not in free)
+    c_perm = [c_idx.index(i) for i in axes] + [len(c_idx), len(c_idx) + 1]
+    x_perm = [x_idx.index(i) for i in axes if i in x_idx]
+    x_perm += [len(x_idx), len(x_idx) + 1]
+    x_new = tuple(k for k, i in enumerate(axes) if i not in x_idx)
+    n_summed = len(axes) - len(free)
+
+    def contract(C, x):
+        C = C.transpose(c_perm)
+        x = np.expand_dims(x.transpose(x_perm), x_new)
+
+        def p(*ij):
+            at = (Ellipsis,) + ij + (slice(None), slice(None))
+            return C[at] * x[at]
+
+        if n_summed == 0:
+            return p()
+        if n_summed == 1:
+            return p(0) + p(1)
+        if order == "pairwise":
+            return (p(0, 0) + p(1, 0)) + (p(0, 1) + p(1, 1))
+        return ((p(0, 0) + p(0, 1)) + p(1, 0)) + p(1, 1)
+
+    return contract
 
 
 #: The force operator, one row per term: (coefficient field, contraction of
 #: the field with a jet entry, jet entry, accumulator, sign). The jet is
 #: omega, W, hess = grad D omega and gradW = grad W; terms land pointwise in
 #: f3 or fmu, under the divergence in T, or under the double divergence in S.
+#: Three 4-term contractions sum their slices in the running order, as
+#: np.einsum does where the summed indices lead the coefficient's.
 _TERMS = (
-    ("A", "xy,xy->xy", "omega", "f3", +1),
-    ("Abar", "xystmn,xymn->xyst", "hess", "S", +1),
-    ("Abbar", "xyst,xy->xyst", "omega", "S", -1),
-    ("Abbar", "xyst,xyst->xy", "hess", "f3", -1),
-    ("Phi", "xyn,xyn->xy", "W", "f3", +1),
-    ("Phi", "xym,xy->xym", "omega", "fmu", +1),
-    ("Phibar", "xymn,xymn->xy", "gradW", "f3", +1),
-    ("Phibar", "xymn,xy->xymn", "omega", "T", -1),
-    ("Psi", "xymst,xym->xyst", "W", "S", -1),
-    ("Psi", "xymst,xyst->xym", "hess", "fmu", -1),
-    ("Psibar", "xystmn,xyst->xymn", "gradW", "S", -1),
-    ("Psibar", "xynmst,xyst->xynm", "hess", "T", +1),
-    ("Omega", "xymn,xyn->xym", "W", "fmu", +1),
-    ("Omegabar", "xystm,xyst->xym", "gradW", "fmu", +1),
-    ("Omegabar", "xysmt,xyt->xysm", "W", "T", -1),
-    ("Obbar", "xystnm,xyst->xynm", "gradW", "T", -1),
+    ("A", _contraction("xy,xy->xy"), "omega", "f3", +1),
+    ("Abar", _contraction("xystmn,xymn->xyst"), "hess", "S", +1),
+    ("Abbar", _contraction("xyst,xy->xyst"), "omega", "S", -1),
+    ("Abbar", _contraction("xyst,xyst->xy"), "hess", "f3", -1),
+    ("Phi", _contraction("xyn,xyn->xy"), "W", "f3", +1),
+    ("Phi", _contraction("xym,xy->xym"), "omega", "fmu", +1),
+    ("Phibar", _contraction("xymn,xymn->xy"), "gradW", "f3", +1),
+    ("Phibar", _contraction("xymn,xy->xymn"), "omega", "T", -1),
+    ("Psi", _contraction("xymst,xym->xyst"), "W", "S", -1),
+    ("Psi", _contraction("xymst,xyst->xym"), "hess", "fmu", -1),
+    ("Psibar", _contraction("xystmn,xyst->xymn", "running"), "gradW", "S", -1),
+    ("Psibar", _contraction("xynmst,xyst->xynm"), "hess", "T", +1),
+    ("Omega", _contraction("xymn,xyn->xym"), "W", "fmu", +1),
+    ("Omegabar", _contraction("xystm,xyst->xym", "running"), "gradW", "fmu", +1),
+    ("Omegabar", _contraction("xysmt,xyt->xysm"), "W", "T", -1),
+    ("Obbar", _contraction("xystnm,xyst->xynm", "running"), "gradW", "T", -1),
 )
 
 
@@ -341,27 +419,35 @@ def compute_force(
     (the leading closure on a flat chart zeroes most of them) are skipped.
     The divergences are linear, so each is taken once, of the summed T or S.
     """
-    grid, Gamma = geom.grid, geom.Gamma
-    omega, W = disp.omega, disp.W_low
+    grid, Gamma = geom.grid, components_first(geom.Gamma)
+    omega, W = disp.omega, components_first(disp.W_low)
     dw = _diff_stack(omega, grid)  # (D_mu omega)
     jet = {"omega": omega, "W": W,
            "hess": _covariant_derivative_raw(dw, ("l",), Gamma, grid),
            "gradW": _covariant_derivative_raw(W, ("l",), Gamma, grid)}
-    acc = {"f3": np.zeros_like(omega), "fmu": np.zeros_like(W),
-           "T": np.zeros(W.shape + (2,)), "S": np.zeros(W.shape + (2,))}
-    for name, spec, arg, target, sign in _TERMS:
+    acc = {"f3": np.zeros(omega.shape), "fmu": np.zeros(W.shape),
+           "T": np.zeros((2,) + W.shape), "S": np.zeros((2,) + W.shape)}
+    for name, contract, arg, target, sign in _TERMS:
         if coeff.active(name):
-            acc[target] += sign * np.einsum(spec, getattr(coeff, name), jet[arg])
+            term = contract(components_first(getattr(coeff, name)), jet[arg])
+            if sign > 0:
+                acc[target] += term
+            else:
+                acc[target] -= term
 
     f3 = FORCE_ON_FLUID_SIGN * (acc["f3"] + _double_divergence(acc["S"], geom))
-    fmu = FORCE_ON_FLUID_SIGN * (
+    fmu = lattice_first(FORCE_ON_FLUID_SIGN * (
         acc["fmu"] + _cov_divergence(acc["T"], ("u", "u"), geom)
-    )
+    ))
     return ShellForceDensity(
         f3=f3, fmu=fmu, cartesian=force_to_cartesian(f3, fmu, geom)
     )
 
 
 def force_to_cartesian(f3, fmu, geom: SurfaceGeometry) -> np.ndarray:
-    """Assemble f = f3 * N + f^mu T_mu."""
-    return f3[..., None] * geom.Nrm + np.einsum("xym,xymc->xyc", fmu, geom.T)
+    """Assemble f = f3 * N + f^mu T_mu as an (n1, n2, 3) array."""
+    fmu, T = components_first(fmu), components_first(geom.T)
+    out = np.empty(np.shape(f3) + (3,))
+    np.add(f3 * components_first(geom.Nrm), fmu[0] * T[0] + fmu[1] * T[1],
+           out=components_first(out))
+    return out

@@ -104,6 +104,9 @@ class ModelConfig:
     snapshot_every: int = 0
 
     def __post_init__(self):
+        # alpha's default and every row's mesh width divide by L
+        if not (math.isfinite(self.L) and self.L > 0.0):
+            raise ValueError(f"L must be positive and finite, got {self.L!r}")
         if self.alpha is None:
             self.alpha = 1.8 * math.pi / self.L
         if self.n1 is None or self.n2 is None:
@@ -128,6 +131,20 @@ class ModelConfig:
                 f"snapshot_every must be >= 0, got {self.snapshot_every!r}"
             )
         self.fluid_params()  # FluidParams holds the lattice and fluid rules
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in self._INT_FIELDS + tuple(self._CHOICES) and not (
+                math.isfinite(value)
+            ):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        # MaterialParams holds the material rules
+        MaterialParams(lam=self.lam, mu=self.mu, h0=thickness_field(self))
+        w = self.width(self.q1_rows())
+        if not (np.isfinite(w).all() and (w > 0.0).all()):
+            raise ValueError(
+                "strip width w(q1) = w0 + (q1/L_BM)(w1 - w0) must be positive "
+                f"and finite on every row, got {w.min()!r} .. {w.max()!r}"
+            )
 
     @property
     def dq1(self) -> float:

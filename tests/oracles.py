@@ -6,19 +6,15 @@ matrices, and plain-loop contractions. Tests freeze expected values from these
 oracles, never from the code under test.
 """
 
+import itertools
+
 import numpy as np
 import scipy.fft
 from scipy import sparse
 
 from ibshell.fluid import upwind_advection
-from ibshell.geometry import SurfaceGrid, _covariant_derivative_raw, _diff_stack
-from ibshell.shell import (
-    FORCE_ON_FLUID_SIGN,
-    ShellForceDensity,
-    _cov_divergence,
-    _double_divergence,
-    force_to_cartesian,
-)
+from ibshell.geometry import SurfaceGrid
+from ibshell.shell import FORCE_ON_FLUID_SIGN, ShellForceDensity
 
 # ---------------------------------------------------------------------------
 # Test charts
@@ -236,17 +232,68 @@ def grad_div(W, d1, d2):
 
 
 # ---------------------------------------------------------------------------
-# Covariant derivative through one einsum per tensor slot
+# Lattice-first differences and covariant derivatives
 # ---------------------------------------------------------------------------
+# The pre-components-first forms of `geometry.surface_diff`, `_diff_stack`
+# and `_covariant_derivative_raw`: fields are stored (n1, n2, 2, ...), the
+# lattice leading. Pass contiguous lattice-first arrays (np.ascontiguousarray
+# of the production views), the layout these forms always read.
+
+
+def surface_diff_aos(values, axis, spacing):
+    """Hybrid difference along axis 1 or 2 of a lattice-first field."""
+    v = np.asarray(values, dtype=float)
+    out = np.empty_like(v)
+    if axis == 1:
+        d = float(spacing)
+        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * d)
+        out[0] = (v[1] - v[0]) / d
+        out[-1] = (v[-1] - v[-2]) / d
+    else:
+        sp = np.asarray(spacing, dtype=float)
+        d_in = sp.reshape((-1,) + (1,) * (v.ndim - 1))
+        d_lo = d_hi = sp.reshape((-1,) + (1,) * (v.ndim - 2))
+        out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * d_in)
+        out[:, 0] = (v[:, 1] - v[:, 0]) / d_lo
+        out[:, -1] = (v[:, -1] - v[:, -2]) / d_hi
+    return out
+
+
+def diff_stack_aos(values, grid):
+    """Stack (D_1 v, D_2 v) along a new axis at position 2."""
+    return np.stack(
+        [surface_diff_aos(values, 1, grid.dq1),
+         surface_diff_aos(values, 2, grid.dq2_of_row)],
+        axis=2,
+    )
+
+
+def covariant_derivative_aos(A, index_types, Gamma, grid):
+    """Covariant derivative of lattice-first components, sliced per sigma."""
+    out = diff_stack_aos(A, grid)
+    lattice = (slice(None), slice(None))
+    for k, t in enumerate(index_types):
+        for rest in itertools.product((0, 1), repeat=len(index_types) - 1):
+            head, tail = rest[:k], rest[k:]
+            A0 = A[lattice + head + (0,) + tail]
+            A1 = A[lattice + head + (1,) + tail]
+            for a, v in itertools.product((0, 1), repeat=2):
+                o = out[lattice + (a,) + head + (v,) + tail]
+                if t == "u":
+                    o += Gamma[:, :, v, a, 0] * A0 + Gamma[:, :, v, a, 1] * A1
+                else:
+                    o -= Gamma[:, :, 0, a, v] * A0 + Gamma[:, :, 1, a, v] * A1
+    return out
 
 
 def covariant_derivative_einsum(A, index_types, Gamma, grid):
     """Covariant derivative with each Christoffel correction as one einsum.
 
-    The pre-slicing form of `geometry._covariant_derivative_raw`: the slot is
-    moved last and contracted against Gamma over sigma in a single einsum.
+    The pre-slicing form of `geometry._covariant_derivative_raw`, lattice
+    first: the slot is moved last and contracted against Gamma over sigma in
+    a single einsum.
     """
-    out = _diff_stack(A, grid)
+    out = diff_stack_aos(A, grid)
     for k, t in enumerate(index_types):
         Am = np.moveaxis(A, 2 + k, -1)
         if t == "u":
@@ -334,69 +381,149 @@ def fluid_step_out_of_place(solver, u, F):
 
 
 # ---------------------------------------------------------------------------
-# Shell force term by term
+# Shell force on lattice-first fields
 # ---------------------------------------------------------------------------
 
 
+#: `shell._TERMS` as np.einsum specs on lattice-first fields, row for row.
+FORCE_TERMS_EINSUM = (
+    ("A", "xy,xy->xy", "omega", "f3", +1),
+    ("Abar", "xystmn,xymn->xyst", "hess", "S", +1),
+    ("Abbar", "xyst,xy->xyst", "omega", "S", -1),
+    ("Abbar", "xyst,xyst->xy", "hess", "f3", -1),
+    ("Phi", "xyn,xyn->xy", "W", "f3", +1),
+    ("Phi", "xym,xy->xym", "omega", "fmu", +1),
+    ("Phibar", "xymn,xymn->xy", "gradW", "f3", +1),
+    ("Phibar", "xymn,xy->xymn", "omega", "T", -1),
+    ("Psi", "xymst,xym->xyst", "W", "S", -1),
+    ("Psi", "xymst,xyst->xym", "hess", "fmu", -1),
+    ("Psibar", "xystmn,xyst->xymn", "gradW", "S", -1),
+    ("Psibar", "xynmst,xyst->xynm", "hess", "T", +1),
+    ("Omega", "xymn,xyn->xym", "W", "fmu", +1),
+    ("Omegabar", "xystm,xyst->xym", "gradW", "fmu", +1),
+    ("Omegabar", "xysmt,xyt->xysm", "W", "T", -1),
+    ("Obbar", "xystnm,xyst->xynm", "gradW", "T", -1),
+)
+
+
+class LatticeFirstFields:
+    """Contiguous lattice-first copies of what the force reads."""
+
+    def __init__(self, disp, coeff, geom):
+        self.grid = geom.grid
+        self.Gamma = np.ascontiguousarray(geom.Gamma)
+        self.Nrm = np.ascontiguousarray(geom.Nrm)
+        self.T = np.ascontiguousarray(geom.T)
+        self.omega = np.ascontiguousarray(disp.omega)
+        self.W = np.ascontiguousarray(disp.W_low)
+        self.coeff = {name: np.ascontiguousarray(getattr(coeff, name))
+                      for name, *_ in FORCE_TERMS_EINSUM}
+
+
+def jet_aos(f):
+    """omega, W, hess = grad D omega and gradW = grad W, lattice first."""
+    dw = diff_stack_aos(f.omega, f.grid)
+    return {"omega": f.omega, "W": f.W,
+            "hess": covariant_derivative_aos(dw, ("l",), f.Gamma, f.grid),
+            "gradW": covariant_derivative_aos(f.W, ("l",), f.Gamma, f.grid)}
+
+
+def cov_divergence_aos(comps, index_types, f):
+    cd = covariant_derivative_aos(comps, index_types, f.Gamma, f.grid)
+    return cd[:, :, 0, 0] + cd[:, :, 1, 1]
+
+
+def double_divergence_aos(S, f):
+    inner = covariant_derivative_aos(S, ("u", "u"), f.Gamma, f.grid)
+    V = inner[:, :, 0, :, 0] + inner[:, :, 1, :, 1]
+    return cov_divergence_aos(V, ("u",), f)
+
+
+def force_to_cartesian_aos(f3, fmu, f):
+    return f3[..., None] * f.Nrm + np.einsum("xym,xymc->xyc", fmu, f.T)
+
+
+def compute_force_aos(disp, coeff, geom):
+    """`shell.compute_force` on lattice-first fields, one einsum per term.
+
+    The pre-components-first form: the term table, the divergences and the
+    cartesian assembly read (n1, n2, ...) arrays.
+    """
+    f = LatticeFirstFields(disp, coeff, geom)
+    jet = jet_aos(f)
+    acc = {"f3": np.zeros_like(f.omega), "fmu": np.zeros_like(f.W),
+           "T": np.zeros(f.W.shape + (2,)), "S": np.zeros(f.W.shape + (2,))}
+    for name, spec, arg, target, sign in FORCE_TERMS_EINSUM:
+        if coeff.active(name):
+            acc[target] += sign * np.einsum(spec, f.coeff[name], jet[arg])
+
+    f3 = FORCE_ON_FLUID_SIGN * (acc["f3"] + double_divergence_aos(acc["S"], f))
+    fmu = FORCE_ON_FLUID_SIGN * (
+        acc["fmu"] + cov_divergence_aos(acc["T"], ("u", "u"), f)
+    )
+    return ShellForceDensity(
+        f3=f3, fmu=fmu, cartesian=force_to_cartesian_aos(f3, fmu, f)
+    )
+
+
 def compute_force_termwise(disp, coeff, geom):
-    """`shell.compute_force` with one divergence per term.
+    """`compute_force_aos` with one divergence per term.
 
     The pre-table form: each coefficient field has its own block, and every
     term under a divergence or double divergence takes its own.
     """
-    grid, Gamma = geom.grid, geom.Gamma
-    omega, W = disp.omega, disp.W_low
-    dw = _diff_stack(omega, grid)  # (D_mu omega)
-    hess = _covariant_derivative_raw(dw, ("l",), Gamma, grid)   # grad_m D_n w
-    gradW = _covariant_derivative_raw(W, ("l",), Gamma, grid)   # grad_m W_n
+    f = LatticeFirstFields(disp, coeff, geom)
+    c = f.coeff
+    jet = jet_aos(f)
+    omega, W, hess, gradW = jet["omega"], jet["W"], jet["hess"], jet["gradW"]
 
     f3 = np.zeros_like(omega)
     fmu = np.zeros_like(W)
 
     if coeff.active("A"):
-        f3 += coeff.A * omega
+        f3 += c["A"] * omega
     if coeff.active("Abar"):
-        S = np.einsum("xystmn,xymn->xyst", coeff.Abar, hess)
-        f3 += _double_divergence(S, geom)
+        S = np.einsum("xystmn,xymn->xyst", c["Abar"], hess)
+        f3 += double_divergence_aos(S, f)
     if coeff.active("Abbar"):
-        f3 -= _double_divergence(coeff.Abbar * omega[..., None, None], geom)
-        f3 -= np.einsum("xyst,xyst->xy", coeff.Abbar, hess)
+        f3 -= double_divergence_aos(c["Abbar"] * omega[..., None, None], f)
+        f3 -= np.einsum("xyst,xyst->xy", c["Abbar"], hess)
     if coeff.active("Phi"):
-        f3 += np.einsum("xyn,xyn->xy", coeff.Phi, W)
-        fmu += coeff.Phi * omega[..., None]
+        f3 += np.einsum("xyn,xyn->xy", c["Phi"], W)
+        fmu += c["Phi"] * omega[..., None]
     if coeff.active("Phibar"):
-        f3 += np.einsum("xymn,xymn->xy", coeff.Phibar, gradW)
-        fmu -= _cov_divergence(
-            coeff.Phibar * omega[..., None, None], ("u", "u"), geom
+        f3 += np.einsum("xymn,xymn->xy", c["Phibar"], gradW)
+        fmu -= cov_divergence_aos(
+            c["Phibar"] * omega[..., None, None], ("u", "u"), f
         )
     if coeff.active("Psi"):
-        f3 -= _double_divergence(
-            np.einsum("xymst,xym->xyst", coeff.Psi, W), geom
+        f3 -= double_divergence_aos(
+            np.einsum("xymst,xym->xyst", c["Psi"], W), f
         )
-        fmu -= np.einsum("xymst,xyst->xym", coeff.Psi, hess)
+        fmu -= np.einsum("xymst,xyst->xym", c["Psi"], hess)
     if coeff.active("Psibar"):
-        f3 -= _double_divergence(
-            np.einsum("xystmn,xyst->xymn", coeff.Psibar, gradW), geom
+        f3 -= double_divergence_aos(
+            np.einsum("xystmn,xyst->xymn", c["Psibar"], gradW), f
         )
-        fmu += _cov_divergence(
-            np.einsum("xynmst,xyst->xynm", coeff.Psibar, hess), ("u", "u"), geom
+        fmu += cov_divergence_aos(
+            np.einsum("xynmst,xyst->xynm", c["Psibar"], hess), ("u", "u"), f
         )
     if coeff.active("Omega"):
-        fmu += np.einsum("xymn,xyn->xym", coeff.Omega, W)
+        fmu += np.einsum("xymn,xyn->xym", c["Omega"], W)
     if coeff.active("Omegabar"):
-        fmu += np.einsum("xystm,xyst->xym", coeff.Omegabar, gradW)
-        fmu -= _cov_divergence(
-            np.einsum("xysmt,xyt->xysm", coeff.Omegabar, W), ("u", "u"), geom
+        fmu += np.einsum("xystm,xyst->xym", c["Omegabar"], gradW)
+        fmu -= cov_divergence_aos(
+            np.einsum("xysmt,xyt->xysm", c["Omegabar"], W), ("u", "u"), f
         )
     if coeff.active("Obbar"):
-        fmu -= _cov_divergence(
-            np.einsum("xystnm,xyst->xynm", coeff.Obbar, gradW), ("u", "u"), geom
+        fmu -= cov_divergence_aos(
+            np.einsum("xystnm,xyst->xynm", c["Obbar"], gradW), ("u", "u"), f
         )
 
     f3 *= FORCE_ON_FLUID_SIGN
     fmu *= FORCE_ON_FLUID_SIGN
     return ShellForceDensity(
-        f3=f3, fmu=fmu, cartesian=force_to_cartesian(f3, fmu, geom)
+        f3=f3, fmu=fmu, cartesian=force_to_cartesian_aos(f3, fmu, f)
     )
 
 

@@ -59,7 +59,15 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
     out = tmp_path / "out"
     missing = str(tmp_path / "missing")
     snap = str(tmp_path / "snapshot_final.ibsh")  # the flag is checked first
-    for argv, source in (
+    bad_keys = {}  # malformed config file -> the key it sets
+    for key, value in (("mu", "inf"), ("F_imp", "nan"), ("z_imp", "nan"),
+                       ("lam", "nan"), ("w0", "-0.1"), ("L", "-0.5")):
+        path = tmp_path / f"bad_{key}.cfg"
+        path.write_text(f"N = 16\n{key} = {value}\n")
+        bad_keys[str(path)] = key
+    for argv, source in [
+        (["run", "--config", path, "--steps", "3"], "--config") for path in bad_keys
+    ] + [
         (["run", "--n", "-4"], "--n"),
         (["run", "--n", "3"], "--n"),
         (["run", "--n", "24"], "--n"),
@@ -75,7 +83,7 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
         (["render", snap, "--vmax=-2e-12"], "--vmax"),
         (["render", snap, "--vmax", "inf"], "--vmax"),
         (["render", snap, "--vmax", "nan"], "--vmax"),
-    ):
+    ]:
         if argv[0] != "render":
             argv += ["--out", str(out)]
         with pytest.raises(SystemExit) as exc:
@@ -86,6 +94,9 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
         assert f"ibshell: error: {source}: " in err, argv
         assert missing in err or missing not in argv, argv
         assert not out.exists(), argv
+        if argv[1:2] == ["--config"] and argv[2] in bad_keys:  # and its key
+            assert f"--config: {argv[2]}: " in err, argv
+            assert bad_keys[argv[2]] in err, argv
 
 
 def test_config_without_run_time_is_a_usage_error(tmp_path, capsys):

@@ -8,9 +8,14 @@ from ibshell.geometry import (
     SingularMetricError,
     SurfaceGrid,
     _covariant_derivative_raw,
+    _covariant_divergence,
     build_frame,
     build_geometry,
     build_metric,
+    components_first,
+    lattice_first,
+    mixed_second_form,
+    store_components_first,
     surface_diff,
 )
 
@@ -87,6 +92,33 @@ def test_diff_axis2_uses_row_spacing():
         f[i] = 3.0 * d * np.arange(6)  # linear in the row's own q2
     d = surface_diff(f, 2, rows)
     assert np.allclose(d, 3.0, atol=1e-12)
+
+
+def test_diff_acts_on_the_last_two_axes():
+    # components lead, the lattice is last: each component is differenced as
+    # the lattice-first form differences it, bit for bit, into `out`
+    rng = np.random.default_rng(4)
+    rows = np.linspace(0.1, 0.3, 7)
+    v = rng.standard_normal((3, 2, 7, 6))
+    for axis, spacing in ((1, 0.1), (2, rows)):
+        out = np.empty_like(v)
+        assert surface_diff(v, axis, spacing, out=out) is out
+        want = oracles.surface_diff_aos(np.moveaxis(v, (2, 3), (0, 1)), axis, spacing)
+        assert np.array_equal(out, np.moveaxis(want, (0, 1), (2, 3)))
+        assert np.array_equal(surface_diff(v, axis, spacing), out)
+
+
+def test_components_first_storage_round_trip():
+    # the stored copy is contiguous components-first, and its lattice-first
+    # view reads every value of the field it was copied from
+    rng = np.random.default_rng(6)
+    for shape in ((23, 7), (23, 7, 3), (600, 5, 2, 2, 2, 2)):
+        a = rng.standard_normal(shape)
+        view = store_components_first(a)
+        assert view.shape == a.shape and np.array_equal(view, a)
+        stored = components_first(view)
+        assert stored.flags.c_contiguous and stored.shape == shape[2:] + shape[:2]
+        assert np.array_equal(lattice_first(np.moveaxis(a, (0, 1), (-2, -1))), a)
 
 
 def test_diff_needs_two_nodes():
@@ -223,16 +255,18 @@ def test_covd_scalar_reduces_to_surface_diff():
     geo = build_geometry(grid)
     rng = np.random.default_rng(0)
     f = rng.standard_normal((9, 9))
-    out = _covariant_derivative_raw(f, (), geo.Gamma, grid)
-    assert np.array_equal(out[..., 0], surface_diff(f, 1, grid.dq1))
-    assert np.array_equal(out[..., 1], surface_diff(f, 2, grid.dq2_of_row))
+    out = _covariant_derivative_raw(f, (), components_first(geo.Gamma), grid)
+    assert np.array_equal(out[0], surface_diff(f, 1, grid.dq1))
+    assert np.array_equal(out[1], surface_diff(f, 2, grid.dq2_of_row))
 
 
 def test_covd_metric_compatibility():
     # grad g vanishes identically: the Gamma terms cancel D g algebraically
     for grid in (oracles.cylinder_grid(17, 9), oracles.sphere_grid(17, 17)[0]):
         geo = build_geometry(grid)
-        gg = _covariant_derivative_raw(geo.g, ("l", "l"), geo.Gamma, grid)
+        gg = _covariant_derivative_raw(
+            components_first(geo.g), ("l", "l"), components_first(geo.Gamma), grid
+        )
         scale = np.abs(geo.Gamma).max() + 1.0
         assert np.abs(gg).max() < 1e-12 * scale
 
@@ -241,10 +275,10 @@ def test_covd_vector_flat_is_plain_derivative():
     grid = oracles.flat_grid(9, 9)
     geo = build_geometry(grid)
     rng = np.random.default_rng(1)
-    W = rng.standard_normal((9, 9, 2))
-    out = _covariant_derivative_raw(W, ("u",), geo.Gamma, grid)
+    W = rng.standard_normal((2, 9, 9))  # components first
+    out = _covariant_derivative_raw(W, ("u",), components_first(geo.Gamma), grid)
     expect = np.stack(
-        [surface_diff(W, 1, grid.dq1), surface_diff(W, 2, grid.dq2_of_row)], axis=2
+        [surface_diff(W, 1, grid.dq1), surface_diff(W, 2, grid.dq2_of_row)]
     )
     assert np.allclose(out, expect, atol=1e-13)
 
@@ -254,40 +288,44 @@ def test_covd_upper_and_lower_signs():
     grid, _ = oracles.polar_grid(9, 9)
     geo = build_geometry(grid)
     rng = np.random.default_rng(2)
-    V = rng.standard_normal((9, 9, 2))
-    up = _covariant_derivative_raw(V, ("u",), geo.Gamma, grid)
-    lo = _covariant_derivative_raw(V, ("l",), geo.Gamma, grid)
+    V = rng.standard_normal((2, 9, 9))  # components first
+    Gamma = components_first(geo.Gamma)
+    up = _covariant_derivative_raw(V, ("u",), Gamma, grid)
+    lo = _covariant_derivative_raw(V, ("l",), Gamma, grid)
     dV = np.stack(
-        [surface_diff(V, 1, grid.dq1), surface_diff(V, 2, grid.dq2_of_row)], axis=2
+        [surface_diff(V, 1, grid.dq1), surface_diff(V, 2, grid.dq2_of_row)]
     )
     i, j = 4, 5
     for a in range(2):
         for v in range(2):
-            exp_up = dV[i, j, a, v] + sum(
-                geo.Gamma[i, j, v, a, s] * V[i, j, s] for s in range(2)
+            exp_up = dV[a, v, i, j] + sum(
+                geo.Gamma[i, j, v, a, s] * V[s, i, j] for s in range(2)
             )
-            exp_lo = dV[i, j, a, v] - sum(
-                geo.Gamma[i, j, s, a, v] * V[i, j, s] for s in range(2)
+            exp_lo = dV[a, v, i, j] - sum(
+                geo.Gamma[i, j, s, a, v] * V[s, i, j] for s in range(2)
             )
-            assert up[i, j, a, v] == pytest.approx(exp_up, abs=1e-14)
-            assert lo[i, j, a, v] == pytest.approx(exp_lo, abs=1e-14)
+            assert up[a, v, i, j] == pytest.approx(exp_up, abs=1e-14)
+            assert lo[a, v, i, j] == pytest.approx(exp_lo, abs=1e-14)
 
 
 def test_covd_valence_limit():
     grid = oracles.flat_grid(6, 6)
     geo = build_geometry(grid)
-    big = np.zeros((6, 6, 2, 2, 2, 2))
+    Gamma = components_first(geo.Gamma)
+    big = np.zeros((2, 2, 2, 2, 6, 6))
     # 4 slots is the supported maximum
-    out = _covariant_derivative_raw(big, ("l",) * 4, geo.Gamma, grid)
-    assert out.shape == (6, 6) + (2,) * 5
-    too_big = np.zeros((6, 6) + (2,) * 5)
+    out = _covariant_derivative_raw(big, ("l",) * 4, Gamma, grid)
+    assert out.shape == (2,) * 5 + (6, 6)
+    too_big = np.zeros((2,) * 5 + (6, 6))
     with pytest.raises(ValueError, match="valence"):
-        _covariant_derivative_raw(too_big, ("l",) * 5, geo.Gamma, grid)
+        _covariant_derivative_raw(too_big, ("l",) * 5, Gamma, grid)
 
 
 def test_covd_matches_einsum_oracle_bitwise():
     # every 'l'/'u' pattern of valence 0..4, on a curved chart and on the
-    # model helicoid (row-dependent dq2)
+    # model helicoid (row-dependent dq2): the components-first slice loop
+    # against the lattice-first einsum form, and against the lattice-first
+    # slice loop it replaced
     from ibshell.simulation import ModelConfig, build_model_shell
 
     sphere, _ = oracles.sphere_grid(9, 11)
@@ -296,12 +334,51 @@ def test_covd_matches_einsum_oracle_bitwise():
     rng = np.random.default_rng(3)
     for grid in (sphere, helicoid):
         geo = build_geometry(grid)
+        Gamma = np.ascontiguousarray(geo.Gamma)
         for valence in range(5):
             A = rng.standard_normal((grid.n1, grid.n2) + (2,) * valence)
+            A_cf = np.ascontiguousarray(components_first(A))
             for types in itertools.product("lu", repeat=valence):
-                got = _covariant_derivative_raw(A, types, geo.Gamma, grid)
-                want = oracles.covariant_derivative_einsum(A, types, geo.Gamma, grid)
+                got = lattice_first(_covariant_derivative_raw(
+                    A_cf, types, components_first(geo.Gamma), grid))
+                want = oracles.covariant_derivative_einsum(A, types, Gamma, grid)
                 assert np.array_equal(got, want), types
+                aos = oracles.covariant_derivative_aos(A, types, Gamma, grid)
+                assert np.array_equal(got, aos), types
+
+
+def test_covariant_divergence_is_the_derivative_trace_bitwise():
+    # the divergence forms only the traced components, each as the full
+    # derivative forms it: every slot of every pattern of valence 1..3
+    from ibshell.simulation import ModelConfig, build_model_shell
+
+    rng = np.random.default_rng(5)
+    for grid in (build_model_shell(ModelConfig(N=16)), oracles.sphere_grid(9, 11)[0]):
+        Gamma = components_first(build_geometry(grid).Gamma)
+        for valence in range(1, 4):
+            A = rng.standard_normal((2,) * valence + (grid.n1, grid.n2))
+            for types in itertools.product("lu", repeat=valence):
+                cd = _covariant_derivative_raw(A, types, Gamma, grid)
+                for slot in range(valence):
+                    lead = (slice(None),) * slot
+                    want = cd[(0,) + lead + (0,)] + cd[(1,) + lead + (1,)]
+                    got = _covariant_divergence(A, types, slot, Gamma, grid)
+                    assert np.array_equal(got, want), (types, slot)
+
+
+def test_gradb_matches_lattice_first_build_bitwise():
+    # gradb is built components-first; the lattice-first slice loop on the
+    # contiguous fields gives every bit of its view
+    from ibshell.simulation import ModelConfig, build_model_shell
+
+    for grid in (build_model_shell(ModelConfig(N=16)), oracles.sphere_grid(9, 11)[0]):
+        geo = build_geometry(grid)
+        bmix = mixed_second_form(geo.b, geo.ginv)
+        want = oracles.covariant_derivative_aos(
+            bmix, ("l", "u"), np.ascontiguousarray(geo.Gamma), grid
+        )
+        assert geo.gradb.shape == want.shape
+        assert np.array_equal(geo.gradb, want)
 
 
 # ---------------------------------------------------------------------------

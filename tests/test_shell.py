@@ -3,8 +3,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ibshell.geometry import build_geometry
+from ibshell.geometry import (
+    _covariant_derivative_raw,
+    _diff_stack,
+    build_geometry,
+    components_first,
+    lattice_first,
+)
 from ibshell.shell import (
+    _TERMS,
     FORCE_ON_FLUID_SIGN,
     Displacement,
     MaterialParams,
@@ -373,3 +380,119 @@ def test_force_matches_termwise_oracle():
             scale = np.abs(b).max()
             assert scale > 0, (order, name)
             assert np.abs(a - b).max() <= 1e-13 * scale, (order, name)
+
+
+# ---------------------------------------------------------------------------
+# Components-first sums against np.einsum on lattice-first arrays
+# ---------------------------------------------------------------------------
+# Each explicit sum of `shell` is written in the order np.einsum sums the
+# same contraction on contiguous lattice-first arrays. A numpy build that
+# sums in another order fails one of these by name.
+
+
+@pytest.fixture(scope="module")
+def helicoid16():
+    from ibshell.simulation import ModelConfig, build_model_shell, thickness_field
+
+    cfg = ModelConfig(N=16)
+    geom = build_geometry(build_model_shell(cfg))
+    mat = MaterialParams(cfg.lam, cfg.mu, thickness_field(cfg))
+    coeffs = {order: compute_coefficients(geom, mat, order=order)
+              for order in ("leading", "quadratic")}
+    return geom, coeffs
+
+
+def _jet(geom, disp):
+    """The force's jet, components first."""
+    grid, Gamma = geom.grid, components_first(geom.Gamma)
+    W = components_first(disp.W_low)
+    return {"omega": disp.omega, "W": W,
+            "hess": _covariant_derivative_raw(
+                _diff_stack(disp.omega, grid), ("l",), Gamma, grid),
+            "gradW": _covariant_derivative_raw(W, ("l",), Gamma, grid)}
+
+
+@pytest.mark.parametrize(
+    "row", range(len(oracles.FORCE_TERMS_EINSUM)),
+    ids=[f"{r[0]}-{r[1]}" for r in oracles.FORCE_TERMS_EINSUM],
+)
+def test_term_contraction_matches_einsum_bitwise(row, helicoid16):
+    name, spec, arg, target, sign = oracles.FORCE_TERMS_EINSUM[row]
+    t_name, contract, t_arg, t_target, t_sign = _TERMS[row]
+    assert (t_name, t_arg, t_target, t_sign) == (name, arg, target, sign)
+    geom, coeffs = helicoid16
+    n1, n2 = geom.grid.n1, geom.grid.n2
+    rng = np.random.default_rng(row)
+
+    def check(C, x):  # lattice-first arrays
+        want = np.einsum(spec, np.ascontiguousarray(C), np.ascontiguousarray(x))
+        got = contract(np.ascontiguousarray(components_first(C)),
+                       np.ascontiguousarray(components_first(x)))
+        assert got.shape == want.shape[2:] + (n1, n2)
+        assert np.array_equal(lattice_first(got), want)
+
+    # the helicoid's own fields, in both closures
+    disp = decompose_displacement(
+        geom.grid.X0 + 1e-4 * rng.standard_normal(geom.grid.X0.shape), geom)
+    jet = _jet(geom, disp)
+    for coeff in coeffs.values():
+        check(getattr(coeff, name), lattice_first(jet[arg]))
+    # random fields of the same shapes
+    c_idx, x_idx = spec.split("->")[0].split(",")
+    for _ in range(3):
+        check(rng.standard_normal((n1, n2) + (2,) * (len(c_idx) - 2)),
+              rng.standard_normal((n1, n2) + (2,) * (len(x_idx) - 2)))
+
+
+def test_decompose_dots_match_einsum_bitwise(helicoid16):
+    geom, _ = helicoid16
+    rng = np.random.default_rng(21)
+    Nrm, T = np.ascontiguousarray(geom.Nrm), np.ascontiguousarray(geom.T)
+    for scale in (1e-6, 1e-3, 1.0):
+        X = geom.grid.X0 + scale * rng.standard_normal(geom.grid.X0.shape)
+        d = X - geom.grid.X0
+        got = decompose_displacement(X, geom)
+        assert np.array_equal(got.omega, np.einsum("xyc,xyc->xy", d, Nrm))
+        assert np.array_equal(got.W_low, np.einsum("xyc,xyac->xya", d, T))
+
+
+def test_cartesian_assembly_matches_einsum_bitwise(helicoid16):
+    geom, _ = helicoid16
+    n1, n2 = geom.grid.n1, geom.grid.n2
+    rng = np.random.default_rng(22)
+    Nrm, T = np.ascontiguousarray(geom.Nrm), np.ascontiguousarray(geom.T)
+    for _ in range(3):
+        f3 = rng.standard_normal((n1, n2))
+        fmu = rng.standard_normal((n1, n2, 2))
+        want = f3[..., None] * Nrm + np.einsum("xym,xymc->xyc", fmu, T)
+        got = force_to_cartesian(f3, lattice_first(
+            np.ascontiguousarray(components_first(fmu))), geom)
+        assert got.shape == (n1, n2, 3) and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+def test_force_matches_aos_oracle_bitwise():
+    # the whole force on components-first storage against the lattice-first
+    # form it replaced: every bit of f3, fmu and the cartesian density
+    from ibshell.simulation import ModelConfig, build_model_shell, thickness_field
+
+    cfg = ModelConfig(N=16)
+    charts = [
+        (build_geometry(build_model_shell(cfg)),
+         MaterialParams(cfg.lam, cfg.mu, thickness_field(cfg))),
+        (build_geometry(oracles.sphere_grid(17, 17)[0]),
+         MaterialParams(LAM, MU, 1e-3)),
+        (build_geometry(oracles.flat_grid(17, 13)), MaterialParams(LAM, MU, 1e-3)),
+    ]
+    rng = np.random.default_rng(12)
+    for geom, mat in charts:
+        for order in ("leading", "quadratic"):
+            coeff = compute_coefficients(geom, mat, order=order)
+            X = geom.grid.X0 + 1e-4 * rng.standard_normal(geom.grid.X0.shape)
+            disp = decompose_displacement(X, geom)
+            got = compute_force(disp, coeff, geom)
+            want = oracles.compute_force_aos(disp, coeff, geom)
+            for name in ("f3", "fmu", "cartesian"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.abs(b).max() > 0, (order, name)
+                assert np.array_equal(a, b), (order, name)

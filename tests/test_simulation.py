@@ -105,6 +105,19 @@ def test_config_rejects_bad_step_clamp_and_cadence(tmp_path):
         ("N", 48, "N must be a power of two"),
         ("a", -0.1, "a must be positive"),
         ("rho", 0.0, "rho must be positive"),
+        # every float is finite, and the material and strip are usable
+        ("mu", float("inf"), "mu must be finite"),
+        ("F_imp", float("nan"), "F_imp must be finite"),
+        ("z_imp", float("nan"), "z_imp must be finite"),
+        ("lam", float("nan"), "lam must be finite"),
+        ("H", float("-inf"), "H must be finite"),
+        ("mu", -1.0, "mu must be positive"),
+        ("lam", -1.1e6, r"lam \+ 2\*mu must be positive"),
+        ("L", -0.5, "L must be positive and finite"),
+        ("L", 0.0, "L must be positive and finite"),
+        ("L", float("nan"), "L must be positive and finite"),
+        ("w0", -0.1, r"strip width w\(q1\)"),
+        ("w1", -0.5, r"strip width w\(q1\)"),
     ):
         kwargs = {"N": 16, key: val}
         with pytest.raises(ValueError, match=msg):
