@@ -133,9 +133,8 @@ class ModelConfig:
         self.fluid_params()  # FluidParams holds the lattice and fluid rules
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name not in self._INT_FIELDS + tuple(self._CHOICES) and not (
-                math.isfinite(value)
-            ):
+            is_float = f.name not in self._INT_FIELDS + tuple(self._CHOICES)
+            if is_float and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         # MaterialParams holds the material rules
         MaterialParams(lam=self.lam, mu=self.mu, h0=thickness_field(self))
