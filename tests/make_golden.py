@@ -1,0 +1,81 @@
+"""Regenerate the golden trajectory in tests/golden/.
+
+    PYTHONPATH=src python tests/make_golden.py
+
+`test_golden.py` holds every later build to these numbers, so only a change
+meant to move them runs this script, and says so in CHANGES.md.
+
+For each run (N, steps) and each thickness closure the file holds X after
+the run, and SHA-256 digests of u, p, the ten coefficient fields and the
+geometry's g, ginv, b, Gamma and gradb. Each digest is taken over the
+C-ordered bytes of the field's (n1, n2, ...) or lattice view, so it does not
+depend on how the field is stored. The file also records the numpy and scipy
+versions and the SIMD extensions numpy found at runtime, since the summation
+kernels, and with them the last bits, depend on all three.
+"""
+
+import hashlib
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from ibshell.shell import ShellCoefficients
+from ibshell.simulation import ModelConfig, Simulation
+
+GOLDEN = Path(__file__).parent / "golden" / "trajectory.npz"
+
+#: (N, steps) of each recorded run, at dt = 3.2e-7 / N
+RUNS = ((16, 30), (32, 20))
+CLOSURES = ("leading", "quadratic")
+GEOMETRY = ("g", "ginv", "b", "Gamma", "gradb")
+
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def simd_found():
+    """The SIMD extensions `np.show_runtime()` reports as found."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
+
+
+def build_info():
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "simd": simd_found()}
+
+
+def key(N, closure):
+    return f"N{N}-{closure}"
+
+
+def run(N, steps, closure):
+    """X after the run, and the digest of every recorded field."""
+    sim = Simulation(ModelConfig(N=N, dt=3.2e-7 / N, coefficients_order=closure))
+    built = {f.name: getattr(sim.coeff, f.name) for f in fields(ShellCoefficients)}
+    built.update((name, getattr(sim.geom, name)) for name in GEOMETRY)
+    digests = {name: digest(a) for name, a in built.items()}
+    sim.run(steps)
+    digests.update(u=digest(sim.u), p=digest(sim.p))
+    return sim.X, digests
+
+
+def record():
+    data = {f"build.{k}": np.str_(v) for k, v in build_info().items()}
+    for N, steps in RUNS:
+        for closure in CLOSURES:
+            X, digests = run(N, steps, closure)
+            data[f"{key(N, closure)}.X"] = X
+            for name, d in digests.items():
+                data[f"{key(N, closure)}.sha256.{name}"] = np.str_(d)
+    return data
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    np.savez_compressed(GOLDEN, **record())
+    print(f"wrote {GOLDEN}")
