@@ -11,18 +11,26 @@ the first/last node of an axis.
 All geometric products are computed once per grid and treated as immutable
 afterwards.
 
-Storage is components-first: a tensor field with component axes (2, 2, ...)
-is stored as one array (2, 2, ..., n1, n2), so each component is a
-contiguous (n1, n2) lattice slice, and the difference operator and the
-covariant derivative work on the last two axes. The public attributes keep
-the lattice-first shape (n1, n2, 2, 2, ...) as `np.moveaxis` views of that
-storage (`lattice_first`); `components_first` recovers the stored array.
+Every field is stored one way, components-first: a tensor field with
+component axes (2, 2, ...) is one array (2, 2, ..., n1, n2), so each
+component is a contiguous (n1, n2) lattice slice, and the difference
+operator, the covariant derivative and every contraction work on the last
+two axes. Public attributes, arguments and results keep the lattice-first
+shape (n1, n2, 2, 2, ...) as `np.moveaxis` views of that storage
+(`lattice_first`); `components_first` recovers the stored array.
+
+Each contraction (`_contraction`) is an explicit sum of (n1, n2) slices, in
+the order numpy's einsum sums it on contiguous lattice-first arrays. That
+order follows from the contraction's spec alone: two lanes where both of two
+operands end in the summed labels, a running sum otherwise. The tests pin
+every contraction by name.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, reduce
 
 import numpy as np
 
@@ -107,23 +115,62 @@ def lattice_first(a):
     return np.transpose(a, (nd - 2, nd - 1) + tuple(range(nd - 2)))
 
 
-#: lattice nodes per block of `store_components_first`'s copy: a block of
-#: every component stays in cache while it is scattered
-_STORE_BLOCK = 256
+@cache
+def _contraction(spec):
+    """numpy's einsum on components-first fields, as an explicit sum of slices.
 
+    `spec` names the component axes only, as in "ac,bc->ab"; every operand
+    and the result also carry the lattice (n1, n2) as their last two axes,
+    so the result is einsum("xyac,xybc->xyab", ...) of the lattice-first
+    fields. Two or more operands are taken, a free index may sit on any of
+    them, and an axis may have any length (the cartesian axis has 3).
 
-def store_components_first(a):
-    """Copy a lattice-first field into components-first storage.
-
-    Returns the (n1, n2, ...) view of the copy, so readers see the old shape.
+    Each term is the product of one slice per operand, formed left to right.
+    The terms run over the summed labels in flat order: labels ordered by
+    first appearance in `spec`, the first slowest. The order of the sum is
+    einsum's, and follows from the spec: with two operands that both end
+    in the summed labels, in that order, term k goes to lane k mod 2 and the
+    result is lane 0 + lane 1; every other sum runs in flat order.
     """
-    a = np.asarray(a, dtype=float)
-    n1, n2 = a.shape[:2]
-    out = np.empty(a.shape[2:] + (n1, n2))
-    src, dst = a.reshape(n1 * n2, -1), out.reshape(-1, n1 * n2).T
-    for k in range(0, n1 * n2, _STORE_BLOCK):
-        dst[k:k + _STORE_BLOCK] = src[k:k + _STORE_BLOCK]
-    return lattice_first(out)
+    ins, free = spec.split("->")
+    ops = ins.split(",")
+    summed = "".join(dict.fromkeys(i for op in ops for i in op if i not in free))
+    two_lane = len(ops) == 2 and summed and all(op.endswith(summed) for op in ops)
+    # each operand is read as (its summed axes, its free axes, n1, n2); a
+    # term's index picks the summed values and adds a length-1 axis for each
+    # free index the operand lacks, so the factors broadcast to the result
+    perms, picks = [], []
+    for op in ops:
+        own = [i for i in summed if i in op]
+        perms.append([op.index(i) for i in own + [i for i in free if i in op]]
+                     + [len(op), len(op) + 1])
+        picks.append(([summed.index(i) for i in own],
+                      tuple(slice(None) if i in op else None for i in free)))
+    lengths = [next((k, op.index(i)) for k, op in enumerate(ops) if i in op)
+               for i in summed]
+    plans = {}  # summed-axis lengths -> each term's index into each operand
+
+    def contract(*fields):
+        n = tuple(fields[k].shape[j] for k, j in lengths)
+        if n not in plans:
+            plans[n] = [[tuple(at[k] for k in own) + tail for own, tail in picks]
+                        for at in itertools.product(*map(range, n))]
+        fields = [a.transpose(perm) for a, perm in zip(fields, perms)]
+        terms = (reduce(np.multiply, [a[at] for a, at in zip(fields, ats)])
+                 for ats in plans[n])
+        out = next(terms)  # a new array: a product of two or more slices
+        if two_lane:
+            lanes = [out, next(terms)]
+            for k, term in enumerate(terms):
+                lanes[k % 2] += term
+            out = lanes[0] + lanes[1]
+        else:
+            for term in terms:
+                out += term
+        out += 0.0  # einsum sums from +0, so it never returns -0
+        return out
+
+    return contract
 
 
 def surface_diff(values, axis: int, spacing, out=None):
@@ -187,17 +234,6 @@ def _diff_stack(values, grid: SurfaceGrid) -> np.ndarray:
     surface_diff(v, 1, grid.dq1, out=out[0])
     surface_diff(v, 2, grid.dq2_of_row, out=out[1])
     return out
-
-
-def _lattice_first_diff(values, grid: SurfaceGrid) -> np.ndarray:
-    """(D_1 v, D_2 v) of a lattice-first field, contiguous (n1, n2, 2, ...).
-
-    The initialization einsums read this layout, in which they sum in the
-    order they always have.
-    """
-    return np.ascontiguousarray(
-        lattice_first(_diff_stack(components_first(values), grid))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +305,10 @@ def _covariant_divergence(A, index_types, slot: int, Gamma, grid: SurfaceGrid):
 class SurfaceGeometry:
     """All intrinsic tensors of the reference surface, built once per grid.
 
-    T, Nrm, Gamma and gradb are stored components-first; each attribute is
-    the lattice-first `np.moveaxis` view of that storage, with the shape
-    listed here (`components_first` gives the stored array). g, ginv and b
-    feed only the coefficient build and stay lattice-first arrays.
+    Every field is stored components-first, and every contraction that built
+    it summed in `_contraction`'s order; each attribute is the lattice-first
+    `np.moveaxis` view of that storage, with the shape listed here
+    (`components_first` gives the stored array).
 
     T      : tangent frame T_alpha = D_alpha X0, shape (n1, n2, 2, 3)
     Nrm    : unit normal (T1 x T2)/|T1 x T2|, shape (n1, n2, 3)
@@ -297,31 +333,33 @@ class SurfaceGeometry:
 def build_frame(grid: SurfaceGrid):
     """Tangent fields T_alpha = D_alpha X0 and the unit normal.
 
-    T, (n1, n2, 2, 3), is the lattice-first view of the components-first
-    differences; the normal is a lattice-first (n1, n2, 3) array.
+    Returns the (n1, n2, 2, 3) and (n1, n2, 3) views. The cross product and
+    the norm are summed as np.cross and np.linalg.norm sum them.
     """
-    T = lattice_first(_diff_stack(components_first(grid.X0), grid))
-    cr = np.cross(T[..., 0, :], T[..., 1, :])
-    nrm = np.linalg.norm(cr, axis=-1)
+    T1, T2 = T = _diff_stack(components_first(grid.X0), grid)
+    cr = T1[[1, 2, 0]] * T2[[2, 0, 1]] - T1[[2, 0, 1]] * T2[[1, 2, 0]]
+    sq = cr * cr
+    nrm = np.sqrt((sq[0] + sq[1]) + sq[2])
     if np.min(nrm) < 1e-14:
         raise DegenerateFrameError(
             f"collapsed parameterization: min |T1 x T2| = {np.min(nrm):.3e}"
         )
-    return T, cr / nrm[..., None]
+    return lattice_first(T), lattice_first(cr / nrm)
 
 
 def build_metric(T):
     """Metric g_{mu nu} = T_mu . T_nu and its pointwise 2x2 inverse."""
-    g = np.einsum("xyac,xybc->xyab", T, T)
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    T = components_first(T)
+    g = _contraction("ac,bc->ab")(T, T)
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if np.min(det) < 1e-14:
         raise SingularMetricError(f"min det g = {np.min(det):.3e}")
     ginv = np.empty_like(g)
-    ginv[..., 0, 0] = g[..., 1, 1] / det
-    ginv[..., 1, 1] = g[..., 0, 0] / det
-    ginv[..., 0, 1] = -g[..., 0, 1] / det
-    ginv[..., 1, 0] = -g[..., 1, 0] / det
-    return g, ginv
+    ginv[0, 0] = g[1, 1] / det
+    ginv[1, 1] = g[0, 0] / det
+    ginv[0, 1] = -g[0, 1] / det
+    ginv[1, 0] = -g[1, 0] / det
+    return lattice_first(g), lattice_first(ginv)
 
 
 def build_second_form(Nrm, T, grid: SurfaceGrid):
@@ -330,44 +368,42 @@ def build_second_form(Nrm, T, grid: SurfaceGrid):
     The discrete product is not exactly symmetric; the continuum tensor is,
     and the force operator assumes it, so b <- (b + b^T)/2.
     """
-    dN = _lattice_first_diff(Nrm, grid)
-    b = np.einsum("xymc,xync->xymn", dN, T)
-    return 0.5 * (b + np.swapaxes(b, -1, -2))
+    dN = _diff_stack(components_first(Nrm), grid)
+    b = _contraction("mc,nc->mn")(dN, components_first(T))
+    return lattice_first(0.5 * (b + b.swapaxes(0, 1)))
 
 
 def build_christoffel(g, ginv, grid: SurfaceGrid):
     """Gamma^lam_{mu nu} = 1/2 g^{sig lam}(D_nu g_{mu sig} + D_mu g_{sig nu} - D_sig g_{mu nu})."""
-    dg = _lattice_first_diff(g, grid)  # dg[..., sig, mu, nu] = D_sig g_{mu nu}
+    dg = _diff_stack(components_first(g), grid)  # dg[sig, mu, nu] = D_sig g_{mu nu}
     bracket = (
-        dg.transpose(0, 1, 4, 3, 2)  # D_nu g_{mu sig}
-        + dg.transpose(0, 1, 3, 2, 4)  # D_mu g_{sig nu}
+        dg.transpose(2, 1, 0, 3, 4)  # D_nu g_{mu sig}
+        + dg.transpose(1, 0, 2, 3, 4)  # D_mu g_{sig nu}
         - dg
     )
-    return 0.5 * np.einsum("xysl,xysmn->xylmn", ginv, bracket)
+    return lattice_first(
+        0.5 * _contraction("sl,smn->lmn")(components_first(ginv), bracket)
+    )
 
 
 def mixed_second_form(b, ginv):
     """Raise the second index: b_beta{}^gamma = b_{beta sig} g^{sig gamma}."""
-    return np.einsum("xybs,xysg->xybg", b, ginv)
+    return lattice_first(
+        _contraction("bs,sg->bg")(components_first(b), components_first(ginv))
+    )
 
 
 def build_geometry(grid: SurfaceGrid) -> SurfaceGeometry:
-    """Run the full initialization chain on a grid.
-
-    T and gradb are built components-first. The other tensors are built
-    lattice-first, and Nrm and Gamma are then copied once into
-    components-first storage.
-    """
+    """Run the full initialization chain on a grid."""
     T, Nrm = build_frame(grid)
-    T_lf = np.ascontiguousarray(T)  # the layout the einsums below sum in
-    g, ginv = build_metric(T_lf)
-    b = build_second_form(Nrm, T_lf, grid)
-    Gamma = store_components_first(build_christoffel(g, ginv, grid))
-    bmix = mixed_second_form(b, ginv)
+    g, ginv = build_metric(T)
+    b = build_second_form(Nrm, T, grid)
+    Gamma = build_christoffel(g, ginv, grid)
     gradb = _covariant_derivative_raw(
-        components_first(bmix), ("l", "u"), components_first(Gamma), grid
+        components_first(mixed_second_form(b, ginv)), ("l", "u"),
+        components_first(Gamma), grid,
     )
     return SurfaceGeometry(
-        grid=grid, T=T, Nrm=store_components_first(Nrm),
-        g=g, ginv=ginv, b=b, Gamma=Gamma, gradb=lattice_first(gradb),
+        grid=grid, T=T, Nrm=Nrm, g=g, ginv=ginv, b=b, Gamma=Gamma,
+        gradb=lattice_first(gradb),
     )

@@ -11,13 +11,15 @@ linear terms, `_TERMS`, each a coefficient field contracted with omega, W,
 the hessian of omega or grad W.
 
 Like the geometry, every tensor field here is stored components-first,
-(2, ..., n1, n2): the ten coefficient fields, the jet, the accumulators and
-the tangential parts of the displacement and the force. The attributes of
-`ShellCoefficients`, `Displacement` and `ShellForceDensity` keep their
-lattice-first shapes (n1, n2, 2, ...) as `np.moveaxis` views of that storage;
-the force reads the stored arrays back through `components_first`. Each
-contraction is an explicit sum of (n1, n2) slices, in the order `np.einsum`
-sums it on the lattice-first arrays (the tests pin every one).
+(2, ..., n1, n2), from the coefficient build through the force: the ten
+coefficient fields, the jet, the accumulators and the tangential parts of
+the displacement and the force. The attributes of `ShellCoefficients`,
+`Displacement` and `ShellForceDensity`, and the arguments and results of the
+public functions, keep their lattice-first shapes (n1, n2, 2, ...) as
+`np.moveaxis` views of that storage; the stored arrays are read back through
+`components_first`. Every contraction is `geometry._contraction`, an
+explicit sum of (n1, n2) slices in the order numpy's einsum sums it on
+lattice-first arrays, which the spec alone fixes (the tests pin every one).
 
 Two thickness closures of the integrals are available:
 
@@ -44,13 +46,13 @@ import numpy as np
 
 from .geometry import (
     SurfaceGeometry,
+    _contraction,
     _covariant_derivative_raw,
     _covariant_divergence,
     _diff_stack,
     components_first,
     lattice_first,
     mixed_second_form,
-    store_components_first,
 )
 
 #: global sign relating the returned force to the printed energy gradient
@@ -90,8 +92,9 @@ class ShellCoefficients:
     Index conventions follow the defining integrals: e.g. Psi[r, s, t] is the
     coefficient contracted as Psi^{r s t} W_r inside a double divergence over
     (s, t), and Omegabar[m, n, r] multiplies grad_m W_n with r free.
-    `compute_coefficients` stores each field components-first and passes the
-    lattice-first views listed here.
+    `compute_coefficients` builds and stores each field components-first,
+    every contraction summed in `geometry._contraction`'s order, and passes
+    the lattice-first views listed here.
     """
 
     A: np.ndarray         # (n1, n2)
@@ -154,23 +157,27 @@ def elasticity_form(ginv, lam, mu):
     exactly; it acts identically on symmetric strain tensors.
     """
     c1 = lam * mu / (lam + 2.0 * mu)
-    gg1 = np.einsum("xyab,xygd->xyabgd", ginv, ginv)
-    gg2 = np.einsum("xyag,xybd->xyabgd", ginv, ginv)
-    gg3 = np.einsum("xyad,xybg->xyabgd", ginv, ginv)
-    return c1 * gg1 + 0.5 * mu * (gg2 + gg3)
+    ginv = components_first(ginv)
+    gg1 = _contraction("ab,gd->abgd")(ginv, ginv)
+    gg2 = _contraction("ag,bd->abgd")(ginv, ginv)
+    gg3 = _contraction("ad,bg->abgd")(ginv, ginv)
+    return lattice_first(c1 * gg1 + 0.5 * mu * (gg2 + gg3))
 
 
 def _curvature_scale(b, ginv):
     """Per-node largest principal curvature |kappa| from the mixed form."""
-    bmix = mixed_second_form(b, ginv)
-    half_tr = 0.5 * (bmix[..., 0, 0] + bmix[..., 1, 1])
-    det = bmix[..., 0, 0] * bmix[..., 1, 1] - bmix[..., 0, 1] * bmix[..., 1, 0]
+    bmix = components_first(mixed_second_form(b, ginv))
+    half_tr = 0.5 * (bmix[0, 0] + bmix[1, 1])
+    det = bmix[0, 0] * bmix[1, 1] - bmix[0, 1] * bmix[1, 0]
     disc = np.sqrt(np.maximum(half_tr**2 - det, 0.0))
     return np.abs(half_tr) + disc
 
 
 class _TPoly:
-    """Tensor-field-valued polynomial in the thickness coordinate t (deg <= 2)."""
+    """Tensor-field-valued polynomial in the thickness coordinate t (deg <= 2).
+
+    Its coefficients are components-first fields.
+    """
 
     def __init__(self, coeffs):
         self.c = list(coeffs)  # arrays or None, degree-indexed
@@ -183,7 +190,7 @@ class _TPoly:
             for j, B in enumerate(other.c):
                 if B is None or i + j > 2:
                     continue
-                term = np.einsum(spec, A, B)
+                term = _contraction(spec)(A, B)
                 out[i + j] = term if out[i + j] is None else out[i + j] + term
         return _TPoly(out)
 
@@ -210,105 +217,81 @@ def compute_coefficients(
             stacklevel=2,
         )
 
-    Lam0 = elasticity_form(geom.ginv, mat.lam, mat.mu)
-    b = geom.b
-    # [alpha, beta, gamma] = (grad b)_{alpha beta}^{gamma}, as a contiguous
-    # lattice-first array, the layout the einsums below sum in
-    gradb = np.ascontiguousarray(geom.gradb)
+    Lam0 = components_first(elasticity_form(geom.ginv, mat.lam, mat.mu))
+    b = components_first(geom.b)
+    # [alpha, beta, gamma] = (grad b)_{alpha beta}^{gamma}
+    gradb = components_first(geom.gradb)
     I0 = 2.0 * h0          # integral of dt
     I2 = (2.0 / 3.0) * h0**3  # integral of t^2 dt
     # explicit t^2: through h0^3 only the bracket's t^0 term, Lam0, survives
-    Abar = I2[..., None, None, None, None] * Lam0
-    Omega = np.einsum("xystlr,xystm,xylrn->xymn", Abar, gradb, gradb)
+    Abar = I2 * Lam0
+    Omega = _contraction("stlr,stm,lrn->mn")(Abar, gradb, gradb)
 
     if order == "leading":
-        def zeros(*components):  # allocated components-first
-            return lattice_first(np.zeros(components + (grid.n1, grid.n2)))
-
-        def times_I0(a):  # elementwise: formed straight into storage
-            out = np.empty(a.shape[2:] + I0.shape)
-            return lattice_first(np.multiply(I0, components_first(a), out=out))
-
-        A = I0 * np.einsum("xyabgd,xyab,xygd->xy", Lam0, b, b)
-        Phibar = times_I0(np.einsum("xyabmn,xyab->xymn", Lam0, b))
-        Obbar = times_I0(Lam0)
-        return ShellCoefficients(
-            A=A, Abar=store_components_first(Abar), Abbar=zeros(2, 2),
-            Phi=zeros(2), Phibar=Phibar,
-            Psi=zeros(2, 2, 2), Psibar=zeros(2, 2, 2, 2),
-            Omega=store_components_first(Omega), Omegabar=zeros(2, 2, 2),
-            Obbar=Obbar,
+        fields = dict(
+            A=I0 * _contraction("abgd,ab,gd->")(Lam0, b, b), Abar=Abar,
+            Abbar=np.zeros_like(b), Phi=np.zeros_like(b[0]),
+            Phibar=I0 * _contraction("abmn,ab->mn")(Lam0, b),
+            Psi=np.zeros_like(gradb), Psibar=np.zeros_like(Lam0), Omega=Omega,
+            Omegabar=np.zeros_like(gradb), Obbar=I0 * Lam0,
         )
+        return ShellCoefficients(**{k: lattice_first(a) for k, a in fields.items()})
 
     # ---- quadratic closure: Taylor-expand every integrand factor in t ----
-    n1, n2 = grid.n1, grid.n2
-    eye = np.broadcast_to(np.eye(2), (n1, n2, 2, 2)).copy()
-    bmix = mixed_second_form(b, geom.ginv)
+    eye = np.zeros_like(b)
+    eye[0, 0] = eye[1, 1] = 1.0
+    bmix = components_first(mixed_second_form(geom.b, geom.ginv))
 
     theta = _TPoly([eye, bmix, None])                       # theta_a^s
-    Blow = _TPoly([b, np.einsum("xyas,xysb->xyab", bmix, b), None])
-    gmix = _TPoly([eye, 2.0 * bmix,
-                   np.einsum("xyas,xysb->xyab", bmix, bmix)])
+    Blow = _TPoly([b, _contraction("as,sb->ab")(bmix, b), None])
+    gmix = _TPoly([eye, 2.0 * bmix, _contraction("as,sb->ab")(bmix, bmix)])
     # inverse metric of the offset surfaces: (g + 2tb + t^2 b g^-1 b)^-1
     g1, g2 = 2.0 * b, Blow.c[1]
-    G0 = geom.ginv
-    mm = lambda *As: np.einsum(  # noqa: E731 - chained per-node 2x2 products
-        {2: "xyab,xybc->xyac", 3: "xyab,xybc,xycd->xyad",
-         5: "xyab,xybc,xycd,xyde,xyef->xyaf"}[len(As)], *As)
+    G0 = components_first(geom.ginv)
+    mm = lambda *As: _contraction(  # noqa: E731 - chained per-node 2x2 products
+        {2: "ab,bc->ac", 3: "ab,bc,cd->ad", 5: "ab,bc,cd,de,ef->af"}[len(As)])(*As)
     Ginv = _TPoly([G0, -mm(G0, g1, G0), mm(G0, g1, G0, g1, G0) - mm(G0, g2, G0)])
-    H = bmix[..., 0, 0] + bmix[..., 1, 1]
-    K = bmix[..., 0, 0] * bmix[..., 1, 1] - bmix[..., 0, 1] * bmix[..., 1, 0]
-    dets = _TPoly([np.ones((n1, n2)), H, K])
+    H = bmix[0, 0] + bmix[1, 1]
+    K = bmix[0, 0] * bmix[1, 1] - bmix[0, 1] * bmix[1, 0]
+    dets = _TPoly([np.ones_like(h0), H, K])
 
     c1 = mat.lam * mat.mu / (mat.lam + 2.0 * mat.mu)
-    GG1 = Ginv.mul(Ginv, "xyab,xygd->xyabgd")
-    GG2 = Ginv.mul(Ginv, "xyag,xybd->xyabgd")
-    GG3 = Ginv.mul(Ginv, "xyad,xybg->xyabgd")
-    form = _TPoly([
-        None if GG1.c[k] is None else
-        c1 * GG1.c[k] + 0.5 * mat.mu * (GG2.c[k] + GG3.c[k])
-        for k in range(3)
-    ])
-    Lam = form.mul(dets, "xyabgd,xy->xyabgd")
+    GG1 = Ginv.mul(Ginv, "ab,gd->abgd")
+    GG2 = Ginv.mul(Ginv, "ag,bd->abgd")
+    GG3 = Ginv.mul(Ginv, "ad,bg->abgd")
+    form = _TPoly([c1 * GG1.c[k] + 0.5 * mat.mu * (GG2.c[k] + GG3.c[k])
+                   for k in range(3)])
+    Lam = form.mul(dets, "abgd,->abgd")
 
     def close(poly, k_explicit, like):
         """Integrate poly(t) * t^k over (-h0, h0), keeping terms through h0^3."""
         out = np.zeros_like(like)
         for j in range(3):
             m = j + k_explicit
-            if m % 2 == 1 or m > 2:
+            if m % 2 == 1 or m > 2 or poly.c[j] is None:
                 continue
-            Im = I0 if m == 0 else I2
-            cj = poly.c[j]
-            if cj is None:
-                continue
-            out += Im.reshape(Im.shape + (1,) * (cj.ndim - 2)) * cj
+            out += (I0 if m == 0 else I2) * poly.c[j]
         return out
 
     # each product shared by several brackets is formed once
-    zero6 = np.zeros_like(Lam0)
-    LamB = Lam.mul(Blow, "xyabgd,xyab->xygd")
-    LamBt = LamB.mul(theta, "xygd,xygm->xymd")
+    LamB = Lam.mul(Blow, "abgd,ab->gd")
+    LamBt = LamB.mul(theta, "gd,gm->md")
     LamtGt = (
-        Lam.mul(theta, "xyabgd,xyas->xysbgd")
-        .mul(gmix, "xysbgd,xybt->xystgd")
-        .mul(theta, "xystgd,xygm->xystmd")
+        Lam.mul(theta, "abgd,as->sbgd")
+        .mul(gmix, "sbgd,bt->stgd")
+        .mul(theta, "stgd,gm->stmd")
     )
-    A = close(LamB.mul(Blow, "xygd,xygd->xy"), 0, np.zeros((n1, n2)))
-    Abbar = close(LamBt.mul(theta, "xymd,xydn->xymn"), 1, np.zeros_like(b))
-    Phi = np.einsum("xytr,xytrm->xym", Abbar, gradb)
-    Phibar = close(LamBt.mul(gmix, "xymd,xydn->xymn"), 0, np.zeros_like(b))
-    Psi = np.einsum("xystmn,xystr->xyrmn", Abar, gradb)
-    Psibar = close(LamtGt.mul(theta, "xystmd,xydn->xystmn"), 1, zero6)
-    Omegabar = np.einsum("xymntl,xytlr->xymnr", Psibar, gradb)
-    Obbar = close(LamtGt.mul(gmix, "xystmd,xydn->xystmn"), 0, zero6)
-    return ShellCoefficients(**{
-        name: store_components_first(field) for name, field in (
-            ("A", A), ("Abar", Abar), ("Abbar", Abbar), ("Phi", Phi),
-            ("Phibar", Phibar), ("Psi", Psi), ("Psibar", Psibar),
-            ("Omega", Omega), ("Omegabar", Omegabar), ("Obbar", Obbar),
-        )
-    })
+    A = close(LamB.mul(Blow, "gd,gd->"), 0, h0)
+    Abbar = close(LamBt.mul(theta, "md,dn->mn"), 1, b)
+    Phi = _contraction("tr,trm->m")(Abbar, gradb)
+    Phibar = close(LamBt.mul(gmix, "md,dn->mn"), 0, b)
+    Psi = _contraction("stmn,str->rmn")(Abar, gradb)
+    Psibar = close(LamtGt.mul(theta, "stmd,dn->stmn"), 1, Lam0)
+    Omegabar = _contraction("mntl,tlr->mnr")(Psibar, gradb)
+    Obbar = close(LamtGt.mul(gmix, "stmd,dn->stmn"), 0, Lam0)
+    fields = dict(A=A, Abar=Abar, Abbar=Abbar, Phi=Phi, Phibar=Phibar, Psi=Psi,
+                  Psibar=Psibar, Omega=Omega, Omegabar=Omegabar, Obbar=Obbar)
+    return ShellCoefficients(**{k: lattice_first(a) for k, a in fields.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +300,10 @@ def compute_coefficients(
 
 
 def decompose_displacement(X, geom: SurfaceGeometry) -> Displacement:
-    """Split X - X0 into the normal function omega and tangential W.
-
-    Each is a 3-term dot summed as np.einsum sums it: (c0 + c2) + c1.
-    """
-    d = np.asarray(X, dtype=float) - geom.grid.X0
-    d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
-    Nrm, T = components_first(geom.Nrm), components_first(geom.T)
-    omega = (d0 * Nrm[0] + d2 * Nrm[2]) + d1 * Nrm[1]
-    W = (d0 * T[:, 0] + d2 * T[:, 2]) + d1 * T[:, 1]
+    """Split X - X0 into the normal function omega and tangential W."""
+    d = components_first(np.asarray(X, dtype=float) - geom.grid.X0)
+    omega = _contraction("c,c->")(d, components_first(geom.Nrm))
+    W = _contraction("c,ac->a")(d, components_first(geom.T))
     return Displacement(omega=omega, W_low=lattice_first(W))
 
 
@@ -344,67 +322,28 @@ def _double_divergence(S, geom):
     return _cov_divergence(V, ("u",), geom)
 
 
-def _contraction(spec, order="pairwise"):
-    """np.einsum(spec, C, x) on components-first fields, as an explicit sum.
-
-    `spec` names the lattice axes "xy", first as on lattice-first fields;
-    here they are last. With the coefficient field's axes
-    ordered (free..., summed...), each product of its slices with the jet
-    entry's is formed apart; a single summed index adds its two products, a
-    summed pair (i, j) adds its four in `order`: "pairwise"
-    (p00 + p10) + (p01 + p11) or "running" ((p00 + p01) + p10) + p11.
-    """
-    ins, free = (part.replace("xy", "") for part in spec.split("->"))
-    c_idx, x_idx = ins.split(",")
-    axes = free + "".join(i for i in c_idx if i not in free)
-    c_perm = [c_idx.index(i) for i in axes] + [len(c_idx), len(c_idx) + 1]
-    x_perm = [x_idx.index(i) for i in axes if i in x_idx]
-    x_perm += [len(x_idx), len(x_idx) + 1]
-    x_new = tuple(k for k, i in enumerate(axes) if i not in x_idx)
-    n_summed = len(axes) - len(free)
-
-    def contract(C, x):
-        C = C.transpose(c_perm)
-        x = np.expand_dims(x.transpose(x_perm), x_new)
-
-        def p(*ij):
-            at = (Ellipsis,) + ij + (slice(None), slice(None))
-            return C[at] * x[at]
-
-        if n_summed == 0:
-            return p()
-        if n_summed == 1:
-            return p(0) + p(1)
-        if order == "pairwise":
-            return (p(0, 0) + p(1, 0)) + (p(0, 1) + p(1, 1))
-        return ((p(0, 0) + p(0, 1)) + p(1, 0)) + p(1, 1)
-
-    return contract
-
-
 #: The force operator, one row per term: (coefficient field, contraction of
 #: the field with a jet entry, jet entry, accumulator, sign). The jet is
 #: omega, W, hess = grad D omega and gradW = grad W; terms land pointwise in
 #: f3 or fmu, under the divergence in T, or under the double divergence in S.
-#: Three 4-term contractions sum their slices in the running order, as
-#: np.einsum does where the summed indices lead the coefficient's.
+#: omega carries no component axis, so its spec is empty.
 _TERMS = (
-    ("A", _contraction("xy,xy->xy"), "omega", "f3", +1),
-    ("Abar", _contraction("xystmn,xymn->xyst"), "hess", "S", +1),
-    ("Abbar", _contraction("xyst,xy->xyst"), "omega", "S", -1),
-    ("Abbar", _contraction("xyst,xyst->xy"), "hess", "f3", -1),
-    ("Phi", _contraction("xyn,xyn->xy"), "W", "f3", +1),
-    ("Phi", _contraction("xym,xy->xym"), "omega", "fmu", +1),
-    ("Phibar", _contraction("xymn,xymn->xy"), "gradW", "f3", +1),
-    ("Phibar", _contraction("xymn,xy->xymn"), "omega", "T", -1),
-    ("Psi", _contraction("xymst,xym->xyst"), "W", "S", -1),
-    ("Psi", _contraction("xymst,xyst->xym"), "hess", "fmu", -1),
-    ("Psibar", _contraction("xystmn,xyst->xymn", "running"), "gradW", "S", -1),
-    ("Psibar", _contraction("xynmst,xyst->xynm"), "hess", "T", +1),
-    ("Omega", _contraction("xymn,xyn->xym"), "W", "fmu", +1),
-    ("Omegabar", _contraction("xystm,xyst->xym", "running"), "gradW", "fmu", +1),
-    ("Omegabar", _contraction("xysmt,xyt->xysm"), "W", "T", -1),
-    ("Obbar", _contraction("xystnm,xyst->xynm", "running"), "gradW", "T", -1),
+    ("A", _contraction(",->"), "omega", "f3", +1),
+    ("Abar", _contraction("stmn,mn->st"), "hess", "S", +1),
+    ("Abbar", _contraction("st,->st"), "omega", "S", -1),
+    ("Abbar", _contraction("st,st->"), "hess", "f3", -1),
+    ("Phi", _contraction("n,n->"), "W", "f3", +1),
+    ("Phi", _contraction("m,->m"), "omega", "fmu", +1),
+    ("Phibar", _contraction("mn,mn->"), "gradW", "f3", +1),
+    ("Phibar", _contraction("mn,->mn"), "omega", "T", -1),
+    ("Psi", _contraction("mst,m->st"), "W", "S", -1),
+    ("Psi", _contraction("mst,st->m"), "hess", "fmu", -1),
+    ("Psibar", _contraction("stmn,st->mn"), "gradW", "S", -1),
+    ("Psibar", _contraction("nmst,st->nm"), "hess", "T", +1),
+    ("Omega", _contraction("mn,n->m"), "W", "fmu", +1),
+    ("Omegabar", _contraction("stm,st->m"), "gradW", "fmu", +1),
+    ("Omegabar", _contraction("smt,t->sm"), "W", "T", -1),
+    ("Obbar", _contraction("stnm,st->nm"), "gradW", "T", -1),
 )
 
 
@@ -448,6 +387,6 @@ def force_to_cartesian(f3, fmu, geom: SurfaceGeometry) -> np.ndarray:
     """Assemble f = f3 * N + f^mu T_mu as an (n1, n2, 3) array."""
     fmu, T = components_first(fmu), components_first(geom.T)
     out = np.empty(np.shape(f3) + (3,))
-    np.add(f3 * components_first(geom.Nrm), fmu[0] * T[0] + fmu[1] * T[1],
+    np.add(f3 * components_first(geom.Nrm), _contraction("m,mc->c")(fmu, T),
            out=components_first(out))
     return out

@@ -307,6 +307,143 @@ def covariant_derivative_einsum(A, index_types, Gamma, grid):
 
 
 # ---------------------------------------------------------------------------
+# Geometry and coefficient build on lattice-first fields
+# ---------------------------------------------------------------------------
+# The pre-components-first forms of the build chain in `geometry` and
+# `shell`: every field a contiguous (n1, n2, ...) array, every contraction
+# one np.einsum.
+
+
+def build_geometry_einsum(grid):
+    """`geometry.build_geometry`'s fields, lattice first, as a dict."""
+    T = diff_stack_aos(grid.X0, grid)
+    cr = np.cross(T[..., 0, :], T[..., 1, :])
+    Nrm = cr / np.linalg.norm(cr, axis=-1)[..., None]
+
+    g = np.einsum("xyac,xybc->xyab", T, T)
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    ginv = np.empty_like(g)
+    ginv[..., 0, 0] = g[..., 1, 1] / det
+    ginv[..., 1, 1] = g[..., 0, 0] / det
+    ginv[..., 0, 1] = -g[..., 0, 1] / det
+    ginv[..., 1, 0] = -g[..., 1, 0] / det
+
+    b = np.einsum("xymc,xync->xymn", diff_stack_aos(Nrm, grid), T)
+    b = 0.5 * (b + np.swapaxes(b, -1, -2))
+
+    dg = diff_stack_aos(g, grid)  # dg[..., sig, mu, nu] = D_sig g_{mu nu}
+    bracket = dg.transpose(0, 1, 4, 3, 2) + dg.transpose(0, 1, 3, 2, 4) - dg
+    Gamma = 0.5 * np.einsum("xysl,xysmn->xylmn", ginv, bracket)
+
+    gradb = covariant_derivative_aos(
+        mixed_second_form_einsum(b, ginv), ("l", "u"), Gamma, grid
+    )
+    return dict(T=T, Nrm=Nrm, g=g, ginv=ginv, b=b, Gamma=Gamma, gradb=gradb)
+
+
+def mixed_second_form_einsum(b, ginv):
+    return np.einsum("xybs,xysg->xybg", b, ginv)
+
+
+def elasticity_form_einsum(ginv, lam, mu):
+    c1 = lam * mu / (lam + 2.0 * mu)
+    gg1 = np.einsum("xyab,xygd->xyabgd", ginv, ginv)
+    gg2 = np.einsum("xyag,xybd->xyabgd", ginv, ginv)
+    gg3 = np.einsum("xyad,xybg->xyabgd", ginv, ginv)
+    return c1 * gg1 + 0.5 * mu * (gg2 + gg3)
+
+
+def _tpoly_mul(P, Q, spec):
+    """Product of two degree-indexed polynomials in t, truncated at t^2."""
+    out = [None] * 3
+    for i, A in enumerate(P):
+        for j, B in enumerate(Q):
+            if A is None or B is None or i + j > 2:
+                continue
+            term = np.einsum(spec, A, B)
+            out[i + j] = term if out[i + j] is None else out[i + j] + term
+    return out
+
+
+def compute_coefficients_einsum(geo, mat, order):
+    """`shell.compute_coefficients`' ten fields, lattice first, as a dict.
+
+    `geo` is `build_geometry_einsum`'s dict; the thin-shell checks are left
+    to the production code.
+    """
+    b, ginv, gradb = geo["b"], geo["ginv"], geo["gradb"]
+    n1, n2 = b.shape[:2]
+    h0 = np.broadcast_to(mat.h0, (n1, n2)).astype(float)
+    Lam0 = elasticity_form_einsum(ginv, mat.lam, mat.mu)
+    I0 = 2.0 * h0
+    I2 = (2.0 / 3.0) * h0**3
+    Abar = I2[..., None, None, None, None] * Lam0
+    Omega = np.einsum("xystlr,xystm,xylrn->xymn", Abar, gradb, gradb)
+
+    if order == "leading":
+        zero = np.zeros
+        return dict(
+            A=I0 * np.einsum("xyabgd,xyab,xygd->xy", Lam0, b, b), Abar=Abar,
+            Abbar=zero((n1, n2, 2, 2)), Phi=zero((n1, n2, 2)),
+            Phibar=I0[..., None, None] * np.einsum("xyabmn,xyab->xymn", Lam0, b),
+            Psi=zero((n1, n2, 2, 2, 2)), Psibar=zero((n1, n2, 2, 2, 2, 2)),
+            Omega=Omega, Omegabar=zero((n1, n2, 2, 2, 2)),
+            Obbar=I0[..., None, None, None, None] * Lam0,
+        )
+
+    eye = np.broadcast_to(np.eye(2), (n1, n2, 2, 2)).copy()
+    bmix = mixed_second_form_einsum(b, ginv)
+    theta = [eye, bmix, None]
+    Blow = [b, np.einsum("xyas,xysb->xyab", bmix, b), None]
+    gmix = [eye, 2.0 * bmix, np.einsum("xyas,xysb->xyab", bmix, bmix)]
+    g1, g2 = 2.0 * b, Blow[1]
+    mm = lambda *As: np.einsum(  # noqa: E731
+        {2: "xyab,xybc->xyac", 3: "xyab,xybc,xycd->xyad",
+         5: "xyab,xybc,xycd,xyde,xyef->xyaf"}[len(As)], *As)
+    Ginv = [ginv, -mm(ginv, g1, ginv),
+            mm(ginv, g1, ginv, g1, ginv) - mm(ginv, g2, ginv)]
+    H = bmix[..., 0, 0] + bmix[..., 1, 1]
+    K = bmix[..., 0, 0] * bmix[..., 1, 1] - bmix[..., 0, 1] * bmix[..., 1, 0]
+    dets = [np.ones((n1, n2)), H, K]
+
+    c1 = mat.lam * mat.mu / (mat.lam + 2.0 * mat.mu)
+    GG1 = _tpoly_mul(Ginv, Ginv, "xyab,xygd->xyabgd")
+    GG2 = _tpoly_mul(Ginv, Ginv, "xyag,xybd->xyabgd")
+    GG3 = _tpoly_mul(Ginv, Ginv, "xyad,xybg->xyabgd")
+    form = [c1 * GG1[k] + 0.5 * mat.mu * (GG2[k] + GG3[k]) for k in range(3)]
+    Lam = _tpoly_mul(form, dets, "xyabgd,xy->xyabgd")
+
+    def close(poly, k_explicit, like):
+        out = np.zeros_like(like)
+        for j in range(3):
+            m = j + k_explicit
+            if m % 2 == 1 or m > 2 or poly[j] is None:
+                continue
+            Im = I0 if m == 0 else I2
+            out += Im.reshape(Im.shape + (1,) * (poly[j].ndim - 2)) * poly[j]
+        return out
+
+    LamB = _tpoly_mul(Lam, Blow, "xyabgd,xyab->xygd")
+    LamBt = _tpoly_mul(LamB, theta, "xygd,xygm->xymd")
+    LamtGt = _tpoly_mul(
+        _tpoly_mul(_tpoly_mul(Lam, theta, "xyabgd,xyas->xysbgd"),
+                   gmix, "xysbgd,xybt->xystgd"),
+        theta, "xystgd,xygm->xystmd")
+    Abbar = close(_tpoly_mul(LamBt, theta, "xymd,xydn->xymn"), 1, b)
+    Psibar = close(_tpoly_mul(LamtGt, theta, "xystmd,xydn->xystmn"), 1, Lam0)
+    return dict(
+        A=close(_tpoly_mul(LamB, Blow, "xygd,xygd->xy"), 0, h0),
+        Abar=Abar, Abbar=Abbar,
+        Phi=np.einsum("xytr,xytrm->xym", Abbar, gradb),
+        Phibar=close(_tpoly_mul(LamBt, gmix, "xymd,xydn->xymn"), 0, b),
+        Psi=np.einsum("xystmn,xystr->xyrmn", Abar, gradb),
+        Psibar=Psibar, Omega=Omega,
+        Omegabar=np.einsum("xymntl,xytlr->xymnr", Psibar, gradb),
+        Obbar=close(_tpoly_mul(LamtGt, gmix, "xystmd,xydn->xystmn"), 0, Lam0),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Coupling matrix through boolean masks and node-major broadcasts
 # ---------------------------------------------------------------------------
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ibshell.geometry import (
+    _contraction,
     _covariant_derivative_raw,
     _diff_stack,
     build_geometry,
@@ -496,3 +497,106 @@ def test_force_matches_aos_oracle_bitwise():
                 a, b = getattr(got, name), getattr(want, name)
                 assert np.abs(b).max() > 0, (order, name)
                 assert np.array_equal(a, b), (order, name)
+
+
+# ---------------------------------------------------------------------------
+# The build against its lattice-first einsum form
+# ---------------------------------------------------------------------------
+# Equal bits here include the sign of every zero: np.einsum never returns -0.
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+#: every contraction of the geometry and coefficient build, by name; in the
+#: CARTESIAN ones the label "c" is the length-3 cartesian axis
+BUILD_CONTRACTIONS = {
+    "metric": "ac,bc->ab",
+    "second_form": "mc,nc->mn",
+    "christoffel": "sl,smn->lmn",
+    "mixed_second_form": "bs,sg->bg",
+    "elasticity_gg1": "ab,gd->abgd",
+    "elasticity_gg2": "ag,bd->abgd",
+    "elasticity_gg3": "ad,bg->abgd",
+    "Omega": "stlr,stm,lrn->mn",
+    "A_leading": "abgd,ab,gd->",
+    "Phibar_leading": "abmn,ab->mn",
+    "bmix_b": "as,sb->ab",
+    "mm2": "ab,bc->ac",
+    "mm3": "ab,bc,cd->ad",
+    "mm5": "ab,bc,cd,de,ef->af",
+    "Lam": "abgd,->abgd",
+    "LamB": "abgd,ab->gd",
+    "LamBt": "gd,gm->md",
+    "Lam_theta": "abgd,as->sbgd",
+    "Lam_theta_gmix": "sbgd,bt->stgd",
+    "LamtGt": "stgd,gm->stmd",
+    "A_quadratic": "gd,gd->",
+    "Abbar_Phibar": "md,dn->mn",
+    "Psibar_Obbar": "stmd,dn->stmn",
+    "Phi": "tr,trm->m",
+    "Psi": "stmn,str->rmn",
+    "Omegabar": "mntl,tlr->mnr",
+    "decompose_omega": "c,c->",
+    "decompose_W": "c,ac->a",
+    "cartesian": "m,mc->c",
+}
+CARTESIAN = {"metric", "second_form", "decompose_omega", "decompose_W", "cartesian"}
+
+
+@pytest.mark.parametrize("name", BUILD_CONTRACTIONS)
+def test_build_contraction_matches_einsum_bitwise(name, helicoid16):
+    spec = BUILD_CONTRACTIONS[name]
+    ins, out = spec.split("->")
+    ops = ins.split(",")
+    einsum_spec = ",".join("xy" + op for op in ops) + "->xy" + out
+    contract = _contraction(spec)
+    geom, _ = helicoid16
+    rng = np.random.default_rng(sorted(BUILD_CONTRACTIONS).index(name))
+    for n1, n2 in ((geom.grid.n1, geom.grid.n2), (321, 13)):
+        for zeros in (0.0, 0.6):
+            # a share of the entries made zeros of either sign
+            arrs = []
+            for op in ops:
+                shape = (n1, n2) + tuple(
+                    3 if i == "c" and name in CARTESIAN else 2 for i in op)
+                a = rng.standard_normal(shape)
+                a[rng.random(shape) < zeros] *= 0.0
+                arrs.append(a)
+            want = np.einsum(einsum_spec, *arrs)
+            got = contract(*(np.ascontiguousarray(components_first(a)) for a in arrs))
+            assert got.shape == want.shape[2:] + (n1, n2)
+            assert _same_bits(lattice_first(got), want)
+
+
+def _build_chart(name):
+    from ibshell.simulation import ModelConfig, build_model_shell, thickness_field
+
+    if name.startswith("helicoid"):
+        cfg = ModelConfig(N=int(name[len("helicoid"):]))
+        return (build_model_shell(cfg),
+                MaterialParams(cfg.lam, cfg.mu, thickness_field(cfg)))
+    grid = {"sphere": oracles.sphere_grid(17, 17)[0],
+            "cylinder": oracles.cylinder_grid(17, 9)}[name]
+    return grid, MaterialParams(LAM, MU, 1e-3)
+
+
+@pytest.mark.parametrize("chart", ["helicoid16", "helicoid32", "sphere", "cylinder"])
+def test_build_matches_einsum_oracle_bitwise(chart):
+    # every geometric and coefficient field, built components-first, against
+    # the lattice-first einsum build it replaced, in both closures
+    grid, mat = _build_chart(chart)
+    geom = build_geometry(grid)
+    want = oracles.build_geometry_einsum(grid)
+    for name, field in want.items():
+        got = getattr(geom, name)
+        assert components_first(got).flags.c_contiguous, name
+        assert _same_bits(got, field), name
+    for order in ("leading", "quadratic"):
+        coeff = compute_coefficients(geom, mat, order=order)
+        want_c = oracles.compute_coefficients_einsum(want, mat, order)
+        for f in fields(coeff):
+            got = getattr(coeff, f.name)
+            assert components_first(got).flags.c_contiguous, (order, f.name)
+            assert _same_bits(got, want_c[f.name]), (order, f.name)
