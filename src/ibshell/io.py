@@ -184,10 +184,15 @@ def read_displacement_map(path):
     if not blob.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM")
     try:
-        _, dims, _, pixels = blob.split(b"\n", 3)
+        _, dims, maxval, pixels = blob.split(b"\n", 3)
         width, height = (int(tok) for tok in dims.split())
+        maxval = int(maxval)
     except ValueError:
         raise ValueError(f"{path}: malformed PGM header") from None
+    if width <= 0 or height <= 0:
+        raise ValueError(f"{path}: PGM size {width}x{height} is not positive")
+    if maxval != 255:
+        raise ValueError(f"{path}: PGM maxval {maxval} is not 255 (8-bit pixels)")
     if len(pixels) < width * height:
         raise ValueError(f"{path}: truncated PGM ({len(pixels)} pixel bytes)")
     data = np.frombuffer(pixels, dtype=np.uint8, count=width * height)

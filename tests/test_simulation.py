@@ -609,3 +609,15 @@ def test_graymap_conventions(tmp_path):
         with pytest.raises(ValueError, match="zero.pgm"):
             read_displacement_map(path)
     assert img[2, 3] == 128
+
+
+@pytest.mark.parametrize("header, n_pixels", [
+    (b"P5\n-3 4\n255\n", 12),     # read as a 4x3 image
+    (b"P5\n-3 -4\n255\n", 12),    # failed inside numpy, naming no file
+    (b"P5\n3 4\n65535\n", 24),    # 16-bit pixels read as 8-bit ones
+], ids=["negative-width", "negative-size", "maxval-65535"])
+def test_graymap_rejects_bad_header(tmp_path, header, n_pixels):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(n_pixels))
+    with pytest.raises(ValueError, match="bad.pgm"):
+        read_displacement_map(path)
