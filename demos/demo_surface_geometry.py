@@ -22,11 +22,11 @@ print(f"  q1 spans [{cfg.dq1:.5f}, {cfg.L + cfg.dq1:.5f}] cm "
 print(f"  strip width grows {cfg.width(0.0):.4f} -> {cfg.width(cfg.L):.4f} cm")
 print(f"  half-thickness ({cfg.thickness_law} law) "
       f"{h0.min():.5f} -> {h0.max():.5f} cm")
-kap = np.abs(geom.b[..., 0, 0] * geom.ginv[..., 0, 0]).max()
+kap = np.abs(geom.b[0, 0] * geom.ginv[0, 0]).max()
 print(f"  curvature scale |b^1_1| up to ~{kap:.1f} 1/cm "
       f"(radius ~{1.0 / kap:.4f} cm)")
-print(f"  surface normal z-component: {geom.Nrm[..., 2].min():.4f} .. "
-      f"{geom.Nrm[..., 2].max():.4f} (nearly vertical: a spiral ramp)")
+print(f"  surface normal z-component: {geom.Nrm[2].min():.4f} .. "
+      f"{geom.Nrm[2].max():.4f} (nearly vertical: a spiral ramp)")
 
 print("\nconvergence of the discrete geometry on reference charts:")
 for result in geometry_check():

@@ -11,13 +11,13 @@ the first/last node of an axis.
 All geometric products are computed once per grid and treated as immutable
 afterwards.
 
-Every field is stored one way, components-first: a tensor field with
-component axes (2, 2, ...) is one array (2, 2, ..., n1, n2), so each
-component is a contiguous (n1, n2) lattice slice, and the difference
-operator, the covariant derivative and every contraction work on the last
-two axes. Public attributes, arguments and results keep the lattice-first
-shape (n1, n2, 2, 2, ...) as `np.moveaxis` views of that storage
-(`lattice_first`); `components_first` recovers the stored array.
+Every tensor field is one array, components-first: a field with component
+axes (2, 2, ...) has shape (2, 2, ..., n1, n2), so each component is a
+contiguous (n1, n2) lattice slice, and the difference operator, the
+covariant derivative and every contraction work on the last two axes. The
+attributes, arguments and results of this module are these arrays. Only
+node positions are (n1, n2, 3) point fields; `components_first` views one
+as a (3, n1, n2) field where it meets the tensors.
 
 Each contraction (`_contraction`) is an explicit sum of (n1, n2) slices, in
 the order numpy's einsum sums it on contiguous lattice-first arrays. That
@@ -100,19 +100,13 @@ class SurfaceGrid:
 
 
 def components_first(a):
-    """(n1, n2, ...) -> (..., n1, n2) view: the storage order of tensor fields.
+    """(n1, n2, ...) -> (..., n1, n2) view of a point field, as tensors are stored.
 
     The view `np.moveaxis(a, (0, 1), (-2, -1))` gives, at a fraction of its
     call cost.
     """
     nd = np.ndim(a)
     return np.transpose(a, tuple(range(2, nd)) + (0, 1))
-
-
-def lattice_first(a):
-    """(..., n1, n2) -> (n1, n2, ...) view of a components-first field."""
-    nd = np.ndim(a)
-    return np.transpose(a, (nd - 2, nd - 1) + tuple(range(nd - 2)))
 
 
 @cache
@@ -305,19 +299,17 @@ def _covariant_divergence(A, index_types, slot: int, Gamma, grid: SurfaceGrid):
 class SurfaceGeometry:
     """All intrinsic tensors of the reference surface, built once per grid.
 
-    Every field is stored components-first, and every contraction that built
-    it summed in `_contraction`'s order; each attribute is the lattice-first
-    `np.moveaxis` view of that storage, with the shape listed here
-    (`components_first` gives the stored array).
+    Every field is a C-contiguous components-first array, every contraction
+    that built it summed in `_contraction`'s order.
 
-    T      : tangent frame T_alpha = D_alpha X0, shape (n1, n2, 2, 3)
-    Nrm    : unit normal (T1 x T2)/|T1 x T2|, shape (n1, n2, 3)
-    g      : metric g_{mu nu} = T_mu . T_nu, shape (n1, n2, 2, 2)
+    T      : tangent frame T_alpha = D_alpha X0, shape (2, 3, n1, n2)
+    Nrm    : unit normal (T1 x T2)/|T1 x T2|, shape (3, n1, n2)
+    g      : metric g_{mu nu} = T_mu . T_nu, shape (2, 2, n1, n2)
     ginv   : pointwise inverse metric g^{mu nu}
     b      : second fundamental form b_{mu nu} = sym(D_mu N . T_nu)
-    Gamma  : Christoffel symbols, Gamma[..., lam, mu, nu] = Gamma^lam_{mu nu}
+    Gamma  : Christoffel symbols, Gamma[lam, mu, nu] = Gamma^lam_{mu nu}
     gradb  : covariant derivative of the mixed second form,
-             gradb[..., alpha, beta, gamma] = (grad b)_{alpha beta}{}^{gamma}
+             gradb[alpha, beta, gamma] = (grad b)_{alpha beta}{}^{gamma}
     """
 
     grid: SurfaceGrid
@@ -333,8 +325,8 @@ class SurfaceGeometry:
 def build_frame(grid: SurfaceGrid):
     """Tangent fields T_alpha = D_alpha X0 and the unit normal.
 
-    Returns the (n1, n2, 2, 3) and (n1, n2, 3) views. The cross product and
-    the norm are summed as np.cross and np.linalg.norm sum them.
+    Returns the (2, 3, n1, n2) frame and the (3, n1, n2) normal. The cross
+    product and the norm are summed as np.cross and np.linalg.norm sum them.
     """
     T1, T2 = T = _diff_stack(components_first(grid.X0), grid)
     cr = T1[[1, 2, 0]] * T2[[2, 0, 1]] - T1[[2, 0, 1]] * T2[[1, 2, 0]]
@@ -344,12 +336,11 @@ def build_frame(grid: SurfaceGrid):
         raise DegenerateFrameError(
             f"collapsed parameterization: min |T1 x T2| = {np.min(nrm):.3e}"
         )
-    return lattice_first(T), lattice_first(cr / nrm)
+    return T, cr / nrm
 
 
 def build_metric(T):
     """Metric g_{mu nu} = T_mu . T_nu and its pointwise 2x2 inverse."""
-    T = components_first(T)
     g = _contraction("ac,bc->ab")(T, T)
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if np.min(det) < 1e-14:
@@ -359,7 +350,7 @@ def build_metric(T):
     ginv[1, 1] = g[0, 0] / det
     ginv[0, 1] = -g[0, 1] / det
     ginv[1, 0] = -g[1, 0] / det
-    return lattice_first(g), lattice_first(ginv)
+    return g, ginv
 
 
 def build_second_form(Nrm, T, grid: SurfaceGrid):
@@ -368,29 +359,24 @@ def build_second_form(Nrm, T, grid: SurfaceGrid):
     The discrete product is not exactly symmetric; the continuum tensor is,
     and the force operator assumes it, so b <- (b + b^T)/2.
     """
-    dN = _diff_stack(components_first(Nrm), grid)
-    b = _contraction("mc,nc->mn")(dN, components_first(T))
-    return lattice_first(0.5 * (b + b.swapaxes(0, 1)))
+    b = _contraction("mc,nc->mn")(_diff_stack(Nrm, grid), T)
+    return 0.5 * (b + b.swapaxes(0, 1))
 
 
 def build_christoffel(g, ginv, grid: SurfaceGrid):
     """Gamma^lam_{mu nu} = 1/2 g^{sig lam}(D_nu g_{mu sig} + D_mu g_{sig nu} - D_sig g_{mu nu})."""
-    dg = _diff_stack(components_first(g), grid)  # dg[sig, mu, nu] = D_sig g_{mu nu}
+    dg = _diff_stack(g, grid)  # dg[sig, mu, nu] = D_sig g_{mu nu}
     bracket = (
         dg.transpose(2, 1, 0, 3, 4)  # D_nu g_{mu sig}
         + dg.transpose(1, 0, 2, 3, 4)  # D_mu g_{sig nu}
         - dg
     )
-    return lattice_first(
-        0.5 * _contraction("sl,smn->lmn")(components_first(ginv), bracket)
-    )
+    return 0.5 * _contraction("sl,smn->lmn")(ginv, bracket)
 
 
 def mixed_second_form(b, ginv):
     """Raise the second index: b_beta{}^gamma = b_{beta sig} g^{sig gamma}."""
-    return lattice_first(
-        _contraction("bs,sg->bg")(components_first(b), components_first(ginv))
-    )
+    return _contraction("bs,sg->bg")(b, ginv)
 
 
 def build_geometry(grid: SurfaceGrid) -> SurfaceGeometry:
@@ -400,10 +386,8 @@ def build_geometry(grid: SurfaceGrid) -> SurfaceGeometry:
     b = build_second_form(Nrm, T, grid)
     Gamma = build_christoffel(g, ginv, grid)
     gradb = _covariant_derivative_raw(
-        components_first(mixed_second_form(b, ginv)), ("l", "u"),
-        components_first(Gamma), grid,
+        mixed_second_form(b, ginv), ("l", "u"), Gamma, grid
     )
     return SurfaceGeometry(
-        grid=grid, T=T, Nrm=Nrm, g=g, ginv=ginv, b=b, Gamma=Gamma,
-        gradb=lattice_first(gradb),
+        grid=grid, T=T, Nrm=Nrm, g=g, ginv=ginv, b=b, Gamma=Gamma, gradb=gradb
     )

@@ -409,6 +409,7 @@ def plate_check():
         + 0.5 * mu * (np.einsum("ag,bd->abgd", eye, eye)
                       + np.einsum("ad,bg->abgd", eye, eye))
     )
+    L0 = L0[..., None, None]  # constant over the lattice
     abar_err = np.abs(coeff.Abar - (2.0 / 3.0) * h0**3 * L0).max() / np.abs(
         (2.0 / 3.0) * h0**3 * L0
     ).max()
@@ -427,7 +428,7 @@ def plate_check():
     # normal component against the composed biharmonic
     q = dq * np.arange(n)
     omega = np.sin(2 * np.pi * (3 * q[:, None] + 2 * q[None, :]))
-    zeros = np.zeros((n, n, 2))
+    zeros = np.zeros((2, n, n))
     f1 = compute_force(Displacement(omega, zeros), coeff, geom)
     lap = lambda w: Dm @ (Dm @ w) + (w @ Dm.T) @ Dm.T  # noqa: E731
     oracle3 = FORCE_ON_FLUID_SIGN * (2.0 / 3.0) * h0**3 * Dcoef * lap(lap(omega))
@@ -439,11 +440,11 @@ def plate_check():
 
     # tangential component on a discrete gradient field
     chi = np.cos(2 * np.pi * (2 * q[:, None] - q[None, :]))
-    W = np.stack([Dm @ chi, chi @ Dm.T], axis=-1)
+    W = np.stack([Dm @ chi, chi @ Dm.T])
     f = compute_force(Displacement(np.zeros((n, n)), W), coeff, geom)
-    divW = Dm @ W[..., 0] + W[..., 1] @ Dm.T
+    divW = Dm @ W[0] + W[1] @ Dm.T
     oracle_mu = -FORCE_ON_FLUID_SIGN * 2.0 * h0 * Dcoef * np.stack(
-        [Dm @ divW, divW @ Dm.T], axis=-1
+        [Dm @ divW, divW @ Dm.T]
     )
     errmu = np.abs(f.fmu - oracle_mu).max() / np.abs(oracle_mu).max()
     results.append(CheckResult(
@@ -481,11 +482,12 @@ def _cylinder_chart(n1: int, R=0.2, arc=0.6, height=0.2):
     X0[..., 1] = (R * np.sin(q1 / R))[:, None]
     X0[..., 2] = (dq2 * np.arange(17))[None, :]
     s = max(1, (n1 - 1) // 16)
-    inner = (slice(2 * s, -2 * s), slice(2, -2))
-    b_exact = np.zeros((n1, 17, 2, 2))
-    b_exact[..., 0, 0] = 1.0 / R
-    exact = {"g": np.broadcast_to(np.eye(2), b_exact.shape), "b": b_exact,
-             "Gamma": np.zeros((n1, 17, 2, 2, 2))}
+    inner = (..., slice(2 * s, -2 * s), slice(2, -2))
+    b_exact = np.zeros((2, 2, n1, 17))
+    b_exact[0, 0] = 1.0 / R
+    exact = {"g": np.broadcast_to(np.eye(2)[..., None, None], b_exact.shape),
+             "b": b_exact,
+             "Gamma": np.zeros((2, 2, 2, n1, 17))}
     return SurfaceGrid(dq1=dq1, dq2_of_row=dq2, X0=X0), inner, exact
 
 
@@ -500,13 +502,13 @@ def _sphere_chart(n: int, Rs=0.3, th0=0.7, th1=1.3, ph1=0.8):
         [Rs * np.sin(TH) * np.cos(PH), Rs * np.sin(TH) * np.sin(PH),
          Rs * np.cos(TH)], axis=-1)
     s = max(1, (n - 1) // 16)
-    inner = (slice(2 * s, -2 * s), slice(2 * s, -2 * s))
-    g_ex = np.zeros((n, n, 2, 2))
-    g_ex[..., 0, 0] = 1.0
-    g_ex[..., 1, 1] = np.sin(TH) ** 2
-    G_ex = np.zeros((n, n, 2, 2, 2))
-    G_ex[..., 0, 1, 1] = -np.sin(TH) * np.cos(TH) / Rs
-    G_ex[..., 1, 0, 1] = G_ex[..., 1, 1, 0] = 1.0 / (Rs * np.tan(TH))
+    inner = (..., slice(2 * s, -2 * s), slice(2 * s, -2 * s))
+    g_ex = np.zeros((2, 2, n, n))
+    g_ex[0, 0] = 1.0
+    g_ex[1, 1] = np.sin(TH) ** 2
+    G_ex = np.zeros((2, 2, 2, n, n))
+    G_ex[0, 1, 1] = -np.sin(TH) * np.cos(TH) / Rs
+    G_ex[1, 0, 1] = G_ex[1, 1, 0] = 1.0 / (Rs * np.tan(TH))
     exact = {"g": g_ex, "b": g_ex / Rs, "Gamma": G_ex}
     return SurfaceGrid(dq1=dq1, dq2_of_row=dq2, X0=X0), inner, exact
 
@@ -538,18 +540,18 @@ def geometry_check():
         w = cfg.w0 + (U / cfg.L_BM) * (cfg.w1 - cfg.w0)
         m = w * (C - 0.5)
         wp = (cfg.w1 - cfg.w0) / cfg.L_BM
-        nh = np.stack([-np.cos(ang), -np.sin(ang), np.zeros_like(ang)], axis=-1)
+        nh = np.stack([-np.cos(ang), -np.sin(ang), np.zeros_like(ang)])
         nhp = np.stack(
             [cfg.alpha * np.sin(ang), -cfg.alpha * np.cos(ang),
-             np.zeros_like(ang)], axis=-1)
+             np.zeros_like(ang)])
         gp = np.stack(
             [-cfg.R * cfg.alpha * np.sin(ang), cfg.R * cfg.alpha * np.cos(ang),
-             cfg.H * cfg.alpha * np.ones_like(ang)], axis=-1)
-        T1 = gp + (wp * (C - 0.5))[..., None] * nh + m[..., None] * nhp
+             cfg.H * cfg.alpha * np.ones_like(ang)])
+        T1 = gp + (wp * (C - 0.5)) * nh + m * nhp
         # fixed physical interior window, comparable across refinements
         mu_ = (u >= 0.05) & (u <= 0.46)
         mc = (c >= 0.49) & (c <= 0.85)
-        err = np.abs(geom.T[..., 0, :] - T1).max(axis=-1)
+        err = np.abs(geom.T[0] - T1).max(axis=0)
         errsT.append(err[np.ix_(mu_, mc)].max())
     results.append(_order_check("helicoid frame T1", errsT, floor=1e-12))
     return results

@@ -138,6 +138,10 @@ def read_snapshot(path) -> Snapshot:
         off += _NAME_BYTES
         (params[name],) = struct.unpack_from("<d", blob, off)
         off += 8
+    for key, value in (("N", N), ("n1", n1), ("n2", n2)):
+        if key in params and params[key] != value:
+            raise ValueError(f"{path}: param {key} = {params[key]!r} disagrees "
+                             f"with the header's {key} = {value}")
     def take(count):
         nonlocal off
         out = np.frombuffer(blob, dtype="<f8", count=count, offset=off).copy()

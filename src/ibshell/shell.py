@@ -10,16 +10,14 @@ The force is pointwise terms + div T + div div S, built from one table of
 linear terms, `_TERMS`, each a coefficient field contracted with omega, W,
 the hessian of omega or grad W.
 
-Like the geometry, every tensor field here is stored components-first,
+Like the geometry, every tensor field here is one components-first array,
 (2, ..., n1, n2), from the coefficient build through the force: the ten
 coefficient fields, the jet, the accumulators and the tangential parts of
-the displacement and the force. The attributes of `ShellCoefficients`,
-`Displacement` and `ShellForceDensity`, and the arguments and results of the
-public functions, keep their lattice-first shapes (n1, n2, 2, ...) as
-`np.moveaxis` views of that storage; the stored arrays are read back through
-`components_first`. Every contraction is `geometry._contraction`, an
-explicit sum of (n1, n2) slices in the order numpy's einsum sums it on
-lattice-first arrays, which the spec alone fixes (the tests pin every one).
+the displacement and the force, as attributes, arguments and results alike.
+Only X and the cartesian force density are (n1, n2, 3) point fields. Every
+contraction is `geometry._contraction`, an explicit sum of (n1, n2) slices
+in the order numpy's einsum sums it on lattice-first arrays, which the spec
+alone fixes (the tests pin every one).
 
 Two thickness closures of the integrals are available:
 
@@ -51,7 +49,6 @@ from .geometry import (
     _covariant_divergence,
     _diff_stack,
     components_first,
-    lattice_first,
     mixed_second_form,
 )
 
@@ -92,21 +89,21 @@ class ShellCoefficients:
     Index conventions follow the defining integrals: e.g. Psi[r, s, t] is the
     coefficient contracted as Psi^{r s t} W_r inside a double divergence over
     (s, t), and Omegabar[m, n, r] multiplies grad_m W_n with r free.
-    `compute_coefficients` builds and stores each field components-first,
-    every contraction summed in `geometry._contraction`'s order, and passes
-    the lattice-first views listed here.
+    `compute_coefficients` builds each field as a C-contiguous
+    components-first array of the shape listed here, every contraction
+    summed in `geometry._contraction`'s order.
     """
 
     A: np.ndarray         # (n1, n2)
-    Abar: np.ndarray      # (n1, n2, 2, 2, 2, 2)
-    Abbar: np.ndarray     # (n1, n2, 2, 2)
-    Phi: np.ndarray       # (n1, n2, 2)
-    Phibar: np.ndarray    # (n1, n2, 2, 2)
-    Psi: np.ndarray       # (n1, n2, 2, 2, 2)
-    Psibar: np.ndarray    # (n1, n2, 2, 2, 2, 2)
-    Omega: np.ndarray     # (n1, n2, 2, 2)
-    Omegabar: np.ndarray  # (n1, n2, 2, 2, 2)
-    Obbar: np.ndarray     # (n1, n2, 2, 2, 2, 2)
+    Abar: np.ndarray      # (2, 2, 2, 2, n1, n2)
+    Abbar: np.ndarray     # (2, 2, n1, n2)
+    Phi: np.ndarray       # (2, n1, n2)
+    Phibar: np.ndarray    # (2, 2, n1, n2)
+    Psi: np.ndarray       # (2, 2, 2, n1, n2)
+    Psibar: np.ndarray    # (2, 2, 2, 2, n1, n2)
+    Omega: np.ndarray     # (2, 2, n1, n2)
+    Omegabar: np.ndarray  # (2, 2, 2, n1, n2)
+    Obbar: np.ndarray     # (2, 2, 2, 2, n1, n2)
 
     def __post_init__(self):
         # the fields are fixed once built: find the nonzero ones here, not
@@ -121,24 +118,18 @@ class ShellCoefficients:
 
 @dataclass
 class Displacement:
-    """Normal/tangential decomposition of X - X0 against the reference frame.
-
-    `decompose_displacement` stores W components-first and passes its view.
-    """
+    """Normal/tangential decomposition of X - X0 against the reference frame."""
 
     omega: np.ndarray  # (n1, n2)
-    W_low: np.ndarray  # (n1, n2, 2) covariant components W_mu
+    W_low: np.ndarray  # (2, n1, n2) covariant components W_mu
 
 
 @dataclass
 class ShellForceDensity:
-    """Force density (per unit parameter area) the shell applies to the fluid.
-
-    `compute_force` stores fmu components-first and passes its view.
-    """
+    """Force density (per unit parameter area) the shell applies to the fluid."""
 
     f3: np.ndarray         # (n1, n2) normal component
-    fmu: np.ndarray        # (n1, n2, 2) tangential components (upper index)
+    fmu: np.ndarray        # (2, n1, n2) tangential components (upper index)
     cartesian: np.ndarray  # (n1, n2, 3): f3*N + fmu^m T_m
 
 
@@ -157,16 +148,15 @@ def elasticity_form(ginv, lam, mu):
     exactly; it acts identically on symmetric strain tensors.
     """
     c1 = lam * mu / (lam + 2.0 * mu)
-    ginv = components_first(ginv)
     gg1 = _contraction("ab,gd->abgd")(ginv, ginv)
     gg2 = _contraction("ag,bd->abgd")(ginv, ginv)
     gg3 = _contraction("ad,bg->abgd")(ginv, ginv)
-    return lattice_first(c1 * gg1 + 0.5 * mu * (gg2 + gg3))
+    return c1 * gg1 + 0.5 * mu * (gg2 + gg3)
 
 
 def _curvature_scale(b, ginv):
     """Per-node largest principal curvature |kappa| from the mixed form."""
-    bmix = components_first(mixed_second_form(b, ginv))
+    bmix = mixed_second_form(b, ginv)
     half_tr = 0.5 * (bmix[0, 0] + bmix[1, 1])
     det = bmix[0, 0] * bmix[1, 1] - bmix[0, 1] * bmix[1, 0]
     disc = np.sqrt(np.maximum(half_tr**2 - det, 0.0))
@@ -217,10 +207,9 @@ def compute_coefficients(
             stacklevel=2,
         )
 
-    Lam0 = components_first(elasticity_form(geom.ginv, mat.lam, mat.mu))
-    b = components_first(geom.b)
-    # [alpha, beta, gamma] = (grad b)_{alpha beta}^{gamma}
-    gradb = components_first(geom.gradb)
+    Lam0 = elasticity_form(geom.ginv, mat.lam, mat.mu)
+    # gradb[alpha, beta, gamma] = (grad b)_{alpha beta}^{gamma}
+    b, gradb = geom.b, geom.gradb
     I0 = 2.0 * h0          # integral of dt
     I2 = (2.0 / 3.0) * h0**3  # integral of t^2 dt
     # explicit t^2: through h0^3 only the bracket's t^0 term, Lam0, survives
@@ -228,26 +217,25 @@ def compute_coefficients(
     Omega = _contraction("stlr,stm,lrn->mn")(Abar, gradb, gradb)
 
     if order == "leading":
-        fields = dict(
+        return ShellCoefficients(
             A=I0 * _contraction("abgd,ab,gd->")(Lam0, b, b), Abar=Abar,
             Abbar=np.zeros_like(b), Phi=np.zeros_like(b[0]),
             Phibar=I0 * _contraction("abmn,ab->mn")(Lam0, b),
             Psi=np.zeros_like(gradb), Psibar=np.zeros_like(Lam0), Omega=Omega,
             Omegabar=np.zeros_like(gradb), Obbar=I0 * Lam0,
         )
-        return ShellCoefficients(**{k: lattice_first(a) for k, a in fields.items()})
 
     # ---- quadratic closure: Taylor-expand every integrand factor in t ----
     eye = np.zeros_like(b)
     eye[0, 0] = eye[1, 1] = 1.0
-    bmix = components_first(mixed_second_form(geom.b, geom.ginv))
+    bmix = mixed_second_form(b, geom.ginv)
 
     theta = _TPoly([eye, bmix, None])                       # theta_a^s
     Blow = _TPoly([b, _contraction("as,sb->ab")(bmix, b), None])
     gmix = _TPoly([eye, 2.0 * bmix, _contraction("as,sb->ab")(bmix, bmix)])
     # inverse metric of the offset surfaces: (g + 2tb + t^2 b g^-1 b)^-1
     g1, g2 = 2.0 * b, Blow.c[1]
-    G0 = components_first(geom.ginv)
+    G0 = geom.ginv
     mm = lambda *As: _contraction(  # noqa: E731 - chained per-node 2x2 products
         {2: "ab,bc->ac", 3: "ab,bc,cd->ad", 5: "ab,bc,cd,de,ef->af"}[len(As)])(*As)
     Ginv = _TPoly([G0, -mm(G0, g1, G0), mm(G0, g1, G0, g1, G0) - mm(G0, g2, G0)])
@@ -289,9 +277,10 @@ def compute_coefficients(
     Psibar = close(LamtGt.mul(theta, "stmd,dn->stmn"), 1, Lam0)
     Omegabar = _contraction("mntl,tlr->mnr")(Psibar, gradb)
     Obbar = close(LamtGt.mul(gmix, "stmd,dn->stmn"), 0, Lam0)
-    fields = dict(A=A, Abar=Abar, Abbar=Abbar, Phi=Phi, Phibar=Phibar, Psi=Psi,
-                  Psibar=Psibar, Omega=Omega, Omegabar=Omegabar, Obbar=Obbar)
-    return ShellCoefficients(**{k: lattice_first(a) for k, a in fields.items()})
+    return ShellCoefficients(
+        A=A, Abar=Abar, Abbar=Abbar, Phi=Phi, Phibar=Phibar, Psi=Psi,
+        Psibar=Psibar, Omega=Omega, Omegabar=Omegabar, Obbar=Obbar,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +291,19 @@ def compute_coefficients(
 def decompose_displacement(X, geom: SurfaceGeometry) -> Displacement:
     """Split X - X0 into the normal function omega and tangential W."""
     d = components_first(np.asarray(X, dtype=float) - geom.grid.X0)
-    omega = _contraction("c,c->")(d, components_first(geom.Nrm))
-    W = _contraction("c,ac->a")(d, components_first(geom.T))
-    return Displacement(omega=omega, W_low=lattice_first(W))
+    omega = _contraction("c,c->")(d, geom.Nrm)
+    W = _contraction("c,ac->a")(d, geom.T)
+    return Displacement(omega=omega, W_low=W)
 
 
 def _cov_divergence(comps, index_types, geom):
     """grad contracted against the first (contravariant) slot of comps."""
-    return _covariant_divergence(
-        comps, index_types, 0, components_first(geom.Gamma), geom.grid
-    )
+    return _covariant_divergence(comps, index_types, 0, geom.Gamma, geom.grid)
 
 
 def _double_divergence(S, geom):
     """grad_s grad_t S^{s t}: inner derivative contracts the second slot."""
-    V = _covariant_divergence(
-        S, ("u", "u"), 1, components_first(geom.Gamma), geom.grid
-    )
+    V = _covariant_divergence(S, ("u", "u"), 1, geom.Gamma, geom.grid)
     return _cov_divergence(V, ("u",), geom)
 
 
@@ -358,8 +343,8 @@ def compute_force(
     (the leading closure on a flat chart zeroes most of them) are skipped.
     The divergences are linear, so each is taken once, of the summed T or S.
     """
-    grid, Gamma = geom.grid, components_first(geom.Gamma)
-    omega, W = disp.omega, components_first(disp.W_low)
+    grid, Gamma = geom.grid, geom.Gamma
+    omega, W = disp.omega, disp.W_low
     dw = _diff_stack(omega, grid)  # (D_mu omega)
     jet = {"omega": omega, "W": W,
            "hess": _covariant_derivative_raw(dw, ("l",), Gamma, grid),
@@ -368,16 +353,16 @@ def compute_force(
            "T": np.zeros((2,) + W.shape), "S": np.zeros((2,) + W.shape)}
     for name, contract, arg, target, sign in _TERMS:
         if coeff.active(name):
-            term = contract(components_first(getattr(coeff, name)), jet[arg])
+            term = contract(getattr(coeff, name), jet[arg])
             if sign > 0:
                 acc[target] += term
             else:
                 acc[target] -= term
 
     f3 = FORCE_ON_FLUID_SIGN * (acc["f3"] + _double_divergence(acc["S"], geom))
-    fmu = lattice_first(FORCE_ON_FLUID_SIGN * (
+    fmu = FORCE_ON_FLUID_SIGN * (
         acc["fmu"] + _cov_divergence(acc["T"], ("u", "u"), geom)
-    ))
+    )
     return ShellForceDensity(
         f3=f3, fmu=fmu, cartesian=force_to_cartesian(f3, fmu, geom)
     )
@@ -385,8 +370,7 @@ def compute_force(
 
 def force_to_cartesian(f3, fmu, geom: SurfaceGeometry) -> np.ndarray:
     """Assemble f = f3 * N + f^mu T_mu as an (n1, n2, 3) array."""
-    fmu, T = components_first(fmu), components_first(geom.T)
     out = np.empty(np.shape(f3) + (3,))
-    np.add(f3 * components_first(geom.Nrm), _contraction("m,mc->c")(fmu, T),
+    np.add(f3 * geom.Nrm, _contraction("m,mc->c")(fmu, geom.T),
            out=components_first(out))
     return out

@@ -8,10 +8,10 @@ meant to move them runs this script, and says so in CHANGES.md.
 For each run (N, steps) and each thickness closure the file holds X after
 the run, and SHA-256 digests of u, p, the ten coefficient fields and the
 geometry's g, ginv, b, Gamma and gradb. Each digest is taken over the
-C-ordered bytes of the field's (n1, n2, ...) or lattice view, so it does not
-depend on how the field is stored. The file also records the numpy and scipy
-versions and the SIMD extensions numpy found at runtime, since the summation
-kernels, and with them the last bits, depend on all three.
+C-ordered bytes of the field's lattice-first (n1, n2, ...) view, so it does
+not depend on how the field is stored. The file also records the numpy and
+scipy versions and the SIMD extensions numpy found at runtime, since the
+summation kernels, and with them the last bits, depend on all three.
 """
 
 import hashlib
@@ -23,6 +23,7 @@ import scipy
 
 from ibshell.shell import ShellCoefficients
 from ibshell.simulation import ModelConfig, Simulation
+from oracles import lattice_view
 
 GOLDEN = Path(__file__).parent / "golden" / "trajectory.npz"
 
@@ -58,7 +59,7 @@ def run(N, steps, closure):
     sim = Simulation(ModelConfig(N=N, dt=3.2e-7 / N, coefficients_order=closure))
     built = {f.name: getattr(sim.coeff, f.name) for f in fields(ShellCoefficients)}
     built.update((name, getattr(sim.geom, name)) for name in GEOMETRY)
-    digests = {name: digest(a) for name, a in built.items()}
+    digests = {name: digest(lattice_view(a)) for name, a in built.items()}
     sim.run(steps)
     digests.update(u=digest(sim.u), p=digest(sim.p))
     return sim.X, digests

@@ -7,6 +7,8 @@ oracles, never from the code under test.
 """
 
 import itertools
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.fft
@@ -15,6 +17,22 @@ from scipy import sparse
 from ibshell.fluid import upwind_advection
 from ibshell.geometry import SurfaceGrid
 from ibshell.shell import FORCE_ON_FLUID_SIGN, ShellForceDensity
+
+
+def lattice_view(a):
+    """(..., n1, n2) -> (n1, n2, ...) view of a components-first field.
+
+    The library's tensor fields are components-first; the oracles here work
+    lattice first, and the tests compare the two through this view.
+    """
+    return np.moveaxis(a, (-2, -1), (0, 1))
+
+
+def lattice_geometry(geom):
+    """The tensor fields of a `SurfaceGeometry` as lattice-first views."""
+    return SimpleNamespace(**{f.name: lattice_view(getattr(geom, f.name))
+                              for f in fields(geom) if f.name != "grid"})
+
 
 # ---------------------------------------------------------------------------
 # Test charts
@@ -547,13 +565,14 @@ class LatticeFirstFields:
     """Contiguous lattice-first copies of what the force reads."""
 
     def __init__(self, disp, coeff, geom):
+        copy = lambda a: np.ascontiguousarray(lattice_view(a))  # noqa: E731
         self.grid = geom.grid
-        self.Gamma = np.ascontiguousarray(geom.Gamma)
-        self.Nrm = np.ascontiguousarray(geom.Nrm)
-        self.T = np.ascontiguousarray(geom.T)
-        self.omega = np.ascontiguousarray(disp.omega)
-        self.W = np.ascontiguousarray(disp.W_low)
-        self.coeff = {name: np.ascontiguousarray(getattr(coeff, name))
+        self.Gamma = copy(geom.Gamma)
+        self.Nrm = copy(geom.Nrm)
+        self.T = copy(geom.T)
+        self.omega = copy(disp.omega)
+        self.W = copy(disp.W_low)
+        self.coeff = {name: copy(getattr(coeff, name))
                       for name, *_ in FORCE_TERMS_EINSUM}
 
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from ibshell.cli import main
-from ibshell.io import read_csv, read_displacement_map, read_snapshot
+from ibshell.io import (
+    config_param_block,
+    read_csv,
+    read_displacement_map,
+    read_snapshot,
+    write_snapshot,
+)
 from ibshell.simulation import ModelConfig, Simulation
 
 
@@ -178,6 +184,26 @@ def test_render_round_trip(tmp_path):
     cfg = ModelConfig(N=16)
     assert img.shape == (cfg.n1, cfg.n2)
     assert img.min() >= 0 and img.max() <= 255
+
+
+def test_render_rejects_params_that_disagree_with_the_header(tmp_path, capsys):
+    # the param block rebuilds the shell that render decomposes X against
+    cfg = ModelConfig(N=16)
+    sim = Simulation(cfg)
+    params = config_param_block(cfg)
+    for key, X, block in (
+        ("n2", sim.X[:, :5], params),
+        ("n1", sim.X, {**params, "n1": cfg.n1 + 2.0}),
+        ("N", sim.X, {**params, "N": 32.0}),
+    ):
+        path = tmp_path / f"{key}.ibsh"
+        write_snapshot(path, X, sim.u, sim.p, sim.t, cfg.dt, block)
+        with pytest.raises(SystemExit) as exc:
+            main(["render", str(path), "--out", str(tmp_path / "out.pgm")])
+        assert exc.value.code == 2, key
+        err = capsys.readouterr().err
+        assert f"ibshell: error: snapshot: {path}: param {key} = " in err, key
+        assert not (tmp_path / "out.pgm").exists()
 
 
 @pytest.mark.slow

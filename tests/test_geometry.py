@@ -13,7 +13,6 @@ from ibshell.geometry import (
     build_geometry,
     build_metric,
     components_first,
-    lattice_first,
     mixed_second_form,
     surface_diff,
 )
@@ -108,18 +107,11 @@ def test_diff_acts_on_the_last_two_axes():
 
 
 def test_components_first_storage_round_trip():
-    # components_first and lattice_first are the np.moveaxis views, and each
-    # undoes the other without a copy
+    # components_first is the np.moveaxis view
     rng = np.random.default_rng(6)
     for shape in ((23, 7), (23, 7, 3), (600, 5, 2, 2, 2, 2)):
-        stored = rng.standard_normal(shape[2:] + shape[:2])
-        view = lattice_first(stored)
-        assert np.array_equal(view, np.moveaxis(stored, (-2, -1), (0, 1)))
-        back = components_first(view)
-        assert np.shares_memory(back, stored) and np.array_equal(back, stored)
         a = rng.standard_normal(shape)
         assert np.array_equal(components_first(a), np.moveaxis(a, (0, 1), (-2, -1)))
-        assert np.array_equal(lattice_first(components_first(a)), a)
 
 
 def test_diff_needs_two_nodes():
@@ -134,7 +126,7 @@ def test_diff_needs_two_nodes():
 
 def test_frame_flat_sheet_exact():
     g = oracles.flat_grid(7, 7)
-    T, N = build_frame(g)
+    T, N = map(oracles.lattice_view, build_frame(g))
     assert np.allclose(T[..., 0, :], [1, 0, 0], atol=1e-14)
     assert np.allclose(T[..., 1, :], [0, 1, 0], atol=1e-14)
     assert np.allclose(N, [0, 0, 1], atol=1e-14)
@@ -151,7 +143,8 @@ def test_frame_degenerate_raises():
 def test_cylinder_frame_and_metric():
     R = 0.2
     g = oracles.cylinder_grid(65, 9, R=R)
-    T, N = build_frame(g)
+    T_cf, N = build_frame(g)
+    T, N = oracles.lattice_view(T_cf), oracles.lattice_view(N)
     inner = slice(1, -1)
     # |T1| = 1 up to O(dq^2); N radial (outward here)
     assert np.allclose(np.linalg.norm(T[inner, :, 0, :], axis=-1), 1.0, atol=1e-3)
@@ -159,7 +152,7 @@ def test_cylinder_frame_and_metric():
     radial[..., 2] = 0.0
     radial /= np.linalg.norm(radial, axis=-1, keepdims=True)
     assert np.allclose(N[inner], radial[inner], atol=1e-3)
-    met, ginv = build_metric(T)
+    met, ginv = map(oracles.lattice_view, build_metric(T_cf))
     assert np.allclose(met[inner], np.eye(2), atol=1e-3)
     assert np.allclose(
         np.einsum("xyab,xybc->xyac", ginv, met), np.eye(2), atol=1e-12
@@ -172,9 +165,9 @@ def test_metric_singular_raises():
     X0[..., 1] = 0.1 * np.arange(5)[None, :]
     X0[..., 2] = 1e-9 * np.arange(5)[:, None]  # keep the frame barely non-parallel
     grid = SurfaceGrid(dq1=0.1, dq2_of_row=0.1, X0=X0)
-    T = np.zeros((5, 5, 2, 3))
-    T[..., 0, 0] = 1e-8
-    T[..., 1, 1] = 1.0
+    T = np.zeros((2, 3, 5, 5))
+    T[0, 0] = 1e-8
+    T[1, 1] = 1.0
     with pytest.raises(SingularMetricError):
         build_metric(T)
 
@@ -186,22 +179,22 @@ def test_second_form_flat_zero_cylinder_curved():
 
     R = 0.2
     gc = oracles.cylinder_grid(65, 9, R=R)
-    geo = build_geometry(gc)
+    b = oracles.lattice_view(build_geometry(gc).b)
     _, b_exact, _ = oracles.cylinder_exact(gc, R)
     # rows touching the one-sided stencils carry an O(1) layer; the interior
     # (two layers in) is second-order accurate
-    assert np.allclose(geo.b[2:-2], b_exact[2:-2], atol=1e-3 / R)
+    assert np.allclose(b[2:-2], b_exact[2:-2], atol=1e-3 / R)
     # symmetry is exact by construction
-    assert np.array_equal(geo.b, np.swapaxes(geo.b, -1, -2))
+    assert np.array_equal(b, np.swapaxes(b, -1, -2))
 
 
 def test_second_form_sphere_patch():
     R = 0.3
     grid, TH = oracles.sphere_grid(25, 25, R=R)
-    geo = build_geometry(grid)
+    b = oracles.lattice_view(build_geometry(grid).b)
     _, b_exact, _ = oracles.sphere_exact(TH, R)
     inner = (slice(2, -2), slice(2, -2))
-    assert np.allclose(geo.b[inner], b_exact[inner], atol=3e-3 / R)
+    assert np.allclose(b[inner], b_exact[inner], atol=3e-3 / R)
 
 
 def test_christoffel_flat_and_metric_constant_chart_zero():
@@ -219,12 +212,12 @@ def test_christoffel_flat_and_metric_constant_chart_zero():
 
 def test_christoffel_polar_chart():
     grid, Q1 = oracles.polar_grid(33, 33)
-    geo = build_geometry(grid)
+    Gamma = oracles.lattice_view(build_geometry(grid).Gamma)
     inner = (slice(2, -2), slice(2, -2))
-    assert np.allclose(geo.Gamma[inner][..., 0, 1, 1], -Q1[inner], atol=2e-3)
-    assert np.allclose(geo.Gamma[inner][..., 1, 0, 1], 1.0 / Q1[inner], atol=2e-3)
+    assert np.allclose(Gamma[inner][..., 0, 1, 1], -Q1[inner], atol=2e-3)
+    assert np.allclose(Gamma[inner][..., 1, 0, 1], 1.0 / Q1[inner], atol=2e-3)
     # lower-index symmetry exact
-    assert np.array_equal(geo.Gamma, np.swapaxes(geo.Gamma, -1, -2))
+    assert np.array_equal(Gamma, np.swapaxes(Gamma, -1, -2))
 
 
 def test_helicoid_frame_matches_analytic():
@@ -238,7 +231,7 @@ def test_helicoid_frame_matches_analytic():
     c = np.arange(1, n2 + 1) / (n2 - 1)
     U, C = np.meshgrid(u, c, indexing="ij")
     T1, T2, n = ora.frame(U, C)
-    T, N = build_frame(grid)
+    T, N = map(oracles.lattice_view, build_frame(grid))
     inner = (slice(1, -1), slice(1, -1))
     scale = np.linalg.norm(T1, axis=-1).max()
     assert np.allclose(T[..., 0, :][inner], T1[inner], atol=2e-3 * scale)
@@ -256,7 +249,7 @@ def test_covd_scalar_reduces_to_surface_diff():
     geo = build_geometry(grid)
     rng = np.random.default_rng(0)
     f = rng.standard_normal((9, 9))
-    out = _covariant_derivative_raw(f, (), components_first(geo.Gamma), grid)
+    out = _covariant_derivative_raw(f, (), geo.Gamma, grid)
     assert np.array_equal(out[0], surface_diff(f, 1, grid.dq1))
     assert np.array_equal(out[1], surface_diff(f, 2, grid.dq2_of_row))
 
@@ -265,9 +258,7 @@ def test_covd_metric_compatibility():
     # grad g vanishes identically: the Gamma terms cancel D g algebraically
     for grid in (oracles.cylinder_grid(17, 9), oracles.sphere_grid(17, 17)[0]):
         geo = build_geometry(grid)
-        gg = _covariant_derivative_raw(
-            components_first(geo.g), ("l", "l"), components_first(geo.Gamma), grid
-        )
+        gg = _covariant_derivative_raw(geo.g, ("l", "l"), geo.Gamma, grid)
         scale = np.abs(geo.Gamma).max() + 1.0
         assert np.abs(gg).max() < 1e-12 * scale
 
@@ -277,7 +268,7 @@ def test_covd_vector_flat_is_plain_derivative():
     geo = build_geometry(grid)
     rng = np.random.default_rng(1)
     W = rng.standard_normal((2, 9, 9))  # components first
-    out = _covariant_derivative_raw(W, ("u",), components_first(geo.Gamma), grid)
+    out = _covariant_derivative_raw(W, ("u",), geo.Gamma, grid)
     expect = np.stack(
         [surface_diff(W, 1, grid.dq1), surface_diff(W, 2, grid.dq2_of_row)]
     )
@@ -290,7 +281,7 @@ def test_covd_upper_and_lower_signs():
     geo = build_geometry(grid)
     rng = np.random.default_rng(2)
     V = rng.standard_normal((2, 9, 9))  # components first
-    Gamma = components_first(geo.Gamma)
+    Gamma = geo.Gamma
     up = _covariant_derivative_raw(V, ("u",), Gamma, grid)
     lo = _covariant_derivative_raw(V, ("l",), Gamma, grid)
     dV = np.stack(
@@ -300,10 +291,10 @@ def test_covd_upper_and_lower_signs():
     for a in range(2):
         for v in range(2):
             exp_up = dV[a, v, i, j] + sum(
-                geo.Gamma[i, j, v, a, s] * V[s, i, j] for s in range(2)
+                Gamma[v, a, s, i, j] * V[s, i, j] for s in range(2)
             )
             exp_lo = dV[a, v, i, j] - sum(
-                geo.Gamma[i, j, s, a, v] * V[s, i, j] for s in range(2)
+                Gamma[s, a, v, i, j] * V[s, i, j] for s in range(2)
             )
             assert up[a, v, i, j] == pytest.approx(exp_up, abs=1e-14)
             assert lo[a, v, i, j] == pytest.approx(exp_lo, abs=1e-14)
@@ -311,8 +302,7 @@ def test_covd_upper_and_lower_signs():
 
 def test_covd_valence_limit():
     grid = oracles.flat_grid(6, 6)
-    geo = build_geometry(grid)
-    Gamma = components_first(geo.Gamma)
+    Gamma = build_geometry(grid).Gamma
     big = np.zeros((2, 2, 2, 2, 6, 6))
     # 4 slots is the supported maximum
     out = _covariant_derivative_raw(big, ("l",) * 4, Gamma, grid)
@@ -335,13 +325,13 @@ def test_covd_matches_einsum_oracle_bitwise():
     rng = np.random.default_rng(3)
     for grid in (sphere, helicoid):
         geo = build_geometry(grid)
-        Gamma = np.ascontiguousarray(geo.Gamma)
+        Gamma = np.ascontiguousarray(oracles.lattice_view(geo.Gamma))
         for valence in range(5):
             A = rng.standard_normal((grid.n1, grid.n2) + (2,) * valence)
             A_cf = np.ascontiguousarray(components_first(A))
             for types in itertools.product("lu", repeat=valence):
-                got = lattice_first(_covariant_derivative_raw(
-                    A_cf, types, components_first(geo.Gamma), grid))
+                got = oracles.lattice_view(_covariant_derivative_raw(
+                    A_cf, types, geo.Gamma, grid))
                 want = oracles.covariant_derivative_einsum(A, types, Gamma, grid)
                 assert np.array_equal(got, want), types
                 aos = oracles.covariant_derivative_aos(A, types, Gamma, grid)
@@ -355,7 +345,7 @@ def test_covariant_divergence_is_the_derivative_trace_bitwise():
 
     rng = np.random.default_rng(5)
     for grid in (build_model_shell(ModelConfig(N=16)), oracles.sphere_grid(9, 11)[0]):
-        Gamma = components_first(build_geometry(grid).Gamma)
+        Gamma = build_geometry(grid).Gamma
         for valence in range(1, 4):
             A = rng.standard_normal((2,) * valence + (grid.n1, grid.n2))
             for types in itertools.product("lu", repeat=valence):
@@ -369,17 +359,19 @@ def test_covariant_divergence_is_the_derivative_trace_bitwise():
 
 def test_gradb_matches_lattice_first_build_bitwise():
     # gradb is built components-first; the lattice-first slice loop on the
-    # contiguous fields gives every bit of its view
+    # contiguous fields gives every bit of its lattice view
     from ibshell.simulation import ModelConfig, build_model_shell
 
     for grid in (build_model_shell(ModelConfig(N=16)), oracles.sphere_grid(9, 11)[0]):
         geo = build_geometry(grid)
-        bmix = mixed_second_form(geo.b, geo.ginv)
+        bmix = oracles.lattice_view(mixed_second_form(geo.b, geo.ginv))
         want = oracles.covariant_derivative_aos(
-            bmix, ("l", "u"), np.ascontiguousarray(geo.Gamma), grid
+            bmix, ("l", "u"), np.ascontiguousarray(oracles.lattice_view(geo.Gamma)),
+            grid,
         )
-        assert geo.gradb.shape == want.shape
-        assert np.array_equal(geo.gradb, want)
+        gradb = oracles.lattice_view(geo.gradb)
+        assert gradb.shape == want.shape
+        assert np.array_equal(gradb, want)
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +385,19 @@ def test_geometry_invariants_on_curved_charts():
         oracles.sphere_grid(17, 17)[0],
     ):
         geo = build_geometry(grid)
+        Nrm, T, g, ginv = (oracles.lattice_view(getattr(geo, name))
+                           for name in ("Nrm", "T", "g", "ginv"))
         # unit normal
-        assert np.allclose(np.linalg.norm(geo.Nrm, axis=-1), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(Nrm, axis=-1), 1.0, atol=1e-12)
         # N orthogonal to the discrete frame (cross-product construction)
-        assert np.abs(np.einsum("xyc,xyac->xya", geo.Nrm, geo.T)).max() < 1e-12
+        assert np.abs(np.einsum("xyc,xyac->xya", Nrm, T)).max() < 1e-12
         # ginv * g = identity
         assert np.allclose(
-            np.einsum("xyab,xybc->xyac", geo.ginv, geo.g), np.eye(2), atol=1e-10
+            np.einsum("xyab,xybc->xyac", ginv, g), np.eye(2), atol=1e-10
         )
         # g SPD
-        assert (geo.g[..., 0, 0] > 0).all()
-        assert (
-            geo.g[..., 0, 0] * geo.g[..., 1, 1] - geo.g[..., 0, 1] ** 2 > 0
-        ).all()
+        assert (g[..., 0, 0] > 0).all()
+        assert (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2 > 0).all()
 
 
 def test_geometry_convergence_order_cylinder():
@@ -414,7 +406,7 @@ def test_geometry_convergence_order_cylinder():
     errs = []
     for n1 in (9, 17, 33):
         grid = oracles.cylinder_grid(n1, 9, R=R)
-        geo = build_geometry(grid)
+        b = oracles.lattice_view(build_geometry(grid).b)
         _, b_exact, _ = oracles.cylinder_exact(grid, R)
-        errs.append(np.abs((geo.b - b_exact)[2:-2, 2:-2]).max())
+        errs.append(np.abs((b - b_exact)[2:-2, 2:-2]).max())
     assert oracles.observed_order(errs) > 1.9

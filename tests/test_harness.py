@@ -246,10 +246,10 @@ def test_plate_check_detects_asymmetric_elasticity(monkeypatch):
 
     real = shell_mod.elasticity_form
 
-    def lopsided(ginv, lam, mu):
+    def lopsided(ginv, lam, mu):  # components first, as elasticity_form
         c1 = lam * mu / (lam + 2.0 * mu)
-        return c1 * np.einsum("xyab,xygd->xyabgd", ginv, ginv) + mu * np.einsum(
-            "xyag,xybd->xyabgd", ginv, ginv
+        return c1 * np.einsum("abxy,gdxy->abgdxy", ginv, ginv) + mu * np.einsum(
+            "agxy,bdxy->abgdxy", ginv, ginv
         )
 
     monkeypatch.setattr(shell_mod, "elasticity_form", lopsided)

@@ -9,7 +9,6 @@ from ibshell.geometry import (
     _diff_stack,
     build_geometry,
     components_first,
-    lattice_first,
 )
 from ibshell.shell import (
     _TERMS,
@@ -75,7 +74,7 @@ def test_thin_shell_guard():
 def test_lambda0_symmetries():
     grid = oracles.sphere_grid(9, 9)[0]
     geom = build_geometry(grid)
-    L = elasticity_form(geom.ginv, LAM, MU)
+    L = oracles.lattice_view(elasticity_form(geom.ginv, LAM, MU))
     assert np.array_equal(L, L.transpose(0, 1, 3, 2, 4, 5))
     assert np.array_equal(L, L.transpose(0, 1, 2, 3, 5, 4))
     assert np.array_equal(L, L.transpose(0, 1, 4, 5, 2, 3))
@@ -90,8 +89,9 @@ def test_flat_coefficients(flat65):
     _, _, mat, coeff = flat65
     h0 = float(mat.h0)
     L0 = lambda0_flat(LAM, MU)
-    assert np.allclose(coeff.Abar, (2.0 / 3.0) * h0**3 * L0, rtol=1e-12)
-    assert np.allclose(coeff.Obbar, 2.0 * h0 * L0, rtol=1e-12)
+    Abar, Obbar = oracles.lattice_view(coeff.Abar), oracles.lattice_view(coeff.Obbar)
+    assert np.allclose(Abar, (2.0 / 3.0) * h0**3 * L0, rtol=1e-12)
+    assert np.allclose(Obbar, 2.0 * h0 * L0, rtol=1e-12)
     for name in ("A", "Abbar", "Phi", "Phibar", "Psi", "Psibar", "Omega", "Omegabar"):
         assert not coeff.active(name), name
 
@@ -105,7 +105,7 @@ def test_cylinder_A_against_dense_loops():
     # independent dense-loop contraction of 2 h0 Lambda0^{abgd} b_ab b_gd
     i, j = 8, 4
     L0 = np.empty((2, 2, 2, 2))
-    gi = geom.ginv[i, j]
+    gi = geom.ginv[..., i, j]
     c1 = LAM * MU / (LAM + 2 * MU)
     for a in range(2):
         for b_ in range(2):
@@ -119,7 +119,7 @@ def test_cylinder_A_against_dense_loops():
         for b_ in range(2):
             for g in range(2):
                 for d in range(2):
-                    acc += L0[a, b_, g, d] * geom.b[i, j, a, b_] * geom.b[i, j, g, d]
+                    acc += L0[a, b_, g, d] * geom.b[a, b_, i, j] * geom.b[g, d, i, j]
     assert coeff.A[i, j] == pytest.approx(2.0 * h0 * acc, rel=1e-12)
     # magnitude sanity: A ~ 2 h0 Lambda b^2 with b ~ 1/R
     assert abs(coeff.A[i, j]) > 0
@@ -154,12 +154,15 @@ def test_quadratic_closure():
     lead = compute_coefficients(geom, mat, order="leading")
     assert quad.active("Abbar") and quad.active("Psibar")
     # Phi = Abbar contracted with grad b; Psi = Abar contracted with grad b
+    Abbar, Abar, gradb = (oracles.lattice_view(a)
+                          for a in (quad.Abbar, quad.Abar, geom.gradb))
     assert np.allclose(
-        quad.Phi, np.einsum("xytr,xytrm->xym", quad.Abbar, geom.gradb), rtol=1e-12
+        oracles.lattice_view(quad.Phi), np.einsum("xytr,xytrm->xym", Abbar, gradb),
+        rtol=1e-12,
     )
     assert np.allclose(
-        quad.Psi, np.einsum("xystmn,xystr->xyrmn", quad.Abar, geom.gradb),
-        rtol=1e-12,
+        oracles.lattice_view(quad.Psi),
+        np.einsum("xystmn,xystr->xyrmn", Abar, gradb), rtol=1e-12,
     )
     # corrections are O(h0^2) relative: |quad - lead| <= O((h0/R)^2) * |lead|
     rel = np.abs(quad.Obbar - lead.Obbar).max() / np.abs(lead.Obbar).max()
@@ -180,14 +183,15 @@ def test_decompose_trivial_cases(flat65):
     assert np.all(d.omega == 0) and np.all(d.W_low == 0)
 
     eps = 1e-4
-    d = decompose_displacement(grid.X0 + eps * geom.Nrm, geom)
+    Nrm, T = oracles.lattice_view(geom.Nrm), oracles.lattice_view(geom.T)
+    d = decompose_displacement(grid.X0 + eps * Nrm, geom)
     assert np.allclose(d.omega, eps, atol=1e-18)
     assert np.allclose(d.W_low, 0.0, atol=1e-18)
 
-    d = decompose_displacement(grid.X0 + eps * geom.T[..., 0, :], geom)
+    d = decompose_displacement(grid.X0 + eps * T[..., 0, :], geom)
     assert np.allclose(d.omega, 0.0, atol=1e-18)
-    assert np.allclose(d.W_low[..., 0], eps, atol=1e-18)
-    assert np.allclose(d.W_low[..., 1], 0.0, atol=1e-18)
+    assert np.allclose(d.W_low[0], eps, atol=1e-18)
+    assert np.allclose(d.W_low[1], 0.0, atol=1e-18)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +209,7 @@ def test_constant_normal_offset_annihilated(flat65):
     grid, geom, _, coeff = flat65
     n1, n2 = grid.n1, grid.n2
     disp = Displacement(
-        omega=np.full((n1, n2), 0.3), W_low=np.zeros((n1, n2, 2)),
+        omega=np.full((n1, n2), 0.3), W_low=np.zeros((2, n1, n2)),
     )
     f = compute_force(disp, coeff, geom)
     scale = np.abs(coeff.Abar).max() / grid.dq1**4
@@ -218,7 +222,7 @@ def test_plate_limit_normal_mode(flat65):
     q1 = grid.dq1 * np.arange(n1)
     q2 = grid.dq1 * np.arange(n2)
     omega = np.sin(2 * np.pi * (3 * q1[:, None] + 2 * q2[None, :]))
-    disp = Displacement(omega=omega, W_low=np.zeros((n1, n2, 2)))
+    disp = Displacement(omega=omega, W_low=np.zeros((2, n1, n2)))
     f = compute_force(disp, coeff, geom)
     h0 = float(mat.h0)
     oracle = FORCE_ON_FLUID_SIGN * (2.0 / 3.0) * h0**3 * DCOEF * oracles.biharmonic(
@@ -241,13 +245,14 @@ def test_plate_limit_tangential_gradient_field(flat65):
         ],
         axis=-1,
     )
-    disp = Displacement(omega=np.zeros((n1, n2)), W_low=W)
+    disp = Displacement(omega=np.zeros((n1, n2)), W_low=components_first(W))
     f = compute_force(disp, coeff, geom)
     h0 = float(mat.h0)
     oracle = -FORCE_ON_FLUID_SIGN * 2.0 * h0 * DCOEF * oracles.grad_div(
         W, grid.dq1, grid.dq1
     )
-    assert np.abs(f.fmu - oracle).max() <= 1e-10 * np.abs(oracle).max()
+    fmu = oracles.lattice_view(f.fmu)
+    assert np.abs(fmu - oracle).max() <= 1e-10 * np.abs(oracle).max()
     assert np.abs(f.f3).max() == 0.0
 
 
@@ -259,7 +264,7 @@ def test_force_linearity(flat65):
     def rand_disp():
         return Displacement(
             omega=rng.standard_normal((n1, n2)),
-            W_low=rng.standard_normal((n1, n2, 2)),
+            W_low=components_first(rng.standard_normal((n1, n2, 2))),
         )
 
     d1, d2 = rand_disp(), rand_disp()
@@ -306,7 +311,7 @@ def test_energy_gradient_consistency(flat65):
         Lw = (2.0 / 3.0) * h0**3 * DCOEF * oracles.biharmonic(w, grid.dq1, grid.dq1)
         return 0.5 * float(np.sum(w * Lw))
 
-    zeros = np.zeros((n1, n2, 2))
+    zeros = np.zeros((2, n1, n2))
     f = compute_force(Displacement(omega, zeros), coeff, geom)
     work = float(np.sum(f.f3 * delta))
     eps = 1e-3
@@ -321,10 +326,10 @@ def test_force_to_cartesian_projection():
     grid = oracles.flat_grid(7, 7)
     geom = build_geometry(grid)
     f3 = np.ones((7, 7))
-    fmu = np.zeros((7, 7, 2))
+    fmu = np.zeros((2, 7, 7))
     cart = force_to_cartesian(f3, fmu, geom)
     assert np.allclose(cart, [0, 0, 1], atol=1e-14)
-    fmu[..., 0] = 1.0
+    fmu[0] = 1.0
     cart = force_to_cartesian(np.zeros((7, 7)), fmu, geom)
     assert np.allclose(cart, [1, 0, 0], atol=1e-14)
 
@@ -342,10 +347,16 @@ def test_cartesian_assembly_identity_helicoid():
     f = compute_force(decompose_displacement(X, geom), coeff, geom)
     # re-project with plain per-node dot products
     i, j = 40, 3
-    expect = f.f3[i, j] * geom.Nrm[i, j] + (
-        f.fmu[i, j, 0] * geom.T[i, j, 0] + f.fmu[i, j, 1] * geom.T[i, j, 1]
+    Nrm, T, fmu = (oracles.lattice_view(a) for a in (geom.Nrm, geom.T, f.fmu))
+    expect = f.f3[i, j] * Nrm[i, j] + (
+        fmu[i, j, 0] * T[i, j, 0] + fmu[i, j, 1] * T[i, j, 1]
     )
     assert np.allclose(f.cartesian[i, j], expect, rtol=1e-14, atol=1e-30)
+
+
+def _lattice_first_force(f):
+    """A force density's parts in the lattice-first shapes of the oracles."""
+    return {"f3": f.f3, "fmu": oracles.lattice_view(f.fmu), "cartesian": f.cartesian}
 
 
 def test_force_matches_termwise_oracle():
@@ -372,12 +383,12 @@ def test_force_matches_termwise_oracle():
         n1, n2 = geom.grid.n1, geom.grid.n2
         disp = Displacement(
             omega=1e-4 * rng.standard_normal((n1, n2)),
-            W_low=1e-4 * rng.standard_normal((n1, n2, 2)),
+            W_low=components_first(1e-4 * rng.standard_normal((n1, n2, 2))),
         )
         got = compute_force(disp, coeff, geom)
         want = oracles.compute_force_termwise(disp, coeff, geom)
         for name in ("f3", "fmu", "cartesian"):
-            a, b = getattr(got, name), getattr(want, name)
+            a, b = _lattice_first_force(got)[name], getattr(want, name)
             scale = np.abs(b).max()
             assert scale > 0, (order, name)
             assert np.abs(a - b).max() <= 1e-13 * scale, (order, name)
@@ -405,8 +416,7 @@ def helicoid16():
 
 def _jet(geom, disp):
     """The force's jet, components first."""
-    grid, Gamma = geom.grid, components_first(geom.Gamma)
-    W = components_first(disp.W_low)
+    grid, Gamma, W = geom.grid, geom.Gamma, disp.W_low
     return {"omega": disp.omega, "W": W,
             "hess": _covariant_derivative_raw(
                 _diff_stack(disp.omega, grid), ("l",), Gamma, grid),
@@ -430,14 +440,15 @@ def test_term_contraction_matches_einsum_bitwise(row, helicoid16):
         got = contract(np.ascontiguousarray(components_first(C)),
                        np.ascontiguousarray(components_first(x)))
         assert got.shape == want.shape[2:] + (n1, n2)
-        assert np.array_equal(lattice_first(got), want)
+        assert np.array_equal(oracles.lattice_view(got), want)
 
     # the helicoid's own fields, in both closures
     disp = decompose_displacement(
         geom.grid.X0 + 1e-4 * rng.standard_normal(geom.grid.X0.shape), geom)
     jet = _jet(geom, disp)
     for coeff in coeffs.values():
-        check(getattr(coeff, name), lattice_first(jet[arg]))
+        check(oracles.lattice_view(getattr(coeff, name)),
+              oracles.lattice_view(jet[arg]))
     # random fields of the same shapes
     c_idx, x_idx = spec.split("->")[0].split(",")
     for _ in range(3):
@@ -448,26 +459,26 @@ def test_term_contraction_matches_einsum_bitwise(row, helicoid16):
 def test_decompose_dots_match_einsum_bitwise(helicoid16):
     geom, _ = helicoid16
     rng = np.random.default_rng(21)
-    Nrm, T = np.ascontiguousarray(geom.Nrm), np.ascontiguousarray(geom.T)
+    Nrm, T = (np.ascontiguousarray(oracles.lattice_view(a)) for a in (geom.Nrm, geom.T))
     for scale in (1e-6, 1e-3, 1.0):
         X = geom.grid.X0 + scale * rng.standard_normal(geom.grid.X0.shape)
         d = X - geom.grid.X0
         got = decompose_displacement(X, geom)
         assert np.array_equal(got.omega, np.einsum("xyc,xyc->xy", d, Nrm))
-        assert np.array_equal(got.W_low, np.einsum("xyc,xyac->xya", d, T))
+        assert np.array_equal(oracles.lattice_view(got.W_low),
+                              np.einsum("xyc,xyac->xya", d, T))
 
 
 def test_cartesian_assembly_matches_einsum_bitwise(helicoid16):
     geom, _ = helicoid16
     n1, n2 = geom.grid.n1, geom.grid.n2
     rng = np.random.default_rng(22)
-    Nrm, T = np.ascontiguousarray(geom.Nrm), np.ascontiguousarray(geom.T)
+    Nrm, T = (np.ascontiguousarray(oracles.lattice_view(a)) for a in (geom.Nrm, geom.T))
     for _ in range(3):
         f3 = rng.standard_normal((n1, n2))
         fmu = rng.standard_normal((n1, n2, 2))
         want = f3[..., None] * Nrm + np.einsum("xym,xymc->xyc", fmu, T)
-        got = force_to_cartesian(f3, lattice_first(
-            np.ascontiguousarray(components_first(fmu))), geom)
+        got = force_to_cartesian(f3, np.ascontiguousarray(components_first(fmu)), geom)
         assert got.shape == (n1, n2, 3) and got.flags.c_contiguous
         assert np.array_equal(got, want)
 
@@ -494,7 +505,7 @@ def test_force_matches_aos_oracle_bitwise():
             got = compute_force(disp, coeff, geom)
             want = oracles.compute_force_aos(disp, coeff, geom)
             for name in ("f3", "fmu", "cartesian"):
-                a, b = getattr(got, name), getattr(want, name)
+                a, b = _lattice_first_force(got)[name], getattr(want, name)
                 assert np.abs(b).max() > 0, (order, name)
                 assert np.array_equal(a, b), (order, name)
 
@@ -567,7 +578,7 @@ def test_build_contraction_matches_einsum_bitwise(name, helicoid16):
             want = np.einsum(einsum_spec, *arrs)
             got = contract(*(np.ascontiguousarray(components_first(a)) for a in arrs))
             assert got.shape == want.shape[2:] + (n1, n2)
-            assert _same_bits(lattice_first(got), want)
+            assert _same_bits(oracles.lattice_view(got), want)
 
 
 def _build_chart(name):
@@ -585,18 +596,29 @@ def _build_chart(name):
 @pytest.mark.parametrize("chart", ["helicoid16", "helicoid32", "sphere", "cylinder"])
 def test_build_matches_einsum_oracle_bitwise(chart):
     # every geometric and coefficient field, built components-first, against
-    # the lattice-first einsum build it replaced, in both closures
+    # the lattice-first einsum build it replaced, in both closures; each is
+    # stored as one C-contiguous array with the lattice as its last two axes
     grid, mat = _build_chart(chart)
+    lattice = (grid.n1, grid.n2)
+
+    def check_storage(a, name):
+        assert a.flags.c_contiguous and a.shape[-2:] == lattice, name
+
     geom = build_geometry(grid)
     want = oracles.build_geometry_einsum(grid)
     for name, field in want.items():
         got = getattr(geom, name)
-        assert components_first(got).flags.c_contiguous, name
-        assert _same_bits(got, field), name
+        check_storage(got, name)
+        assert _same_bits(oracles.lattice_view(got), field), name
+    rng = np.random.default_rng(13)
+    X = grid.X0 + 1e-4 * rng.standard_normal(grid.X0.shape)
+    disp = decompose_displacement(X, geom)
+    check_storage(disp.W_low, "W_low")
     for order in ("leading", "quadratic"):
         coeff = compute_coefficients(geom, mat, order=order)
         want_c = oracles.compute_coefficients_einsum(want, mat, order)
         for f in fields(coeff):
             got = getattr(coeff, f.name)
-            assert components_first(got).flags.c_contiguous, (order, f.name)
-            assert _same_bits(got, want_c[f.name]), (order, f.name)
+            check_storage(got, (order, f.name))
+            assert _same_bits(oracles.lattice_view(got), want_c[f.name]), (order, f.name)
+        check_storage(compute_force(disp, coeff, geom).fmu, (order, "fmu"))

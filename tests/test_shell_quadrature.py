@@ -11,7 +11,7 @@ the quadrature keeps all powers of t, "quadratic" drops O(h0^5) terms, and
 import numpy as np
 import pytest
 
-from ibshell.geometry import build_geometry, mixed_second_form
+from ibshell.geometry import build_geometry, components_first, mixed_second_form
 from ibshell.shell import MaterialParams, compute_coefficients
 
 import oracles
@@ -20,11 +20,14 @@ LAM, MU = 26197503.0, 523950.0
 
 
 def quadrature_coefficients(geom, lam, mu, h0, n_quad=16):
-    """All eleven coefficient tensors by direct numerical t-integration."""
-    b = geom.b
-    g = geom.g
-    gradb = geom.gradb
-    bmix = mixed_second_form(b, geom.ginv)
+    """All eleven coefficient tensors by direct numerical t-integration.
+
+    The fields are read and the integrals formed lattice first.
+    """
+    b = oracles.lattice_view(geom.b)
+    g = oracles.lattice_view(geom.g)
+    gradb = oracles.lattice_view(geom.gradb)
+    bmix = oracles.lattice_view(mixed_second_form(geom.b, geom.ginv))
     n1, n2 = b.shape[:2]
     eye = np.broadcast_to(np.eye(2), (n1, n2, 2, 2))
     c1 = lam * mu / (lam + 2.0 * mu)
@@ -86,13 +89,15 @@ def helicoid_setup():
     cfg = replace(ModelConfig(N=16), n1=81, n2=7)
     geom = build_geometry(build_model_shell(cfg))
     h0 = 1e-3
-    bmix = mixed_second_form(geom.b, geom.ginv)
+    bmix = oracles.lattice_view(mixed_second_form(geom.b, geom.ginv))
     half_tr = 0.5 * (bmix[..., 0, 0] + bmix[..., 1, 1])
     det = bmix[..., 0, 0] * bmix[..., 1, 1] - bmix[..., 0, 1] * bmix[..., 1, 0]
     kappa = float(
         (np.abs(half_tr) + np.sqrt(np.maximum(half_tr**2 - det, 0.0))).max()
     )
-    ref = quadrature_coefficients(geom, LAM, MU, h0)
+    # components first, as compute_coefficients returns them
+    ref = {name: components_first(a)
+           for name, a in quadrature_coefficients(geom, LAM, MU, h0).items()}
     return geom, h0, kappa, ref
 
 

@@ -509,7 +509,7 @@ def test_total_energy_decays_from_elastic_perturbation():
     bump[:2] = bump[-2:] = 0.0
     bump[:, :2] = bump[:, -2:] = 0.0
     amp = 1e-6
-    sim.X = sim.grid.X0 + amp * bump[..., None] * sim.geom.Nrm
+    sim.X = sim.grid.X0 + amp * bump[..., None] * np.moveaxis(sim.geom.Nrm, 0, -1)
 
     def energies(s):
         from ibshell.shell import compute_force, decompose_displacement
