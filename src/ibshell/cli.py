@@ -47,7 +47,7 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args)
     if args.n is not None:
         with _reading("--n"):
-            cfg = replace(cfg, N=args.n, n1=None, n2=None)
+            cfg = cfg.with_resolution(args.n, cfg.dt)
     if args.dt is not None:
         with _reading("--dt"):
             cfg = replace(cfg, dt=args.dt)

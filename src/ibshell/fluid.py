@@ -23,27 +23,6 @@ import scipy.fft
 
 from . import lanes
 
-#: rows of the first lattice axis per block of the row-wise work on split
-#: lattices; below `lanes.SPLIT_MIN_POINTS` the rows go as one block, which
-#: spares the per-block numpy calls. Small blocks keep the temporaries small
-#: on whichever thread forms them (at N = 64, 8 rows of the advection are
-#: 0.3 MB per array; the worker's freed blocks are not reused by the calling
-#: thread, so large ones raise the peak memory) and let a thread that other
-#: load slows take fewer blocks.
-BLOCK_ROWS = 8
-
-
-def _by_rows(fn, n: int, points: int):
-    """fn(lo, hi) over rows 0..n of a lattice of `points` points: in blocks
-    of BLOCK_ROWS rows shared between the lanes (`lanes.share`) from
-    `lanes.SPLIT_MIN_POINTS` points on, else as one block."""
-    if points < lanes.SPLIT_MIN_POINTS:
-        fn(0, n)
-        return
-    blocks = [(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
-    lanes.share(lambda block: fn(*block), blocks, points)
-
-
 @dataclass(frozen=True)
 class FluidParams:
     """Lattice and fluid constants.
@@ -81,15 +60,15 @@ def upwind_advection(u, h: float):
     backward branch; the product vanishes there anyway), forward where
     u_k < 0.
 
-    The rows along the first axis are formed in blocks (`_by_rows`), shared
-    between the lanes on large lattices. Each node's value is the same
+    The rows along the first axis are formed in blocks (`lanes.share_rows`),
+    shared between the lanes on large lattices. Each node's value is the same
     sequence of operations either way, so the result is bit for bit the
     one-thread one.
     """
     u = np.asarray(u, dtype=float)
     adv = np.zeros_like(u)
-    _by_rows(lambda lo, hi: _advect_rows(u, h, lo, hi, adv), u.shape[1],
-             u[0].size)
+    lanes.share_rows(lambda lo, hi: _advect_rows(u, h, lo, hi, adv),
+                     u.shape[1], u[0].size)
     return adv
 
 
@@ -166,35 +145,29 @@ class FluidSolver:
         Returns (u_new, p_new) satisfying the implicit system exactly (to
         roundoff) and discretely divergence-free. Works in place on its own
         temporaries only (u and F are left unchanged) and drops each one once
-        it is consumed, which lowers a step's peak memory. On lattices of at
-        least `lanes.SPLIT_MIN_POINTS` points its row blocks and its FFTs,
-        one field component each, are shared between the lanes, bit for bit
-        as on one thread; smaller lattices transform each field as one batch.
+        it is consumed, which lowers a step's peak memory. Each FFT takes one
+        field component; on lattices of at least `lanes.SPLIT_MIN_POINTS`
+        points the FFTs and the row blocks are shared between the lanes, bit
+        for bit as on one thread.
         """
         prm = self.params
         N = prm.N
         shape = (N,) * 3
-        split = N**3 >= lanes.SPLIT_MIN_POINTS
         r = np.empty(np.shape(u))
         adv = upwind_advection(u, prm.h)
-        _by_rows(lambda lo, hi: self._rhs_rows(u, adv, F, r, lo, hi), N, N**3)
+        lanes.share_rows(lambda lo, hi: self._rhs_rows(u, adv, F, r, lo, hi),
+                         N, N**3)
         del adv
-        if split:
-            rhat = np.empty((3, N, N, N // 2 + 1), dtype=complex)
+        rhat = np.empty((3, N, N, N // 2 + 1), dtype=complex)
 
-            def forward(c):
-                rhat[c] = scipy.fft.rfftn(r[c], overwrite_x=True)
+        def forward(c):
+            rhat[c] = scipy.fft.rfftn(r[c], overwrite_x=True)
 
-            lanes.share(forward, range(3), N**3)
-        else:
-            rhat = scipy.fft.rfftn(r, axes=(1, 2, 3), overwrite_x=True)
+        lanes.share(forward, range(3), N**3)
         del r
         phat = np.empty(rhat.shape[1:], dtype=rhat.dtype)
-        _by_rows(lambda lo, hi: self._spectral_rows(rhat, phat, lo, hi), N, N**3)
-        if not split:
-            u_new = scipy.fft.irfftn(rhat, s=shape, axes=(1, 2, 3), overwrite_x=True)
-            del rhat
-            return u_new, scipy.fft.irfftn(phat, s=shape, overwrite_x=True)
+        lanes.share_rows(lambda lo, hi: self._spectral_rows(rhat, phat, lo, hi),
+                         N, N**3)
         u_new, p_new = np.empty((3,) + shape), np.empty(shape)
 
         def inverse(c):  # c = 3 is the pressure

@@ -311,7 +311,7 @@ def run_traveling_wave(
             "first_snapshot_step, snapshot_stride and n_snapshots must be >= 1"
         )
     base = base_cfg or ModelConfig()
-    cfg = replace(base, N=N, dt=dt, n1=None, n2=None, thickness_law=thickness_law)
+    cfg = replace(base.with_resolution(N, dt), thickness_law=thickness_law)
     sim = Simulation(cfg)
     k2c = sim.grid.n2 // 2
     steps = first_snapshot_step + snapshot_stride * np.arange(n_snapshots)

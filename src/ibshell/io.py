@@ -139,7 +139,10 @@ def read_snapshot(path) -> Snapshot:
         (params[name],) = struct.unpack_from("<d", blob, off)
         off += 8
     for key, value in (("N", N), ("n1", n1), ("n2", n2)):
-        if key in params and params[key] != value:
+        if key not in params:
+            raise ValueError(f"{path}: param {key} is missing (the header's "
+                             f"{key} = {value})")
+        if params[key] != value:
             raise ValueError(f"{path}: param {key} = {params[key]!r} disagrees "
                              f"with the header's {key} = {value}")
     def take(count):

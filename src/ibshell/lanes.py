@@ -4,11 +4,11 @@ for it.
 On lattices of at least SPLIT_MIN_POINTS points, `beside(on_worker, here,
 points)` runs two independent jobs at once, one on the worker thread and
 one on the calling thread, and `share(fn, items, points)` runs fn on
-independent items, the two threads taking the next item in turn. Both
-return when all the work is done. The worker is one thread, created at
-first use and shared by the process. On smaller lattices, and where the
-process may use only one core, the work runs in order on the calling
-thread.
+independent items (`share_rows`: blocks of a lattice's rows), the two
+threads taking the next item in turn. All return when all the work is
+done. The worker is one thread, created at first use and shared by the
+process. On smaller lattices, and where the process may use only one core,
+the work runs in order on the calling thread.
 
 Only private kernels run on the worker. Every public stage function
 (`fluid.upwind_advection`, `FluidSolver.step`, the shell force, spreading,
@@ -35,15 +35,27 @@ def _cores() -> int:
 LANES = min(2, _cores())
 
 #: lattices of at least this many points run their step on both lanes
-#: (`beside`, `share`); smaller ones run on one thread. On a 2-core host,
-#: with S built beside the force at N = 32, the `wave` benchmark's step tail
-#: rose 4.6% over ten alternating pairs (faster in 3). At N = 64 the
-#: forward and inverse FFTs of a step took 18.6 ms (90th percentile 26.2)
-#: with their components shared, 23.8 (38.2) as batches on pocketfft's two
-#: threads and 27.7 (36.4) on one (scipy 1.17.1). At N = 32, one-thread
-#: FFTs by component left the `wave` median unchanged but put 4 of 10 runs'
-#: step tails at 33-52 ms against the parent's 24-30.
+#: (`beside`, `share`, `share_rows`); smaller ones run on one thread. On a
+#: 2-core host, with S built beside the force at N = 32, the `wave`
+#: benchmark's step tail rose 4.6% over ten alternating pairs (faster in 3).
+#: At N = 64 the forward and inverse FFTs of a step took 18.6 ms (90th
+#: percentile 26.2) with their components shared, 23.8 (38.2) as batches on
+#: pocketfft's two threads and 27.7 (36.4) on one (scipy 1.17.1). Below,
+#: FFTs by component cost no more than batches: a step's took 2.55-3.96 ms
+#: against 2.69-4.21 at N = 32 (medians of three runs of 550 alternated
+#: pairs, one process), and ten alternating `wave` pairs read step tails of
+#: 21.7 ms [q1-q3 21.2-23.2] against the batches' 22.8 [20.6-24.4].
 SPLIT_MIN_POINTS = 64**3
+
+#: rows of the first lattice axis per block of `share_rows` from
+#: SPLIT_MIN_POINTS points on; below it the rows go as one block, which
+#: spares the per-block numpy calls (8-row blocks on one thread took 4-7%
+#: longer per fluid step at N = 32, 20% at N = 16). Small blocks keep the
+#: temporaries small on whichever thread forms them (at N = 64, 8 rows of
+#: the advection are 0.3 MB per array; the worker's freed blocks are not
+#: reused by the calling thread, so large ones raise the peak memory) and
+#: let a thread that other load slows take fewer blocks.
+BLOCK_ROWS = 8
 
 _pool = None
 _pool_lock = threading.Lock()
@@ -108,3 +120,14 @@ def share(fn, items, points: int):
             fn(item)
 
     beside(drain, drain, points)
+
+
+def share_rows(fn, n: int, points: int):
+    """fn(lo, hi) over rows 0..n of a lattice of `points` points: in blocks
+    of BLOCK_ROWS rows shared between the lanes (`share`) from
+    SPLIT_MIN_POINTS points on, else as one block."""
+    if points < SPLIT_MIN_POINTS:
+        fn(0, n)
+        return
+    blocks = [(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
+    share(lambda block: fn(*block), blocks, points)

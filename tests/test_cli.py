@@ -187,22 +187,27 @@ def test_render_round_trip(tmp_path):
 
 
 def test_render_rejects_params_that_disagree_with_the_header(tmp_path, capsys):
-    # the param block rebuilds the shell that render decomposes X against
+    # the param block rebuilds the shell that render decomposes X against,
+    # so it must hold the header's N, n1 and n2, and agree with them
     cfg = ModelConfig(N=16)
     sim = Simulation(cfg)
     params = config_param_block(cfg)
-    for key, X, block in (
-        ("n2", sim.X[:, :5], params),
-        ("n1", sim.X, {**params, "n1": cfg.n1 + 2.0}),
-        ("N", sim.X, {**params, "N": 32.0}),
-    ):
-        path = tmp_path / f"{key}.ibsh"
+    cases = [
+        ("n2", sim.X[:, :5], params, "param n2 = "),
+        ("n1", sim.X, {**params, "n1": cfg.n1 + 2.0}, "param n1 = "),
+        ("N", sim.X, {**params, "N": 32.0}, "param N = "),
+    ]
+    for key in ("N", "n1", "n2"):
+        block = {k: v for k, v in params.items() if k != key}
+        cases.append((f"no_{key}", sim.X, block, f"param {key} is missing"))
+    for name, X, block, message in cases:
+        path = tmp_path / f"{name}.ibsh"
         write_snapshot(path, X, sim.u, sim.p, sim.t, cfg.dt, block)
         with pytest.raises(SystemExit) as exc:
             main(["render", str(path), "--out", str(tmp_path / "out.pgm")])
-        assert exc.value.code == 2, key
+        assert exc.value.code == 2, name
         err = capsys.readouterr().err
-        assert f"ibshell: error: snapshot: {path}: param {key} = " in err, key
+        assert f"ibshell: error: snapshot: {path}: {message}" in err, name
         assert not (tmp_path / "out.pgm").exists()
 
 

@@ -195,10 +195,11 @@ def test_step_matches_out_of_place_oracle_bitwise(N):
         assert np.array_equal(u, u_in) and np.array_equal(F, F_in)
 
 
-@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("N", [2, 8, 16, 32, 64])
 def test_component_ffts_match_batched_bitwise(N):
-    # FluidSolver.step transforms one field component per call, so that the
-    # lanes can share them; each must sum as in the batched transform
+    # FluidSolver.step transforms one field component per call at every size,
+    # so that the lanes can share them on large lattices; each must sum as in
+    # the batched transform of tests/oracles.fluid_step_out_of_place
     rng = np.random.default_rng(N)
     r = rng.standard_normal((3, N, N, N))
     rhat = scipy.fft.rfftn(r, axes=(1, 2, 3))
