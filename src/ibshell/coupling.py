@@ -92,17 +92,18 @@ def stencil_columns(cells, N: int) -> Stencil:
     )
 
 
-def kernel_matrix(s, stencil: Stencil):
+def kernel_matrix(s, stencil: Stencil, out=None):
     """S from lattice coordinates s (3, M) on the columns of `stencil`.
 
     One block of nodes at a time, the per-axis weights are formed as
     (3, 4, nodes), their tensor product (w0 w1) w2 as (4, 4, 4, nodes), and
     that is transposed into the row-major data, so the block's temporaries
-    stay in cache and no temporary grows with M.
+    stay in cache and no temporary grows with M. The data is written into
+    `out` (M, 64) (a new array if None), which S then holds.
     """
     M = s.shape[1]
     offsets = np.arange(4)[:, None]
-    data = np.empty((M, 64))
+    data = np.empty((M, 64)) if out is None else out
     for a in range(0, M, _BLOCK):
         b = slice(a, a + _BLOCK)
         wb = phi(s[:, None, b] - (stencil.cells[:, None, b] + offsets))
@@ -125,19 +126,20 @@ def coupling_matrix(X, params: FluidParams):
     return kernel_matrix(s, stencil_columns(cells, params.N))
 
 
-def spread_force(f, S, dq, params: FluidParams):
+def spread_force(f, S, dq, params: FluidParams, out=None):
     """Spread a shell force density to the lattice (interaction equation 1).
 
     F(x) = sum_q f(q) delta_h(x - X(q)) dq(q), delta_h the tensor-product
     kernel scaled by h^-3, i.e. F = S^T (f dq / h^3) per component with
     S = coupling_matrix(X, params). `f` is (..., 3) and `dq` the matching
-    per-node parameter area weight. Returns (3, N, N, N). The components
-    are shared between the lanes on large lattices (`lanes.share`).
+    per-node parameter area weight. Returns (3, N, N, N), written into
+    `out` (a new array if None). The components are shared between the
+    lanes on large lattices (`lanes.share`).
     """
     N, h = params.N, params.h
     ff = np.asarray(f, dtype=float).reshape(-1, 3)
     coef = np.asarray(dq, dtype=float).reshape(-1) / h**3
-    F = np.empty((3, N, N, N))
+    F = np.empty((3, N, N, N)) if out is None else out
 
     def spread(c):
         F[c] = (S.T @ (ff[:, c] * coef)).reshape(N, N, N)

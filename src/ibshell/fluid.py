@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import lanes
 
@@ -53,22 +52,29 @@ class FluidParams:
         return self.a / self.N
 
 
-def upwind_advection(u, h: float):
+def upwind_advection(u, h: float, out=None):
     """sum_k u_k D_k^{+-} u with the branch chosen per node by sign(u_k).
 
     Backward differencing where u_k >= 0 (the tie at exactly zero takes the
     backward branch; the product vanishes there anyway), forward where
-    u_k < 0.
+    u_k < 0. Written into `out` (a new array if None), which must not share
+    memory with u.
 
     The rows along the first axis are formed in blocks (`lanes.share_rows`),
-    shared between the lanes on large lattices. Each node's value is the same
-    sequence of operations either way, so the result is bit for bit the
-    one-thread one.
+    shared between the lanes on large lattices; each block is zeroed, then
+    filled. Each node's value is the same sequence of operations either way,
+    so the result is bit for bit the one-thread one.
     """
     u = np.asarray(u, dtype=float)
-    adv = np.zeros_like(u)
-    lanes.share_rows(lambda lo, hi: _advect_rows(u, h, lo, hi, adv),
-                     u.shape[1], u[0].size)
+    adv = np.empty_like(u) if out is None else out
+    if np.shares_memory(adv, u):
+        raise ValueError("upwind_advection: out shares memory with u")
+
+    def rows(lo, hi):
+        adv[:, lo:hi] = 0.0
+        _advect_rows(u, h, lo, hi, adv)
+
+    lanes.share_rows(rows, u.shape[1], u[0].size)
     return adv
 
 
@@ -118,7 +124,13 @@ def divergence(u, h: float):
 
 
 class FluidSolver:
-    """Precomputed Fourier symbols for repeated steps at fixed parameters."""
+    """Precomputed Fourier symbols and held spectra for repeated steps at
+    fixed parameters.
+
+    The spectra r_hat (3, N, N, N/2+1) and p_hat (N, N, N/2+1) are made once,
+    with np.empty, so set-up touches none of their pages; each step writes
+    them in place.
+    """
 
     def __init__(self, params: FluidParams):
         self.params = params
@@ -138,44 +150,70 @@ class FluidSolver:
         gsq = (self._s[0] ** 2 + self._s[1] ** 2 + self._s[2] ** 2) / h**2
         self.zero_g = gsq == 0.0
         self._gsq_safe = np.where(self.zero_g, 1.0, gsq)
+        half = (N, N, N // 2 + 1)
+        self._rhat = np.empty((3,) + half, dtype=complex)
+        self._phat = np.empty(half, dtype=complex)
+        # r_hat's memory is free until the forward transforms, so the
+        # advection is formed there, in a real (3, N, N, N) view of it
+        self._adv = self._rhat.reshape(-1).view(float)[:3 * N**3].reshape(
+            (3,) + (N,) * 3)
+        self._p = np.zeros((N,) * 3)  # None while p_hat holds the pressure
+        self._solving = False  # True while a step rewrites p_hat
 
-    def step(self, u, F):
+    def step(self, u, F, out=None):
         """Advance one step from velocity u under body force F.
 
-        Returns (u_new, p_new) satisfying the implicit system exactly (to
-        roundoff) and discretely divergence-free. Works in place on its own
-        temporaries only (u and F are left unchanged) and drops each one once
-        it is consumed, which lowers a step's peak memory. Each FFT takes one
-        field component; on lattices of at least `lanes.SPLIT_MIN_POINTS`
-        points the FFTs and the row blocks are shared between the lanes, bit
-        for bit as on one thread.
+        Returns the new velocity, written into `out` (a new array if None):
+        it satisfies the implicit system exactly (to roundoff) and is
+        discretely divergence-free. u and F are left unchanged; an `out` that
+        shares memory with either raises ValueError. The step's pressure is
+        kept as p_hat and inverted only when `pressure()` reads it.
+
+        With `out` given, the step allocates no (3, N, N, N) field: the
+        advection is formed in r_hat's memory, the right-hand side in `out`,
+        and each FFT takes one field component, into the held spectra or
+        into `out` (numpy.fft's out=, summed as scipy.fft sums); only the
+        per-component temporaries of a row block remain. On lattices of at
+        least `lanes.SPLIT_MIN_POINTS` points the FFTs and the row blocks are
+        shared between the lanes, bit for bit as on one thread.
         """
         prm = self.params
         N = prm.N
-        shape = (N,) * 3
-        r = np.empty(np.shape(u))
-        adv = upwind_advection(u, prm.h)
-        lanes.share_rows(lambda lo, hi: self._rhs_rows(u, adv, F, r, lo, hi),
+        if out is None:
+            out = np.empty(np.shape(u))
+        elif np.shares_memory(out, u) or np.shares_memory(out, F):
+            raise ValueError("FluidSolver.step: out shares memory with u or F")
+        adv, rhat, phat = self._adv, self._rhat, self._phat
+        upwind_advection(u, prm.h, out=adv)
+        lanes.share_rows(lambda lo, hi: self._rhs_rows(u, adv, F, out, lo, hi),
                          N, N**3)
-        del adv
-        rhat = np.empty((3, N, N, N // 2 + 1), dtype=complex)
 
-        def forward(c):
-            rhat[c] = scipy.fft.rfftn(r[c], overwrite_x=True)
+        def forward(c):  # rfft along axis 2, then fft along 0, then 1
+            np.fft.rfftn(out[c], axes=(1, 0, 2), out=rhat[c])
 
         lanes.share(forward, range(3), N**3)
-        del r
-        phat = np.empty(rhat.shape[1:], dtype=rhat.dtype)
+        self._p, self._solving = None, True
         lanes.share_rows(lambda lo, hi: self._spectral_rows(rhat, phat, lo, hi),
                          N, N**3)
-        u_new, p_new = np.empty((3,) + shape), np.empty(shape)
+        lanes.share(lambda c: _inverse(rhat[c], out[c]), range(3), N**3)
+        self._solving = False
+        return out
 
-        def inverse(c):  # c = 3 is the pressure
-            spectrum, out = (rhat[c], u_new[c]) if c < 3 else (phat, p_new)
-            out[...] = scipy.fft.irfftn(spectrum, s=shape, overwrite_x=True)
+    def pressure(self):
+        """The pressure of the last step (zero before the first).
 
-        lanes.share(inverse, range(4), N**3)
-        return u_new, p_new
+        The first read after a step inverts the held p_hat into a new array;
+        later reads return that array until the next step. Raises
+        RuntimeError when the last step was interrupted after it began to
+        rewrite p_hat.
+        """
+        if self._p is None:
+            if self._solving:
+                raise RuntimeError("no pressure: the last FluidSolver.step "
+                                   "was interrupted")
+            self._p = np.empty((self.params.N,) * 3)
+            _inverse(self._phat, self._p)
+        return self._p
 
     def _rhs_rows(self, u, adv, F, r, lo, hi):
         """Rows lo:hi (first lattice axis) of r = (rho/dt) u - rho adv + F;
@@ -206,3 +244,12 @@ class FluidSolver:
         for i, si in enumerate((s0, s1, s2)):
             r[i] -= (1j / h) * si * p
             r[i] /= self.a_k[rows]
+
+
+def _inverse(spectrum, out):
+    """irfftn of an (N, N, N/2+1) spectrum into the real (N, N, N) `out`,
+    summed as scipy.fft.irfftn sums it: ifft along axis 0, then axis 1, in
+    place on `spectrum` (which is overwritten), then irfft along axis 2."""
+    np.fft.ifft(spectrum, axis=0, out=spectrum)
+    np.fft.ifft(spectrum, axis=1, out=spectrum)
+    np.fft.irfft(spectrum, n=out.shape[2], axis=2, out=out)

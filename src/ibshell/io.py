@@ -90,22 +90,31 @@ def _fluid_from_file_order(flat, N):
 
 
 def write_snapshot(path, X, u, p, t, dt, params: dict):
-    """Write one snapshot; raises OSError annotated with the path."""
+    """Write one snapshot; raises OSError annotated with the path.
+
+    A param name that is not ASCII or longer than 24 bytes raises ValueError
+    naming the file, before the file is opened.
+    """
     X = np.asarray(X, dtype=float)
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
     n1, n2, _ = X.shape
     N = p.shape[0]
+    block = []
+    for name, value in params.items():
+        try:
+            raw = name.encode("ascii")
+        except UnicodeEncodeError:
+            raise ValueError(f"{path}: param name {name!r} is not ASCII") from None
+        if len(raw) > _NAME_BYTES:
+            raise ValueError(f"{path}: param name {name!r} is longer than "
+                             f"{_NAME_BYTES} bytes")
+        block.append(raw.ljust(_NAME_BYTES, b"\0") + struct.pack("<d", float(value)))
     try:
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, N, n1, n2, float(t), float(dt),
                                   len(params)))
-            for name, value in params.items():
-                raw = name.encode("ascii")
-                if len(raw) > _NAME_BYTES:
-                    raise ValueError(f"param name too long: {name!r}")
-                fh.write(raw.ljust(_NAME_BYTES, b"\0"))
-                fh.write(struct.pack("<d", float(value)))
+            fh.write(b"".join(block))
             X.astype("<f8").tofile(fh)
             for c in range(3):
                 _fluid_to_file_order(u[c]).astype("<f8").tofile(fh)

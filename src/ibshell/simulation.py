@@ -264,20 +264,36 @@ def build_model_shell(cfg: ModelConfig) -> SurfaceGrid:
 # ---------------------------------------------------------------------------
 
 
+#: the clamped nodes as four (rows, columns) strips: the first and last two
+#: rows, and the first and last two columns between them
+_CLAMP_STRIPS = (
+    (slice(None, 2), slice(None)),
+    (slice(-2, None), slice(None)),
+    (slice(2, -2), slice(None, 2)),
+    (slice(2, -2), slice(-2, None)),
+)
+
+
 def clamp_rows_mask(n1: int, n2: int) -> np.ndarray:
     """Two outermost rows along each of the four edges."""
     m = np.zeros((n1, n2), dtype=bool)
-    m[:2] = m[-2:] = True
-    m[:, :2] = m[:, -2:] = True
+    for strip in _CLAMP_STRIPS:
+        m[strip] = True
     return m
 
 
 def clamp_force(X, grid: SurfaceGrid, k_clamp: float) -> np.ndarray:
-    """Spring force density -k (X - X0) / dq on the clamped rows (cartesian)."""
+    """Spring force density -k (X - X0) / dq on the clamped rows (cartesian).
+
+    Formed on the four edge strips alone; dq is the row's node area, as in
+    `grid.node_areas`.
+    """
+    X = np.asarray(X, dtype=float)
     f = np.zeros_like(grid.X0)
-    m = clamp_rows_mask(grid.n1, grid.n2)
-    f[m] = -k_clamp * (np.asarray(X, dtype=float) - grid.X0)[m] / \
-        grid.node_areas[m][:, None]
+    area = (grid.dq1 * grid.dq2_of_row)[:, None, None]
+    for rows, cols in _CLAMP_STRIPS:
+        f[rows, cols] = -k_clamp * (X[rows, cols] - grid.X0[rows, cols]) / \
+            area[rows]
     return f
 
 
@@ -301,7 +317,13 @@ def impulse_force(t: float, cfg: ModelConfig, params: FluidParams) -> np.ndarray
 
 
 class Simulation:
-    """Owns the precomputed geometry/coefficients/solver and the state."""
+    """Owns the precomputed geometry/coefficients/solver and the state.
+
+    `u` is the velocity of the last step and `p` its pressure. A step writes
+    its velocity into a held spare array and then swaps the two, so the
+    array `u` held before a step is overwritten by the step after it; `p`
+    is a new array on the first read after each step.
+    """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -315,8 +337,18 @@ class Simulation:
         self.X = self.grid.X0.copy()
         self.step_count = 0
         self.u = np.zeros((3, cfg.N, cfg.N, cfg.N))
-        self.p = np.zeros((cfg.N, cfg.N, cfg.N))
+        # lattice arrays every step rewrites: the next velocity (swapped with
+        # u after each solve) and the spread force
+        self._u_next = np.empty_like(self.u)
+        self._F = np.empty_like(self.u)
         self._stencil = None  # S's columns, built at the first step
+        self._S_data = np.empty((cfg.n1 * cfg.n2, 64))  # S's weights
+
+    @property
+    def p(self) -> np.ndarray:
+        """Pressure of the last step (zeros before the first), inverted on
+        the first read after a step (`FluidSolver.pressure`)."""
+        return self.solver.pressure()
 
     @property
     def t(self) -> float:
@@ -337,32 +369,37 @@ class Simulation:
         """`coupling.coupling_matrix(X, self.fparams)`, on held columns.
 
         S's columns depend only on the nodes' cells; they are rebuilt only
-        when some node has changed cell since they were built.
+        when some node has changed cell since they were built. The weights
+        are written into one held array, so each S replaces the last.
         """
         s, cells = node_cells(X, self.fparams)
         if self._stencil is None or not np.array_equal(cells, self._stencil.cells):
             self._stencil = stencil_columns(cells, self.cfg.N)
-        return kernel_matrix(s, self._stencil)
+        return kernel_matrix(s, self._stencil, out=self._S_data)
 
     def step(self):
         """One coupled step: force, spread (+impulse), fluid, advect.
 
         S reads only the old X, so on large lattices the worker lane
         (`lanes.beside`) builds it while this thread forms the shell force;
-        the result is bit for bit the serial step's.
+        the result is bit for bit the serial step's. The lattice arrays the
+        step writes are held (past step 0, whose impulse is a new field), and
+        the solve writes into the spare velocity: a step that raises before
+        its solve is done leaves `u` as it was.
         """
         cfg = self.cfg
         X = self.X
         S, f = lanes.beside(lambda: self._coupling_matrix(X),
                             lambda: self.shell_force_cartesian(X), cfg.N**3)
-        F = spread_force(f, S, self.dq_area, self.fparams)
+        F = spread_force(f, S, self.dq_area, self.fparams, out=self._F)
         if self.step_count == 0:
             # the step-0 surface force density acts as an impulse: scaling by
             # 1/dt makes the injected momentum (and hence the whole run)
             # independent of the step size
             F += impulse_force(0.0, cfg, self.fparams) / cfg.dt
-        self.u, self.p = self.solver.step(self.u, F)
-        U = interpolate_velocity(self.u, S)
+        u = self.solver.step(self.u, F, out=self._u_next)
+        self.u, self._u_next = u, self.u
+        U = interpolate_velocity(u, S)
         self.X = X + cfg.dt * U.reshape(X.shape)
         self.step_count += 1
         drift = np.abs(self.X - self.grid.X0).max()

@@ -507,6 +507,23 @@ def coupling_matrix_broadcast(X, params):
 
 
 # ---------------------------------------------------------------------------
+# Clamp springs through the full-lattice mask
+# ---------------------------------------------------------------------------
+
+
+def clamp_force_masked(X, grid, k_clamp):
+    """`simulation.clamp_force` as a boolean mask over every node: the mask,
+    the node areas and X - X0 formed over the whole shell lattice."""
+    f = np.zeros_like(grid.X0)
+    m = np.zeros((grid.n1, grid.n2), dtype=bool)
+    m[:2] = m[-2:] = True
+    m[:, :2] = m[:, -2:] = True
+    f[m] = -k_clamp * (np.asarray(X, dtype=float) - grid.X0)[m] / \
+        grid.node_areas[m][:, None]
+    return f
+
+
+# ---------------------------------------------------------------------------
 # Fluid step through fresh temporaries
 # ---------------------------------------------------------------------------
 

@@ -7,6 +7,7 @@ from ibshell.fluid import (
     FluidParams,
     FluidSolver,
     _advect_rows,
+    _inverse,
     divergence,
     upwind_advection,
 )
@@ -187,7 +188,7 @@ def test_step_matches_out_of_place_oracle_bitwise(N):
     F = 1e3 * rng.standard_normal((3, N, N, N))
     u_in, F_in = u.copy(), F.copy()
     for force in (F, np.zeros_like(F)):
-        got = solver.step(u, force)
+        got = solver.step(u, force), solver.pressure()
         ref = oracles.fluid_step_out_of_place(solver, u, force)
         assert np.array_equal(got[0], ref[0])
         assert np.array_equal(got[1], ref[1])
@@ -209,9 +210,65 @@ def test_component_ffts_match_batched_bitwise(N):
         assert np.array_equal(scipy.fft.irfftn(rhat[c], s=(N,) * 3), back[c])
 
 
+@pytest.mark.parametrize("N", [2, 4, 8, 16, 32, 64])
+def test_numpy_ffts_in_place_match_scipy_bitwise(N):
+    # FluidSolver.step writes its transforms into held arrays through
+    # numpy.fft's out=: forward rfftn over axes (1, 0, 2), inverse
+    # `fluid._inverse` (ifft along 0, then 1, in place, then irfft along 2);
+    # each must sum as scipy.fft does, per component
+    rng = np.random.default_rng(N)
+    r = rng.standard_normal((3, N, N, N))
+    rhat = np.empty((3, N, N, N // 2 + 1), dtype=complex)
+    back = np.empty((3, N, N, N))
+    for c in range(3):
+        want = scipy.fft.rfftn(r[c])
+        np.fft.rfftn(r[c], axes=(1, 0, 2), out=rhat[c])
+        assert np.array_equal(rhat[c], want)
+        want_back = scipy.fft.irfftn(want, s=(N,) * 3)
+        _inverse(rhat[c], back[c])
+        assert np.array_equal(back[c], want_back)
+
+
+def test_step_writes_into_out_and_rejects_aliases():
+    N = 8
+    solver = FluidSolver(FluidParams(N=N, a=0.1, rho=1.034, mu_f=0.0197, dt=4e-8))
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((3, N, N, N))
+    F = rng.standard_normal((3, N, N, N))
+    u_in, F_in = u.copy(), F.copy()
+    want = oracles.fluid_step_out_of_place(solver, u, F)[0]
+    out = np.full_like(u, np.nan)
+    assert solver.step(u, F, out=out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(u, u_in) and np.array_equal(F, F_in)
+    for alias in (u, F, u[::-1], F[:, :, ::-1]):
+        with pytest.raises(ValueError, match="shares memory"):
+            solver.step(u, F, out=alias)
+    with pytest.raises(ValueError, match="shares memory"):
+        upwind_advection(u, 0.1, out=u[::-1])
+    assert np.array_equal(u, u_in) and np.array_equal(F, F_in)
+
+
+def test_pressure_is_inverted_once_per_step():
+    solver = FluidSolver(PAR16)
+    p0 = solver.pressure()
+    assert not p0.any() and solver.pressure() is p0  # zero before any step
+    rng = np.random.default_rng(6)
+    u = rng.standard_normal((3, 16, 16, 16))
+    F = rng.standard_normal((3, 16, 16, 16))
+    solver.step(u, F)
+    p = solver.pressure()
+    assert p is not p0 and solver.pressure() is p
+    kept = p.copy()
+    solver.step(u, np.zeros_like(F))
+    assert solver.pressure() is not p
+    assert np.array_equal(p, kept)  # a read pressure is never overwritten
+
+
 def test_zero_is_fixed_point():
-    u, p = FluidSolver(PAR16).step(np.zeros((3, 16, 16, 16)),
-                                   np.zeros((3, 16, 16, 16)))
+    solver = FluidSolver(PAR16)
+    u = solver.step(np.zeros((3, 16, 16, 16)), np.zeros((3, 16, 16, 16)))
+    p = solver.pressure()
     assert np.all(u == 0.0) and np.all(p == 0.0)
 
 
@@ -220,7 +277,9 @@ def test_uniform_force_accelerates_uniformly():
     c = 2.5
     F = np.zeros((3, 16, 16, 16))
     F[2] = c
-    u, p = FluidSolver(PAR16).step(np.zeros((3, 16, 16, 16)), F)
+    solver = FluidSolver(PAR16)
+    u = solver.step(np.zeros((3, 16, 16, 16)), F)
+    p = solver.pressure()
     assert np.allclose(u[2], c * PAR16.dt / PAR16.rho, rtol=1e-13)
     assert np.abs(u[:2]).max() < 1e-18
     assert np.abs(p).max() < 1e-18
@@ -233,7 +292,8 @@ def test_solver_exactness_random_forces():
     u = np.zeros((3, 16, 16, 16))
     for trial in range(5):
         F = rng.standard_normal((3, 16, 16, 16))
-        u_new, p_new = solver.step(u, F)
+        u_new = solver.step(u, F)
+        p_new = solver.pressure()
         res = residual(u_new, p_new, u, F, prm)
         rnorm = np.abs(prm.rho * u / prm.dt + F).max()
         assert np.abs(res).max() <= 1e-10 * rnorm
@@ -249,8 +309,8 @@ def test_momentum_bookkeeping():
     rng = np.random.default_rng(4)
     F = rng.standard_normal((3, 16, 16, 16))
     # start from a divergence-free random state via one projection step
-    u0, _ = solver.step(np.zeros((3, 16, 16, 16)), rng.standard_normal((3, 16, 16, 16)))
-    u1, _ = solver.step(u0, F)
+    u0 = solver.step(np.zeros((3, 16, 16, 16)), rng.standard_normal((3, 16, 16, 16)))
+    u1 = solver.step(u0, F)
     dmom = (u1 - u0).sum(axis=(1, 2, 3)) * prm.h**3
     # the mean mode has a(0) = rho/dt and no pressure: force in, advection out
     adv = upwind_advection(u0, prm.h)
@@ -270,7 +330,8 @@ def test_viscous_mode_decay():
         u[1] = np.broadcast_to(
             np.sin(2 * np.pi * k * x / prm.a)[:, None, None], (N,) * 3
         )  # u_y(x): divergence-free
-        u_new, p_new = solver.step(u, np.zeros_like(u))  # u_y(x) does not advect itself
+        u_new = solver.step(u, np.zeros_like(u))  # u_y(x) does not advect itself
+        p_new = solver.pressure()
         amp = prm.rho / prm.dt / (
             prm.rho / prm.dt + 4 * prm.mu_f / h**2 * np.sin(np.pi * k / N) ** 2
         )

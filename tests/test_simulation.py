@@ -1,5 +1,6 @@
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -235,6 +236,16 @@ def test_clamp_mask_and_force():
     assert np.abs(clamp_force(X, grid, 1e5)).max() == 0.0
 
 
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_clamp_force_matches_masked_oracle_bitwise(N):
+    grid = build_model_shell(ModelConfig(N=N))
+    rng = np.random.default_rng(N)
+    X = grid.X0 + 1e-4 * rng.standard_normal(grid.X0.shape)
+    got = clamp_force(X, grid, 1e7)
+    assert np.array_equal(got, oracles.clamp_force_masked(X, grid, 1e7))
+    assert not got[~clamp_rows_mask(grid.n1, grid.n2)].any()
+
+
 def test_clamp_spring_relaxation_decays():
     # standalone overdamped ODE: x' = -(k/c) x decays under explicit Euler
     k, c, dt = 1e5, 1e7, 1e-4
@@ -286,7 +297,8 @@ def test_single_step_matches_hand_chained_modules(sim16):
     f = ref.shell_force_cartesian(ref.grid.X0)
     F = spread_force(f, S0, ref.dq_area, ref.fparams)
     F += impulse_force(0.0, cfg, ref.fparams) / cfg.dt
-    u, p = ref.solver.step(ref.u, F)
+    u = ref.solver.step(ref.u, F)
+    p = ref.solver.pressure()
     U = interpolate_velocity(u, S0)
     X = ref.grid.X0 + cfg.dt * U.reshape(ref.grid.X0.shape)
     assert np.array_equal(sim.u, u)
@@ -299,9 +311,9 @@ def test_cell_crossing_rebuilds_stencil_columns(monkeypatch):
     sim = Simulation(cfg)
     seen = []
 
-    def spy(f, S, dq, params):
+    def spy(f, S, dq, params, out=None):
         seen.append(S)
-        return spread_force(f, S, dq, params)
+        return spread_force(f, S, dq, params, out=out)
 
     monkeypatch.setattr(ibshell.simulation, "spread_force", spy)
     sim.run(2)
@@ -316,7 +328,8 @@ def test_cell_crossing_rebuilds_stencil_columns(monkeypatch):
     sim.X = X
     S_ref = oracles.coupling_matrix_broadcast(X, sim.fparams)
     f = sim.shell_force_cartesian(X)
-    u, p = sim.solver.step(sim.u, spread_force(f, S_ref, sim.dq_area, sim.fparams))
+    u = sim.solver.step(sim.u, spread_force(f, S_ref, sim.dq_area, sim.fparams))
+    p = sim.solver.pressure()
     X_ref = X + cfg.dt * interpolate_velocity(u, S_ref).reshape(X.shape)
     sim.step()
     S = seen[2]
@@ -327,6 +340,78 @@ def test_cell_crossing_rebuilds_stencil_columns(monkeypatch):
     assert np.array_equal(sim.u, u)
     assert np.array_equal(sim.p, p)
     assert np.array_equal(sim.X, X_ref)
+
+
+def test_pressure_on_read_matches_out_of_place_oracle():
+    sim = Simulation(ModelConfig(N=16, dt=8e-8))
+    p0 = sim.p
+    assert not p0.any() and sim.p is p0  # zeros before the first step
+    sim.run(2)
+    u, X = sim.u.copy(), sim.X
+    S = coupling_matrix(X, sim.fparams)
+    F = spread_force(sim.shell_force_cartesian(X), S, sim.dq_area, sim.fparams)
+    sim.step()
+    u_ref, p_ref = oracles.fluid_step_out_of_place(sim.solver, u, F)
+    p = sim.p
+    assert np.array_equal(sim.u, u_ref)
+    assert np.array_equal(p, p_ref)
+    assert sim.p is p  # inverted once, the same array until the next step
+    sim.step()
+    assert sim.p is not p and np.array_equal(p, p_ref)
+
+
+def test_step_swaps_two_held_velocity_arrays():
+    # documented in README "Threads": a step overwrites the array u held
+    # before the step before it
+    sim = Simulation(ModelConfig(N=16, dt=8e-8))
+    sim.step()
+    first = sim.u
+    sim.step()
+    second = sim.u
+    assert second is not first and not np.shares_memory(first, second)
+    kept = second.copy()
+    sim.step()
+    assert sim.u is first and np.array_equal(second, kept)
+
+
+def test_interrupted_solve_leaves_u(monkeypatch):
+    sim = Simulation(ModelConfig(N=16, dt=8e-8))
+    sim.run(2)
+    u, kept, X = sim.u, sim.u.copy(), sim.X
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(ibshell.fluid.FluidSolver, "_spectral_rows", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            sim.step()
+    assert sim.u is u and np.array_equal(u, kept)
+    assert sim.X is X and sim.step_count == 2
+    with pytest.raises(RuntimeError, match="interrupted"):
+        sim.p
+    ref = Simulation(ModelConfig(N=16, dt=8e-8))
+    ref.run(3)
+    sim.step()
+    assert np.array_equal(sim.u, ref.u) and np.array_equal(sim.p, ref.p)
+    assert np.array_equal(sim.X, ref.X)
+
+
+def test_warm_step_memory_peak_at_n32(monkeypatch):
+    # one lane, so the whole step runs (and allocates) on this thread; a
+    # step that allocated fresh lattice fields (r, r_hat, p_hat, F, S's
+    # weights, the new u and p) peaked at 5.5 MB, one held in place at 1.4
+    monkeypatch.setattr(ibshell.lanes, "_lane_pool", lambda: None)
+    sim = Simulation(ModelConfig(N=32, dt=4e-8))
+    sim.run(3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sim.step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6, peak
 
 
 @pytest.fixture
@@ -582,6 +667,17 @@ def test_snapshot_io_error_has_path_context(tmp_path):
             np.zeros((5, 5, 3)), np.zeros((3, 4, 4, 4)), np.zeros((4, 4, 4)),
             0.0, 1e-8, {},
         )
+
+
+@pytest.mark.parametrize("name", ["x" * 30, "thickness_läw"])
+def test_snapshot_bad_param_name_writes_no_file(tmp_path, name):
+    path = tmp_path / "bad.ibsh"
+    with pytest.raises(ValueError, match=f"bad.ibsh: param name {name!r}"):
+        write_snapshot(
+            path, np.zeros((5, 5, 3)), np.zeros((3, 4, 4, 4)),
+            np.zeros((4, 4, 4)), 0.0, 1e-8, {"N": 4.0, name: 1.0},
+        )
+    assert not path.exists()
 
 
 def test_graymap_conventions(tmp_path):
