@@ -1,3 +1,4 @@
+import struct
 import threading
 import time
 import tracemalloc
@@ -641,6 +642,35 @@ def test_snapshot_round_trip(tmp_path, sim16):
         bad = tmp_path / "bad.ibsh"
         bad.write_bytes(b"NOPE" + b"\0" * 64)
         read_snapshot(bad)
+
+
+def test_snapshot_byte_layout(tmp_path):
+    # decoded at the offsets of README's table, without read_snapshot
+    rng = np.random.default_rng(3)
+    N, n1, n2 = 4, 5, 6
+    X = rng.standard_normal((n1, n2, 3))
+    u = rng.standard_normal((3, N, N, N))
+    p = rng.standard_normal((N, N, N))
+    params = {"N": 4.0, "n1": 5.0, "n2": 6.0, "k_clamp": 2.5}
+    path = tmp_path / "layout.ibsh"
+    write_snapshot(path, X, u, p, 1.5e-7, 4e-8, params)
+    blob = path.read_bytes()
+    header = struct.unpack_from("<4sIIIIddI", blob)
+    assert header == (b"IBSH", 1, N, n1, n2, 1.5e-7, 4e-8, len(params))
+    off = 40
+    for name, value in params.items():
+        assert struct.unpack_from("<24sd", blob, off) == (
+            name.encode("ascii").ljust(24, b"\0"), value)
+        off += 32
+    data = np.frombuffer(blob, dtype="<f8", offset=off)
+    assert data.size == 3 * n1 * n2 + 4 * N**3
+    assert np.array_equal(data[:3 * n1 * n2], X.ravel())  # C order of (n1, n2, 3)
+    # u's components, then p, each x fastest: index ix + N*iy + N^2*iz
+    fluid = data[3 * n1 * n2:].reshape(4, N**3)
+    ix, iy, iz = np.indices((N, N, N))
+    k = ix + N * iy + N**2 * iz
+    assert np.array_equal(fluid[:3, k], u)
+    assert np.array_equal(fluid[3, k], p)
 
 
 def test_snapshot_rejects_wrong_length_and_unknown_codes(tmp_path, sim16):
