@@ -22,17 +22,19 @@ the index of the value in its choices (ModelConfig._CHOICES).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .simulation import ModelConfig
+from .simulation import FIELD_TYPES, ModelConfig
 
 MAGIC = b"IBSH"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIIIddI")  # magic, version, N, n1, n2, t, dt, n_params
 _NAME_BYTES = 24
+#: one param record: the NUL-padded ASCII name, then the value
+_PARAM = np.dtype([("name", f"S{_NAME_BYTES}"), ("value", "<f8")])
 
 
 @dataclass
@@ -51,42 +53,36 @@ class Snapshot:
 def config_param_block(cfg) -> dict:
     """Flatten a ModelConfig into name -> float for the snapshot header."""
     out = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.name in ModelConfig._CHOICES:
-            out[f.name] = float(ModelConfig._CHOICES[f.name].index(v))
-        else:
-            out[f.name] = float(v)
+    for name, kind in FIELD_TYPES.items():
+        v = getattr(cfg, name)
+        out[name] = float(ModelConfig._CHOICES[name].index(v) if kind is str else v)
     return out
 
 
 def params_to_config(params: dict):
-    """Rebuild a ModelConfig from a snapshot param block."""
+    """Rebuild a ModelConfig from a snapshot param block.
+
+    A choice code that indexes no choice, or an int field whose value is not
+    a finite whole number, raises ValueError naming the param.
+    """
     kwargs = {}
-    for f in fields(ModelConfig):
-        if f.name not in params:
+    for name, kind in FIELD_TYPES.items():
+        if name not in params:
             continue
-        v = params[f.name]
-        if f.name in ModelConfig._CHOICES:
-            choices = ModelConfig._CHOICES[f.name]
+        v = params[name]
+        if kind is str:
+            choices = ModelConfig._CHOICES[name]
             if v not in range(len(choices)):
-                raise ValueError(f"snapshot param {f.name} has unknown code "
+                raise ValueError(f"snapshot param {name} has unknown code "
                                  f"{v!r}, not an index into {choices}")
-            kwargs[f.name] = choices[int(v)]
-        elif f.name in ModelConfig._INT_FIELDS:
-            kwargs[f.name] = int(round(v))
-        else:
-            kwargs[f.name] = v
+            v = choices[int(v)]
+        elif kind is int:
+            if not float(v).is_integer():
+                raise ValueError(f"snapshot param {name} = {v!r} is not a "
+                                 "finite whole number")
+            v = int(v)
+        kwargs[name] = v
     return ModelConfig(**kwargs)
-
-
-def _fluid_to_file_order(arr3d):
-    """(x, y, z)-indexed array -> flat with x fastest."""
-    return np.ascontiguousarray(arr3d.transpose(2, 1, 0)).ravel()
-
-
-def _fluid_from_file_order(flat, N):
-    return flat.reshape(N, N, N).transpose(2, 1, 0).copy()
 
 
 def write_snapshot(path, X, u, p, t, dt, params: dict):
@@ -109,21 +105,26 @@ def write_snapshot(path, X, u, p, t, dt, params: dict):
         if len(raw) > _NAME_BYTES:
             raise ValueError(f"{path}: param name {name!r} is longer than "
                              f"{_NAME_BYTES} bytes")
-        block.append(raw.ljust(_NAME_BYTES, b"\0") + struct.pack("<d", float(value)))
+        block.append((raw, float(value)))
     try:
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, N, n1, n2, float(t), float(dt),
                                   len(params)))
-            fh.write(b"".join(block))
+            np.array(block, dtype=_PARAM).tofile(fh)
             X.astype("<f8").tofile(fh)
-            for c in range(3):
-                _fluid_to_file_order(u[c]).astype("<f8").tofile(fh)
-            _fluid_to_file_order(p).astype("<f8").tofile(fh)
+            for field in (*u, p):  # transposed, so x is fastest in the file
+                field.T.astype("<f8", order="C").tofile(fh)
     except OSError as exc:
         raise OSError(f"writing snapshot {path}: {exc}") from exc
 
 
 def read_snapshot(path) -> Snapshot:
+    """Read one snapshot; a malformed file raises ValueError naming it.
+
+    Rejected: a bad magic, version or length, a param name that is not
+    ASCII, a param block whose N, n1 or n2 is missing or disagrees with the
+    header, and a non-finite value in X, u or p.
+    """
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -135,18 +136,19 @@ def read_snapshot(path) -> Snapshot:
     _, version, N, n1, n2, t, dt, n_params = _HEADER.unpack_from(blob)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
-    off = _HEADER.size
-    size = off + n_params * (_NAME_BYTES + 8) + 8 * (3 * n1 * n2 + 4 * N**3)
+    off = _HEADER.size + n_params * _PARAM.itemsize
+    size = off + 8 * (3 * n1 * n2 + 4 * N**3)
     if len(blob) != size:
         raise ValueError(
             f"{path}: snapshot is {len(blob)} bytes, its header implies {size}"
         )
     params = {}
-    for _ in range(n_params):
-        name = blob[off:off + _NAME_BYTES].rstrip(b"\0").decode("ascii")
-        off += _NAME_BYTES
-        (params[name],) = struct.unpack_from("<d", blob, off)
-        off += 8
+    block = np.frombuffer(blob, dtype=_PARAM, count=n_params, offset=_HEADER.size)
+    for raw, value in block.tolist():
+        try:
+            params[raw.decode("ascii")] = value
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: param name {raw!r} is not ASCII") from None
     for key, value in (("N", N), ("n1", n1), ("n2", n2)):
         if key not in params:
             raise ValueError(f"{path}: param {key} is missing (the header's "
@@ -154,14 +156,14 @@ def read_snapshot(path) -> Snapshot:
         if params[key] != value:
             raise ValueError(f"{path}: param {key} = {params[key]!r} disagrees "
                              f"with the header's {key} = {value}")
-    def take(count):
-        nonlocal off
-        out = np.frombuffer(blob, dtype="<f8", count=count, offset=off).copy()
-        off += 8 * count
-        return out
-    X = take(n1 * n2 * 3).reshape(n1, n2, 3)
-    u = np.stack([_fluid_from_file_order(take(N**3), N) for _ in range(3)])
-    p = _fluid_from_file_order(take(N**3), N)
+    data = np.frombuffer(blob, dtype="<f8", offset=off)
+    X = data[:3 * n1 * n2].reshape(n1, n2, 3).copy()
+    # the fluid fields are stored x fastest: transpose to (component, x, y, z)
+    fluid = data[3 * n1 * n2:].reshape(4, N, N, N).transpose(0, 3, 2, 1)
+    u, p = fluid[:3].copy(), fluid[3].copy()
+    for key, arr in (("X", X), ("u", u), ("p", p)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: {key} holds a non-finite value")
     return Snapshot(N=N, n1=n1, n2=n2, t=t, dt=dt, params=params, X=X, u=u, p=p)
 
 

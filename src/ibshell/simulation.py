@@ -23,8 +23,9 @@ step, (4) advect the shell nodes with the interpolated new velocity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -131,11 +132,10 @@ class ModelConfig:
                 f"snapshot_every must be >= 0, got {self.snapshot_every!r}"
             )
         self.fluid_params()  # FluidParams holds the lattice and fluid rules
-        for f in fields(self):
-            value = getattr(self, f.name)
-            is_float = f.name not in self._INT_FIELDS + tuple(self._CHOICES)
-            if is_float and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        for name, kind in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         # MaterialParams holds the material rules
         MaterialParams(lam=self.lam, mu=self.mu, h0=thickness_field(self))
         w = self.width(self.q1_rows())
@@ -168,7 +168,6 @@ class ModelConfig:
 
     # -- flat key-value config files ------------------------------------
 
-    _INT_FIELDS = ("N", "n1", "n2", "snapshot_every")
     # string-valued fields; snapshots store the index, so only append
     _CHOICES = {
         "thickness_law": ("exact", "table"),
@@ -179,7 +178,6 @@ class ModelConfig:
     def from_file(cls, path) -> "ModelConfig":
         """Parse `key = value` lines; errors name the file and line."""
         text = Path(path).read_text()
-        known = {f.name for f in fields(cls)}
         kwargs = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -188,12 +186,11 @@ class ModelConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in known:
+            if key not in FIELD_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in kwargs:
                 raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-            parse = (str if key in cls._CHOICES
-                     else int if key in cls._INT_FIELDS else float)
+            parse = FIELD_TYPES[key]
             try:
                 kwargs[key] = parse(val)
             except ValueError:
@@ -206,11 +203,12 @@ class ModelConfig:
             raise ValueError(f"{path}: {exc}") from exc
 
     def to_file_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{name} = {getattr(self, name)}\n" for name in FIELD_TYPES)
+
+
+#: each ModelConfig field's type in field order: int, float or str (one of
+#: `ModelConfig._CHOICES`). The type is also the field's parser from text.
+FIELD_TYPES = get_type_hints(ModelConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +270,6 @@ _CLAMP_STRIPS = (
     (slice(2, -2), slice(None, 2)),
     (slice(2, -2), slice(-2, None)),
 )
-
-
-def clamp_rows_mask(n1: int, n2: int) -> np.ndarray:
-    """Two outermost rows along each of the four edges."""
-    m = np.zeros((n1, n2), dtype=bool)
-    for strip in _CLAMP_STRIPS:
-        m[strip] = True
-    return m
 
 
 def clamp_force(X, grid: SurfaceGrid, k_clamp: float) -> np.ndarray:

@@ -511,13 +511,19 @@ def coupling_matrix_broadcast(X, params):
 # ---------------------------------------------------------------------------
 
 
+def clamp_rows_mask(n1, n2):
+    """The clamped nodes: the two outermost rows along each of the four edges."""
+    m = np.zeros((n1, n2), dtype=bool)
+    m[:2] = m[-2:] = True
+    m[:, :2] = m[:, -2:] = True
+    return m
+
+
 def clamp_force_masked(X, grid, k_clamp):
     """`simulation.clamp_force` as a boolean mask over every node: the mask,
     the node areas and X - X0 formed over the whole shell lattice."""
     f = np.zeros_like(grid.X0)
-    m = np.zeros((grid.n1, grid.n2), dtype=bool)
-    m[:2] = m[-2:] = True
-    m[:, :2] = m[:, -2:] = True
+    m = clamp_rows_mask(grid.n1, grid.n2)
     f[m] = -k_clamp * (np.asarray(X, dtype=float) - grid.X0)[m] / \
         grid.node_areas[m][:, None]
     return f

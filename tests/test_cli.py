@@ -186,6 +186,16 @@ def test_render_round_trip(tmp_path):
     assert img.min() >= 0 and img.max() <= 255
 
 
+def _assert_render_rejects(tmp_path, capsys, path, message):
+    """`ibshell render path` exits 2 with `message` and writes no graymap."""
+    with pytest.raises(SystemExit) as exc:
+        main(["render", str(path), "--out", str(tmp_path / "out.pgm")])
+    assert exc.value.code == 2, path.name
+    err = capsys.readouterr().err
+    assert f"ibshell: error: snapshot: {message}" in err, path.name
+    assert not (tmp_path / "out.pgm").exists()
+
+
 def test_render_rejects_params_that_disagree_with_the_header(tmp_path, capsys):
     # the param block rebuilds the shell that render decomposes X against,
     # so it must hold the header's N, n1 and n2, and agree with them
@@ -203,12 +213,32 @@ def test_render_rejects_params_that_disagree_with_the_header(tmp_path, capsys):
     for name, X, block, message in cases:
         path = tmp_path / f"{name}.ibsh"
         write_snapshot(path, X, sim.u, sim.p, sim.t, cfg.dt, block)
-        with pytest.raises(SystemExit) as exc:
-            main(["render", str(path), "--out", str(tmp_path / "out.pgm")])
-        assert exc.value.code == 2, name
-        err = capsys.readouterr().err
-        assert f"ibshell: error: snapshot: {path}: {message}" in err, name
-        assert not (tmp_path / "out.pgm").exists()
+        _assert_render_rejects(tmp_path, capsys, path, f"{path}: {message}")
+
+
+def test_render_rejects_bad_snapshot_contents(tmp_path, capsys):
+    # an int param that is not a whole number, a param name that is not
+    # ASCII and a NaN in X each exit 2, naming the param or the file
+    cfg = ModelConfig(N=16)
+    sim = Simulation(cfg)
+    params = config_param_block(cfg)
+    X_nan = sim.X.copy()
+    X_nan[40, 3, 2] = np.nan
+    cases = [
+        ("inf", sim.X, {**params, "snapshot_every": np.inf},
+         "snapshot param snapshot_every = inf is not a finite whole number"),
+        ("frac", sim.X, {**params, "snapshot_every": 16.4},
+         "snapshot param snapshot_every = 16.4 is not a finite whole number"),
+        ("ascii", sim.X, params, "{path}: param name b'k_cl\\xe4mp' is not ASCII"),
+        ("nan", X_nan, params, "{path}: X holds a non-finite value"),
+    ]
+    for name, X, block, message in cases:
+        path = tmp_path / f"{name}.ibsh"
+        write_snapshot(path, X, sim.u, sim.p, sim.t, cfg.dt, block)
+        if name == "ascii":
+            blob = path.read_bytes()
+            path.write_bytes(blob.replace(b"k_clamp\0", b"k_cl\xe4mp\0", 1))
+        _assert_render_rejects(tmp_path, capsys, path, message.format(path=path))
 
 
 @pytest.mark.slow

@@ -26,7 +26,6 @@ from ibshell.simulation import (
     Simulation,
     build_model_shell,
     clamp_force,
-    clamp_rows_mask,
     impulse_force,
     nested_surface_dims,
     thickness_field,
@@ -215,7 +214,7 @@ def test_model_shell_verbatim_overshoot():
 def test_clamp_mask_and_force():
     cfg = ModelConfig(N=16)
     grid = build_model_shell(cfg)
-    m = clamp_rows_mask(grid.n1, grid.n2)
+    m = oracles.clamp_rows_mask(grid.n1, grid.n2)
     assert m[0].all() and m[1].all() and m[-1].all() and m[-2].all()
     assert m[:, :2].all() and m[:, -2:].all()
     assert not m[5, 3]
@@ -244,7 +243,7 @@ def test_clamp_force_matches_masked_oracle_bitwise(N):
     X = grid.X0 + 1e-4 * rng.standard_normal(grid.X0.shape)
     got = clamp_force(X, grid, 1e7)
     assert np.array_equal(got, oracles.clamp_force_masked(X, grid, 1e7))
-    assert not got[~clamp_rows_mask(grid.n1, grid.n2)].any()
+    assert not got[~oracles.clamp_rows_mask(grid.n1, grid.n2)].any()
 
 
 def test_clamp_spring_relaxation_decays():
@@ -604,7 +603,7 @@ def test_total_energy_decays_from_elastic_perturbation():
         f = compute_force(disp, s.coeff, s.geom)
         d = s.X - s.grid.X0
         e_el = -0.5 * float(np.sum(f.cartesian * d * s.dq_area[..., None]))
-        m = clamp_rows_mask(s.grid.n1, s.grid.n2)
+        m = oracles.clamp_rows_mask(s.grid.n1, s.grid.n2)
         e_cl = 0.5 * cfg.k_clamp * float(np.sum(d[m] ** 2))
         e_kin = 0.5 * cfg.rho * float(np.sum(s.u**2)) * s.fparams.h**3
         return e_el, e_el + e_cl + e_kin
@@ -688,6 +687,33 @@ def test_snapshot_rejects_wrong_length_and_unknown_codes(tmp_path, sim16):
     assert params["thickness_law"] == 1.0  # v1 code of "table"
     with pytest.raises(ValueError, match="thickness_law has unknown code 7.0"):
         params_to_config({**params, "thickness_law": 7.0})
+    # an int param must be a finite whole number
+    for value in (np.inf, -np.inf, np.nan, 16.4, 2.5):
+        with pytest.raises(ValueError, match=f"snapshot_every = {value!r} is not"):
+            params_to_config({**params, "snapshot_every": value})
+    assert params_to_config({**params, "snapshot_every": 4.0}).snapshot_every == 4
+
+
+def test_snapshot_rejects_non_finite_fields_and_non_ascii_names(tmp_path, sim16):
+    sim = sim16
+    params = config_param_block(sim.cfg)
+    fields = {"X": sim.X, "u": sim.u, "p": sim.p}
+    for key, at in (("X", (3, 2, 1)), ("u", (2, 1, 5, 9)), ("p", (7, 0, 3))):
+        for bad_value in (np.nan, -np.inf):
+            arrays = {k: v.copy() for k, v in fields.items()}
+            arrays[key][at] = bad_value
+            path = tmp_path / f"{key}.ibsh"
+            write_snapshot(path, arrays["X"], arrays["u"], arrays["p"], sim.t,
+                           sim.cfg.dt, params)
+            with pytest.raises(ValueError,
+                               match=f"{key}.ibsh: {key} holds a non-finite"):
+                read_snapshot(path)
+
+    path = tmp_path / "name.ibsh"
+    write_snapshot(path, sim.X, sim.u, sim.p, sim.t, sim.cfg.dt, params)
+    path.write_bytes(path.read_bytes().replace(b"k_clamp\0", b"k_cl\xe4mp\0", 1))
+    with pytest.raises(ValueError, match=r"name.ibsh: param name b'k_cl\\xe4mp'"):
+        read_snapshot(path)
 
 
 def test_snapshot_io_error_has_path_context(tmp_path):
