@@ -43,6 +43,15 @@ def _load_config(args) -> ModelConfig:
         return ModelConfig.from_file(args.config) if args.config else ModelConfig()
 
 
+def _out_dir(args) -> Path:
+    """The --out directory, made up front so a bad one stops the command
+    before any step is run."""
+    out = Path(args.out)
+    with _reading("--out"):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     if args.n is not None:
@@ -52,8 +61,7 @@ def _cmd_run(args) -> int:
         with _reading("--dt"):
             cfg = replace(cfg, dt=args.dt)
     steps = args.steps if args.steps is not None else int(round(cfg.T0 / cfg.dt))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     sim = Simulation(cfg)
     params = io.config_param_block(cfg)
     cadence = cfg.snapshot_every
@@ -98,6 +106,7 @@ def _cmd_study(args) -> int:
             dt_list = _parse_ladder(args.dt, float)
     with _reading("--n/--dt ladder"):
         harness.study_configs(base, N_list, dt_list)
+    _out_dir(args)
     study = harness.run_convergence_study(
         base, N_list=N_list, dt_list=dt_list, out_dir=args.out,
         progress=lambda rec: print(
@@ -126,12 +135,14 @@ def _cmd_render(args) -> int:
         raise argparse.ArgumentError(
             None, f"--vmax: must be positive and finite, got {args.vmax!r}")
     with _reading("snapshot"):
-        snap = io.read_snapshot(args.snapshot)
+        snap = io.read_snapshot(args.snapshot)  # its errors name the file
+    with _reading(f"snapshot: {args.snapshot}"):
         cfg = io.params_to_config(snap.params)
     geom = build_geometry(build_model_shell(cfg))
     omega = decompose_displacement(snap.X, geom).omega
     out = Path(args.out) if args.out else Path(args.snapshot).with_suffix(".pgm")
-    io.write_displacement_map(omega, out, vmax=args.vmax)
+    with _reading("--out"):
+        io.write_displacement_map(omega, out, vmax=args.vmax)
     print(f"wrote {out} ({omega.shape[0]}x{omega.shape[1]}, "
           f"max |omega| = {np.abs(omega).max():.3e} cm)")
     return 0

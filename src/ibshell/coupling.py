@@ -15,14 +15,12 @@ Interpolation is S u and spreading is S^T (f dq / h^3) with one matrix S of
 kernel weights, so they are adjoint: <spread(f), u> h^3 = <f, interp(u)> dq.
 
 S's columns depend only on the nodes' cells floor(X/h) - 1, not on where in
-its cell a node sits: `stencil_columns` builds them and `kernel_matrix` fills
-in the weights. A time loop keeps the columns and reuses them while no node
-changes cell, which in practice is the whole run.
+its cell a node sits. A time loop passes each step's S back to
+`coupling_matrix`, which rewrites its weights in place while no node changes
+cell (in practice the whole run) and builds a new S when one does.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -46,22 +44,7 @@ def phi(r):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class Stencil:
-    """The column structure of S: it depends only on the nodes' cells.
-
-    cells (3, M) holds floor(X/h) - 1 per axis; row m of S has its 64
-    columns at indices[64 m : 64 m + 64], ordered (i, j, k) over the 4^3
-    offsets from cells[:, m] and wrapped periodically.
-    """
-
-    N: int
-    cells: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
-def node_cells(X, params: FluidParams):
+def _node_cells(X, params: FluidParams):
     """Lattice coordinates s = X/h and cells floor(s) - 1 of X (..., 3), as
     (3, M) arrays. Raises ValueError on non-finite X."""
     Xf = np.asarray(X, dtype=float).reshape(-1, 3)
@@ -71,10 +54,12 @@ def node_cells(X, params: FluidParams):
     return s, np.floor(s).astype(np.int64) - 1
 
 
-def stencil_columns(cells, N: int) -> Stencil:
-    """The column indices and row pointers of S for nodes in `cells`.
+def _new_matrix(cells, N: int):
+    """S for nodes in `cells`, its data not yet written.
 
-    int32 while N^3 and 64 M fit, int64 beyond.
+    Row m has its 64 columns ordered (i, j, k) over the 4^3 offsets from
+    cells[:, m], wrapped periodically; int32 indices while N^3 and 64 M
+    fit, int64 beyond.
     """
     M = cells.shape[1]
     big = max(N**3, 64 * M) > np.iinfo(np.int32).max
@@ -84,46 +69,43 @@ def stencil_columns(cells, N: int) -> Stencil:
         (idx[0][:, None, None] * N + idx[1][None, :, None]) * N
         + idx[2][None, None, :]
     )  # (4, 4, 4, M)
-    return Stencil(
-        N=N,
-        cells=cells,
-        indices=flat.reshape(64, M).T.flatten(),
-        indptr=np.arange(0, 64 * M + 1, 64, dtype=itype),
-    )
-
-
-def kernel_matrix(s, stencil: Stencil, out=None):
-    """S from lattice coordinates s (3, M) on the columns of `stencil`.
-
-    One block of nodes at a time, the per-axis weights are formed as
-    (3, 4, nodes), their tensor product (w0 w1) w2 as (4, 4, 4, nodes), and
-    that is transposed into the row-major data, so the block's temporaries
-    stay in cache and no temporary grows with M. The data is written into
-    `out` (M, 64) (a new array if None), which S then holds.
-    """
-    M = s.shape[1]
-    offsets = np.arange(4)[:, None]
-    data = np.empty((M, 64)) if out is None else out
-    for a in range(0, M, _BLOCK):
-        b = slice(a, a + _BLOCK)
-        wb = phi(s[:, None, b] - (stencil.cells[:, None, b] + offsets))
-        w3 = wb[0][:, None, None] * wb[1][None, :, None] * wb[2][None, None, :]
-        data[b] = w3.reshape(64, -1).T
+    indptr = np.arange(0, 64 * M + 1, 64, dtype=itype)
     # not canonicalized: sorting or merging columns would reorder the sums
     return sparse.csr_array(
-        (data.ravel(), stencil.indices, stencil.indptr), shape=(M, stencil.N**3)
+        (np.empty(64 * M), flat.reshape(64, M).T.flatten(), indptr),
+        shape=(M, N**3),
     )
 
 
-def coupling_matrix(X, params: FluidParams):
+def coupling_matrix(X, params: FluidParams, S=None):
     """The sparse M x N^3 kernel-weight matrix S of positions X (..., 3).
 
     Row m holds node m's 64 tensor-product phi weights at the raveled indices
     of its (periodically wrapped) 4^3 neighborhood; for N < 4 the wrap repeats
     columns, which the sparse products sum. Raises ValueError on non-finite X.
+
+    `S`, when given, is the matrix of earlier positions. If it has the same
+    shape and every row still starts at the same column (no node changed
+    cell, up to the period), the weights are rewritten into its data and S
+    itself is returned; otherwise a new S is built. The weights are formed
+    one block of nodes at a time, as (3, 4, nodes) per-axis weights and
+    their (4, 4, 4, nodes) tensor product (w0 w1) w2, so no temporary grows
+    with M.
     """
-    s, cells = node_cells(X, params)
-    return kernel_matrix(s, stencil_columns(cells, params.N))
+    s, cells = _node_cells(X, params)
+    N, M = params.N, cells.shape[1]
+    w = cells % N  # a row's first column, its wrapped cell, fixes all 64
+    if (S is None or S.shape != (M, N**3)
+            or not np.array_equal(S.indices[::64], (w[0] * N + w[1]) * N + w[2])):
+        S = _new_matrix(cells, N)
+    data = S.data.reshape(M, 64)
+    offsets = np.arange(4)[:, None]
+    for a in range(0, M, _BLOCK):
+        b = slice(a, a + _BLOCK)
+        wb = phi(s[:, None, b] - (cells[:, None, b] + offsets))
+        w3 = wb[0][:, None, None] * wb[1][None, :, None] * wb[2][None, None, :]
+        data[b] = w3.reshape(64, -1).T
+    return S
 
 
 def spread_force(f, S, dq, params: FluidParams, out=None):

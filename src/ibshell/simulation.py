@@ -30,13 +30,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import lanes
-from .coupling import (
-    interpolate_velocity,
-    kernel_matrix,
-    node_cells,
-    spread_force,
-    stencil_columns,
-)
+from .coupling import coupling_matrix, interpolate_velocity, spread_force
 from .fluid import FluidParams, FluidSolver
 from .geometry import SurfaceGrid, build_geometry
 from .shell import (
@@ -331,8 +325,7 @@ class Simulation:
         # u after each solve) and the spread force
         self._u_next = np.empty_like(self.u)
         self._F = np.empty_like(self.u)
-        self._stencil = None  # S's columns, built at the first step
-        self._S_data = np.empty((cfg.n1 * cfg.n2, 64))  # S's weights
+        self._S = None  # the last step's S, rewritten in place by the next
 
     @property
     def p(self) -> np.ndarray:
@@ -355,32 +348,22 @@ class Simulation:
         """Current normal displacement field."""
         return decompose_displacement(self.X, self.geom).omega
 
-    def _coupling_matrix(self, X):
-        """`coupling.coupling_matrix(X, self.fparams)`, on held columns.
-
-        S's columns depend only on the nodes' cells; they are rebuilt only
-        when some node has changed cell since they were built. The weights
-        are written into one held array, so each S replaces the last.
-        """
-        s, cells = node_cells(X, self.fparams)
-        if self._stencil is None or not np.array_equal(cells, self._stencil.cells):
-            self._stencil = stencil_columns(cells, self.cfg.N)
-        return kernel_matrix(s, self._stencil, out=self._S_data)
-
     def step(self):
         """One coupled step: force, spread (+impulse), fluid, advect.
 
         S reads only the old X, so on large lattices the worker lane
         (`lanes.beside`) builds it while this thread forms the shell force;
         the result is bit for bit the serial step's. The lattice arrays the
-        step writes are held (past step 0, whose impulse is a new field), and
-        the solve writes into the spare velocity: a step that raises before
-        its solve is done leaves `u` as it was.
+        step writes are held (past step 0, whose impulse is a new field), as
+        is S while no node changes cell, and the solve writes into the spare
+        velocity: a step that raises before its solve is done leaves `u` as
+        it was.
         """
         cfg = self.cfg
         X = self.X
-        S, f = lanes.beside(lambda: self._coupling_matrix(X),
+        S, f = lanes.beside(lambda: coupling_matrix(X, self.fparams, self._S),
                             lambda: self.shell_force_cartesian(X), cfg.N**3)
+        self._S = S
         F = spread_force(f, S, self.dq_area, self.fparams, out=self._F)
         if self.step_count == 0:
             # the step-0 surface force density acts as an impulse: scaling by

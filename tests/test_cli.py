@@ -65,6 +65,12 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
     out = tmp_path / "out"
     missing = str(tmp_path / "missing")
     snap = str(tmp_path / "snapshot_final.ibsh")  # the flag is checked first
+    taken = tmp_path / "taken"  # a file where --out names a directory
+    taken.write_text("kept\n")
+    real = tmp_path / "real.ibsh"
+    cfg = ModelConfig(N=16)
+    sim = Simulation(cfg)
+    write_snapshot(real, sim.X, sim.u, sim.p, sim.t, cfg.dt, config_param_block(cfg))
     bad_keys = {}  # malformed config file -> the key it sets
     for key, value in (("mu", "inf"), ("F_imp", "nan"), ("z_imp", "nan"),
                        ("lam", "nan"), ("w0", "-0.1"), ("L", "-0.5")):
@@ -89,8 +95,12 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
         (["render", snap, "--vmax=-2e-12"], "--vmax"),
         (["render", snap, "--vmax", "inf"], "--vmax"),
         (["render", snap, "--vmax", "nan"], "--vmax"),
+        (["run", "--n", "16", "--dt", "8e-8", "--steps", "1", "--out", str(taken)],
+         "--out"),
+        (["study", "--n", "16,32", "--out", str(taken)], "--out"),
+        (["render", str(real), "--out", str(taken / "x.pgm")], "--out"),
     ]:
-        if argv[0] != "render":
+        if argv[0] != "render" and "--out" not in argv:
             argv += ["--out", str(out)]
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -100,6 +110,7 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
         assert f"ibshell: error: {source}: " in err, argv
         assert missing in err or missing not in argv, argv
         assert not out.exists(), argv
+        assert taken.read_text() == "kept\n", argv
         if argv[1:2] == ["--config"] and argv[2] in bad_keys:  # and its key
             assert f"--config: {argv[2]}: " in err, argv
             assert bad_keys[argv[2]] in err, argv
@@ -226,15 +237,19 @@ def test_render_rejects_bad_snapshot_contents(tmp_path, capsys):
     X_nan[40, 3, 2] = np.nan
     cases = [
         ("inf", sim.X, {**params, "snapshot_every": np.inf},
-         "snapshot param snapshot_every = inf is not a finite whole number"),
+         "{path}: snapshot param snapshot_every = inf is not a finite whole number"),
         ("frac", sim.X, {**params, "snapshot_every": 16.4},
-         "snapshot param snapshot_every = 16.4 is not a finite whole number"),
+         "{path}: snapshot param snapshot_every = 16.4 is not a finite whole number"),
+        ("n48", sim.X, {**params, "N": 48.0},
+         "{path}: N must be a power of two, got 48"),
         ("ascii", sim.X, params, "{path}: param name b'k_cl\\xe4mp' is not ASCII"),
         ("nan", X_nan, params, "{path}: X holds a non-finite value"),
     ]
+    u48 = np.zeros((3, 48, 48, 48))
     for name, X, block, message in cases:
         path = tmp_path / f"{name}.ibsh"
-        write_snapshot(path, X, sim.u, sim.p, sim.t, cfg.dt, block)
+        u, p = (u48, u48[0]) if name == "n48" else (sim.u, sim.p)
+        write_snapshot(path, X, u, p, sim.t, cfg.dt, block)
         if name == "ascii":
             blob = path.read_bytes()
             path.write_bytes(blob.replace(b"k_clamp\0", b"k_cl\xe4mp\0", 1))

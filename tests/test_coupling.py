@@ -92,6 +92,33 @@ def test_coupling_matrix_matches_broadcast_oracle_bitwise(N):
     for c in range(3):
         assert np.array_equal(F[c].ravel(), ref.T @ (f[:, c] * (dq / h**3)))
         assert np.array_equal(U[:, c], ref @ v[c].ravel())
+    # S of earlier positions: reused while no node changes cell, rebuilt
+    # when one does or when it was built at another N
+    S_data = S.data.copy()
+    s = X / h
+    nudge = rng.uniform(-0.25, 0.25, size=X.shape)
+    X2 = h * np.clip(s + nudge, np.floor(s) + 0.01, np.floor(s) + 0.99)
+    X2[:60] = X[:60]  # the face nodes stay on their faces
+    m = M // 2
+    X2[m, 0] = h * (np.floor(s[m, 0]) + 0.25)
+    X3 = X2.copy()
+    X3[m, 0] += 1.5 * h  # one cell on: a new cell also where N = 2
+    # at 2N, with each row starting at the column X's row starts at at N
+    other = FluidParams(N=2 * N, a=0.1, rho=1.0, mu_f=0.01, dt=1e-8)
+    first = ref.indices[::64]
+    cells = np.stack(np.unravel_index(first, (2 * N,) * 3), axis=1)
+    S_other = coupling_matrix(other.h * (cells + 1.5), other)
+    assert np.array_equal(S_other.indices[::64], first)
+    for Y, prev, same in ((X2, S, True), (X3, S, False), (X, S_other, False)):
+        S_y = coupling_matrix(Y, prm, prev)
+        ref_y = oracles.coupling_matrix_broadcast(Y, prm)
+        assert (S_y is prev) == same
+        assert S_y.shape == ref_y.shape
+        assert np.array_equal(S_y.data, ref_y.data)
+        assert np.array_equal(S_y.indices, ref_y.indices)
+        assert np.array_equal(S_y.indptr, ref_y.indptr)
+        assert np.array_equal(S_y @ u, ref_y @ u)
+    assert not np.array_equal(S_data, S.data)  # the reuse rewrote the weights
 
 
 # ---------------------------------------------------------------------------

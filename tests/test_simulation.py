@@ -430,7 +430,7 @@ def test_two_lane_step_matches_serial_step(N, gate, monkeypatch, worker_lane):
     cfg = ModelConfig(N=N, dt=1.28e-6 / N)
     split = N**3 >= ibshell.lanes.SPLIT_MIN_POINTS
     seen = []  # (job, first row, on the calling thread) per job call
-    build, rows = Simulation._coupling_matrix, ibshell.fluid._advect_rows
+    build, rows = ibshell.simulation.coupling_matrix, ibshell.fluid._advect_rows
     force = Simulation.shell_force_cartesian
     main = threading.current_thread()
     s_begun, block_taken = threading.Event(), threading.Event()
@@ -439,12 +439,12 @@ def test_two_lane_step_matches_serial_step(N, gate, monkeypatch, worker_lane):
     # on split lattices the calling thread waits for the worker to begin S
     # and to take one advection block, so that both lanes take part in
     # every step
-    def spy_build(sim, X):
+    def spy_build(X, params, S=None):
         here = threading.current_thread() is main
         seen.append(("S", 0, here))
         if not here:
             s_begun.set()
-        return build(sim, X)
+        return build(X, params, S)
 
     def spy_force(sim, X):
         if lanes_on and split:
@@ -462,7 +462,7 @@ def test_two_lane_step_matches_serial_step(N, gate, monkeypatch, worker_lane):
             assert block_taken.wait(10)
         rows(u, h, lo, hi, adv)
 
-    monkeypatch.setattr(Simulation, "_coupling_matrix", spy_build)
+    monkeypatch.setattr(ibshell.simulation, "coupling_matrix", spy_build)
     monkeypatch.setattr(Simulation, "shell_force_cartesian", spy_force)
     monkeypatch.setattr(ibshell.fluid, "_advect_rows", spy_rows)
     runs, jobs = [], []
@@ -497,18 +497,18 @@ def test_failed_step_joins_the_worker_lane(failing, two_lanes, monkeypatch,
                         lambda: worker_lane if two_lanes else None)
     monkeypatch.setattr(ibshell.lanes, "SPLIT_MIN_POINTS", 1)  # lanes at N = 16
     running = []
-    build = Simulation._coupling_matrix
+    build = ibshell.simulation.coupling_matrix
 
-    def slow_build(sim, X):
+    def slow_build(X, params, S=None):
         running.append(1)
         time.sleep(0.2)  # still running when the force has failed
         running.pop()
-        return build(sim, X)
+        return build(X, params, S)
 
     def failing_force(sim, X):
         raise RuntimeError("force failed")
 
-    monkeypatch.setattr(Simulation, "_coupling_matrix", slow_build)
+    monkeypatch.setattr(ibshell.simulation, "coupling_matrix", slow_build)
     cfg = ModelConfig(N=16, dt=8e-8)
     sim = Simulation(cfg)
     sim.step()
@@ -623,8 +623,12 @@ def test_total_energy_decays_from_elastic_perturbation():
 # ---------------------------------------------------------------------------
 
 
-def test_snapshot_round_trip(tmp_path, sim16):
-    sim = sim16
+def test_snapshot_round_trip(tmp_path):
+    # stepped, so u and p are nonzero and a field stored in the wrong axis
+    # order reads back different
+    sim = Simulation(ModelConfig(N=16, dt=8e-8))
+    sim.run(2)
+    assert sim.u.any() and sim.p.any()
     params = config_param_block(sim.cfg)
     path = tmp_path / "snap.ibsh"
     write_snapshot(path, sim.X, sim.u, sim.p, sim.t, sim.cfg.dt, params)
