@@ -61,26 +61,23 @@ def upwind_advection(u, h: float, out=None):
     memory with u.
 
     The rows along the first axis are formed in blocks (`lanes.share_rows`),
-    shared between the lanes on large lattices; each block is zeroed, then
-    filled. Each node's value is the same sequence of operations either way,
-    so the result is bit for bit the one-thread one.
+    shared between the lanes on large lattices; each block is written once.
+    Each node's value is the same sequence of operations either way, so the
+    result is bit for bit the one-thread one.
     """
     u = np.asarray(u, dtype=float)
     adv = np.empty_like(u) if out is None else out
     if np.shares_memory(adv, u):
         raise ValueError("upwind_advection: out shares memory with u")
-
-    def rows(lo, hi):
-        adv[:, lo:hi] = 0.0
-        _advect_rows(u, h, lo, hi, adv)
-
-    lanes.share_rows(rows, u.shape[1], u[0].size)
+    lanes.share_rows(lambda lo, hi: _advect_rows(u, h, lo, hi, adv),
+                     u.shape[1], u[0].size)
     return adv
 
 
 def _advect_rows(u, h: float, lo: int, hi: int, adv):
-    """Add the upwind advection of rows lo:hi (first lattice axis) of u into
-    adv[:, lo:hi].
+    """Write the upwind advection of rows lo:hi (first lattice axis) of u
+    into adv[:, lo:hi], once: the first axis's term is added to 0.0 as it is
+    stored (a -0.0 term stores +0.0), then the other two, in axis order.
 
     Per axis k and component, d[j] = (u[i] - u[i-1]) / h is formed once for
     the rows i = lo + j, j = 0..m, of the slab along k (periodic; along
@@ -110,8 +107,11 @@ def _advect_rows(u, h: float, lo: int, hi: int, adv):
                 np.subtract(uc[along(0, 1)], uc[along(n - 1, n)],
                             out=d[along(j, j + 1)])
             d /= h
-            out[c] += slab[k] * np.where(backward, d[along(0, m)],
-                                         d[along(1, m + 1)])
+            # one expression: a named product lives on beside the next
+            # component's temporaries (4% slower at N = 32 on one core)
+            np.add(out[c] if k else 0.0,
+                   slab[k] * np.where(backward, d[along(0, m)],
+                                      d[along(1, m + 1)]), out=out[c])
 
 
 def divergence(u, h: float):

@@ -290,9 +290,9 @@ class WaveRecord:
 
 
 def run_traveling_wave(
-    N: int = 32,
-    dt: float = 4.0e-8,
-    thickness_law: str = "table",
+    N: int | None = None,
+    dt: float | None = None,
+    thickness_law: str | None = None,
     first_snapshot_step: int = 200,
     snapshot_stride: int = 200,
     n_snapshots: int = 10,
@@ -305,13 +305,20 @@ def run_traveling_wave(
     along q1 under "exact" (weakly, ~2x over the strip) and falls along q1
     under the default "table" law (strongly), so the default produces a
     clear base-ward migration at desk-scale resolutions.
+
+    N, dt and thickness_law override base_cfg's (default `ModelConfig()`);
+    None keeps its value. A new N takes the default surface dims for it.
     """
     if min(first_snapshot_step, snapshot_stride, n_snapshots) < 1:
         raise ValueError(
             "first_snapshot_step, snapshot_stride and n_snapshots must be >= 1"
         )
-    base = base_cfg or ModelConfig()
-    cfg = replace(base.with_resolution(N, dt), thickness_law=thickness_law)
+    cfg = base_cfg or ModelConfig()
+    if N is not None:
+        cfg = cfg.with_resolution(N, cfg.dt)
+    cfg = replace(cfg, dt=cfg.dt if dt is None else dt,
+                  thickness_law=cfg.thickness_law if thickness_law is None
+                  else thickness_law)
     sim = Simulation(cfg)
     k2c = sim.grid.n2 // 2
     steps = first_snapshot_step + snapshot_stride * np.arange(n_snapshots)

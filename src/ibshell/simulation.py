@@ -252,7 +252,7 @@ def build_model_shell(cfg: ModelConfig) -> SurfaceGrid:
 
 
 # ---------------------------------------------------------------------------
-# Clamping and the impulse
+# Clamping
 # ---------------------------------------------------------------------------
 
 
@@ -279,20 +279,6 @@ def clamp_force(X, grid: SurfaceGrid, k_clamp: float) -> np.ndarray:
         f[rows, cols] = -k_clamp * (X[rows, cols] - grid.X0[rows, cols]) / \
             area[rows]
     return f
-
-
-def impulse_force(t: float, cfg: ModelConfig, params: FluidParams) -> np.ndarray:
-    """Vertical surface force density on the lattice plane nearest z_imp.
-
-    Nonzero only at t = 0: F_z = -F_imp / h on one z-plane (downward), so the
-    plane integral sum F h^3 equals -F_imp * a^2 exactly. Later times give a
-    zero field.
-    """
-    F = np.zeros((3, params.N, params.N, params.N))
-    if t == 0.0:
-        iz = int(round(cfg.z_imp / params.h)) % params.N
-        F[2, :, :, iz] = -cfg.F_imp / params.h
-    return F
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +340,9 @@ class Simulation:
         S reads only the old X, so on large lattices the worker lane
         (`lanes.beside`) builds it while this thread forms the shell force;
         the result is bit for bit the serial step's. The lattice arrays the
-        step writes are held (past step 0, whose impulse is a new field), as
-        is S while no node changes cell, and the solve writes into the spare
-        velocity: a step that raises before its solve is done leaves `u` as
-        it was.
+        step writes are held, as is S while no node changes cell, and the
+        solve writes into the spare velocity: a step that raises before its
+        solve is done leaves `u` as it was.
         """
         cfg = self.cfg
         X = self.X
@@ -366,10 +351,11 @@ class Simulation:
         self._S = S
         F = spread_force(f, S, self.dq_area, self.fparams, out=self._F)
         if self.step_count == 0:
-            # the step-0 surface force density acts as an impulse: scaling by
-            # 1/dt makes the injected momentum (and hence the whole run)
-            # independent of the step size
-            F += impulse_force(0.0, cfg, self.fparams) / cfg.dt
+            # the impulse: F_z = -F_imp / h on the lattice plane nearest
+            # z_imp (plane integral -F_imp a^2), scaled by 1/dt so the
+            # injected momentum (and the run) is independent of the step size
+            h = self.fparams.h
+            F[2, :, :, round(cfg.z_imp / h) % cfg.N] += -cfg.F_imp / h / cfg.dt
         u = self.solver.step(self.u, F, out=self._u_next)
         self.u, self._u_next = u, self.u
         U = interpolate_velocity(u, S)

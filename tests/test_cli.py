@@ -131,7 +131,7 @@ def test_config_without_run_time_is_a_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_study_prints_rates_per_norm(monkeypatch, capsys):
+def test_study_prints_rates_per_norm(tmp_path, monkeypatch, capsys):
     import ibshell.harness as harness
 
     rng = np.random.default_rng(5)
@@ -161,10 +161,11 @@ def test_study_prints_rates_per_norm(monkeypatch, capsys):
                              f"{mid.label} | {coarse.label})"))
     runs = [f"run {rec.label}: 4 samples, 0.0 s wall" for rec in records]
 
-    assert main(["study"]) == 0
+    out = ["--out", str(tmp_path / "study_out")]
+    assert main(["study"] + out) == 0
     assert capsys.readouterr().out.splitlines() == runs + [t for _, t in lines]
     for p in ("1", "2", "inf"):
-        assert main(["study", "--norm", p]) == 0
+        assert main(["study", "--norm", p] + out) == 0
         assert capsys.readouterr().out.splitlines() == runs + [
             t for q, t in lines if q == p]
 

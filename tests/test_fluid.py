@@ -141,13 +141,17 @@ def test_upwind_matches_roll_oracle_bitwise():
         h = 0.1 / N
         ref = roll_upwind(u, h)
         assert np.array_equal(upwind_advection(u, h), ref), N
+        # every value of out is written, none added into
+        out = np.full_like(u, np.nan)
+        assert np.array_equal(upwind_advection(u, h, out=out), ref), N
         if N > 8:
             continue
         for half in range(N + 1):  # the two lanes' row split, at every row
-            adv = np.zeros_like(u)
-            _advect_rows(u, h, 0, half, adv)
-            _advect_rows(u, h, half, N, adv)
-            assert np.array_equal(adv, ref), (N, half)
+            for fill in (0.0, np.nan):
+                adv = np.full_like(u, fill)
+                _advect_rows(u, h, 0, half, adv)
+                _advect_rows(u, h, half, N, adv)
+                assert np.array_equal(adv, ref), (N, half, fill)
 
 
 def test_divergence_streamfunction_and_mode():

@@ -203,6 +203,15 @@ def test_traveling_wave_machinery():
         for _ in range(4):
             sim.step()
         assert np.array_equal(rec.omega_full[i], sim.omega())
+    # with no N, dt or thickness_law given, base_cfg sets all three
+    base = ModelConfig(N=16, dt=8e-8, thickness_law="exact")
+    rec = run_traveling_wave(base_cfg=base, first_snapshot_step=1,
+                             snapshot_stride=1, n_snapshots=1)
+    assert rec.q1.shape == (161,)
+    assert list(rec.times) == [8e-8]
+    sim = Simulation(base)
+    sim.step()
+    assert np.array_equal(rec.omega_full[0], sim.omega())
 
 
 def test_traveling_wave_rejects_unsampleable_schedules():

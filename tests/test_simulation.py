@@ -26,7 +26,6 @@ from ibshell.simulation import (
     Simulation,
     build_model_shell,
     clamp_force,
-    impulse_force,
     nested_surface_dims,
     thickness_field,
     thickness_law,
@@ -255,18 +254,41 @@ def test_clamp_spring_relaxation_decays():
     assert np.linalg.norm(x) < np.linalg.norm([1.0, -2.0, 0.5])
 
 
-def test_impulse_plane_and_integral():
-    cfg = ModelConfig(N=16)
-    prm = cfg.fluid_params()
-    F = impulse_force(0.0, cfg, prm)
-    iz = int(round(cfg.z_imp / prm.h)) % cfg.N  # = 0 (top plane = bottom plane)
-    assert iz == 0
-    nz = np.nonzero(np.abs(F).sum(axis=(0, 1, 2)))[0]
-    assert list(nz) == [iz]
-    assert np.abs(F[:2]).max() == 0.0
-    total = F.sum(axis=(1, 2, 3)) * prm.h**3
-    assert total[2] == pytest.approx(-cfg.F_imp * cfg.a**2, rel=1e-12)
-    assert np.abs(impulse_force(cfg.dt, cfg, prm)).max() == 0.0
+def test_impulse_plane_and_integral(monkeypatch):
+    # at rest the shell force is zero, so the fluid's force at step 0 is the
+    # impulse alone, -F_imp / (h dt) on component 2 of the plane nearest
+    # z_imp, and at later steps zero
+    forces = []
+    solve = ibshell.fluid.FluidSolver.step
+
+    def spy(solver, u, F, out=None):
+        forces.append(F.copy())
+        return solve(solver, u, F, out=out)
+
+    monkeypatch.setattr(ibshell.fluid.FluidSolver, "step", spy)
+    for dt in (8e-8, 4e-8):
+        for z_imp, iz in ((None, 0), (0.03, 5)):  # a: top plane = z = 0
+            cfg = ModelConfig(N=16, dt=dt, z_imp=z_imp)
+            h = cfg.a / cfg.N
+            forces.clear()
+            sim = Simulation(cfg)
+            sim.step()
+            late = Simulation(cfg)
+            late.step_count = 1
+            late.step()
+            F, F_late = forces
+            impulse = np.zeros_like(F)
+            impulse[2, :, :, iz] = -cfg.F_imp / h / dt
+            assert np.array_equal(F, impulse), (dt, z_imp)
+            assert F[2, 0, 0, iz] == pytest.approx(-cfg.F_imp / (h * dt),
+                                                   rel=1e-15)
+            assert not F_late.any(), (dt, z_imp)
+            # the mean mode has a(0) = rho/dt, so the step carries the
+            # impulse's momentum dt sum F h^3 = -F_imp a^2, whatever dt
+            momentum = cfg.rho * sim.u.sum(axis=(1, 2, 3)) * h**3
+            expect = cfg.F_imp * cfg.a**2
+            assert (np.abs(momentum - (0.0, 0.0, -expect)).max()
+                    <= 1e-12 * expect), (dt, z_imp)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +318,8 @@ def test_single_step_matches_hand_chained_modules(sim16):
     S0 = coupling_matrix(ref.grid.X0, ref.fparams)
     f = ref.shell_force_cartesian(ref.grid.X0)
     F = spread_force(f, S0, ref.dq_area, ref.fparams)
-    F += impulse_force(0.0, cfg, ref.fparams) / cfg.dt
+    F[2, :, :, round(cfg.z_imp / ref.fparams.h) % cfg.N] += \
+        -cfg.F_imp / ref.fparams.h / cfg.dt
     u = ref.solver.step(ref.u, F)
     p = ref.solver.pressure()
     U = interpolate_velocity(u, S0)
