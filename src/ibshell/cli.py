@@ -26,7 +26,7 @@ import numpy as np
 from . import harness, io
 from .geometry import build_geometry
 from .shell import decompose_displacement
-from .simulation import ModelConfig, Simulation, build_model_shell
+from .simulation import InstabilityError, ModelConfig, Simulation, build_model_shell
 
 
 @contextlib.contextmanager
@@ -196,6 +196,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except argparse.ArgumentError as exc:
         parser.error(str(exc))  # exits with status 2
+    except (InstabilityError, OSError) as exc:  # failed once started
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -179,7 +179,7 @@ def sample_steps(cfg: ModelConfig, n_samples: int):
     steps_total = int(round(cfg.T0 / cfg.dt))
     if abs(steps_total * cfg.dt - cfg.T0) > 1e-9 * cfg.T0:
         raise ValueError(f"T0 = {cfg.T0} is not a whole number of steps of {cfg.dt}")
-    if steps_total % n_samples != 0:
+    if n_samples < 1 or steps_total % n_samples != 0:
         raise ValueError(
             f"{steps_total} steps cannot be sampled {n_samples} times evenly"
         )

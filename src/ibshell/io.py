@@ -176,12 +176,14 @@ def write_displacement_map(omega, path, vmax: float | None = None):
     """8-bit binary PGM of a displacement field, symmetric about zero.
 
     Black (0) is the maximal downward displacement, white (255) the maximal
-    upward one; a zero field renders uniform mid-gray 128. `vmax` pins the
-    scale and must be positive and finite; by default it is max |omega|.
+    upward one; a zero field renders uniform mid-gray 128. omega must be
+    finite. `vmax`, positive and finite, pins the scale; by default max |omega|.
     """
     if vmax is not None and not 0.0 < vmax < np.inf:
         raise ValueError(f"vmax must be positive and finite, got {vmax!r}")
     w = np.asarray(omega, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError(f"{path}: omega holds a non-finite value")
     scale = float(np.abs(w).max()) if vmax is None else float(vmax)
     if scale == 0.0:
         gray = np.full(w.shape, 128, dtype=np.uint8)
@@ -211,8 +213,8 @@ def read_displacement_map(path):
         raise ValueError(f"{path}: PGM size {width}x{height} is not positive")
     if maxval != 255:
         raise ValueError(f"{path}: PGM maxval {maxval} is not 255 (8-bit pixels)")
-    if len(pixels) < width * height:
-        raise ValueError(f"{path}: truncated PGM ({len(pixels)} pixel bytes)")
+    if len(pixels) != width * height:
+        raise ValueError(f"{path}: {len(pixels)} pixel bytes, not {width * height}")
     data = np.frombuffer(pixels, dtype=np.uint8, count=width * height)
     return data.reshape(height, width).copy()
 

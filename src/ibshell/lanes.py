@@ -92,8 +92,8 @@ def beside(on_worker, here, points: int):
     try:
         second = here()
     except BaseException:
-        job.cancel()
-        futures.wait((job,))
+        if not job.cancel():  # begun: wait for it; not begun: it never runs
+            futures.wait((job,))
         raise
     if job.cancel():
         return on_worker(), second

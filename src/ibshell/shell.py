@@ -296,15 +296,10 @@ def decompose_displacement(X, geom: SurfaceGeometry) -> Displacement:
     return Displacement(omega=omega, W_low=W)
 
 
-def _cov_divergence(comps, index_types, geom):
-    """grad contracted against the first (contravariant) slot of comps."""
-    return _covariant_divergence(comps, index_types, 0, geom.Gamma, geom.grid)
-
-
 def _double_divergence(S, geom):
     """grad_s grad_t S^{s t}: inner derivative contracts the second slot."""
     V = _covariant_divergence(S, ("u", "u"), 1, geom.Gamma, geom.grid)
-    return _cov_divergence(V, ("u",), geom)
+    return _covariant_divergence(V, ("u",), 0, geom.Gamma, geom.grid)
 
 
 #: The force operator, one row per term: (coefficient field, contraction of
@@ -361,7 +356,7 @@ def compute_force(
 
     f3 = FORCE_ON_FLUID_SIGN * (acc["f3"] + _double_divergence(acc["S"], geom))
     fmu = FORCE_ON_FLUID_SIGN * (
-        acc["fmu"] + _cov_divergence(acc["T"], ("u", "u"), geom)
+        acc["fmu"] + _covariant_divergence(acc["T"], ("u", "u"), 0, Gamma, grid)
     )
     return ShellForceDensity(
         f3=f3, fmu=fmu, cartesian=force_to_cartesian(f3, fmu, geom)

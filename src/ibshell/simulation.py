@@ -266,17 +266,16 @@ _CLAMP_STRIPS = (
 )
 
 
-def clamp_force(X, grid: SurfaceGrid, k_clamp: float) -> np.ndarray:
-    """Spring force density -k (X - X0) / dq on the clamped rows (cartesian).
+def clamp_force(X, grid: SurfaceGrid, k_clamp: float, f: np.ndarray) -> np.ndarray:
+    """Add the springs -k (X - X0) / dq on the clamped rows into the
+    cartesian force density f, in place, and return f.
 
     Formed on the four edge strips alone; dq is the row's node area, as in
     `grid.node_areas`.
     """
-    X = np.asarray(X, dtype=float)
-    f = np.zeros_like(grid.X0)
     area = (grid.dq1 * grid.dq2_of_row)[:, None, None]
     for rows, cols in _CLAMP_STRIPS:
-        f[rows, cols] = -k_clamp * (X[rows, cols] - grid.X0[rows, cols]) / \
+        f[rows, cols] += -k_clamp * (X[rows, cols] - grid.X0[rows, cols]) / \
             area[rows]
     return f
 
@@ -327,8 +326,8 @@ class Simulation:
     def shell_force_cartesian(self, X) -> np.ndarray:
         """Elastic force density plus edge clamp springs, in cartesian frame."""
         disp = decompose_displacement(X, self.geom)
-        f = compute_force(disp, self.coeff, self.geom)
-        return f.cartesian + clamp_force(X, self.grid, self.cfg.k_clamp)
+        f = compute_force(disp, self.coeff, self.geom).cartesian
+        return clamp_force(X, self.grid, self.cfg.k_clamp, f)
 
     def omega(self) -> np.ndarray:
         """Current normal displacement field."""

@@ -520,8 +520,9 @@ def clamp_rows_mask(n1, n2):
 
 
 def clamp_force_masked(X, grid, k_clamp):
-    """`simulation.clamp_force` as a boolean mask over every node: the mask,
-    the node areas and X - X0 formed over the whole shell lattice."""
+    """`simulation.clamp_force` into a zero field, as a boolean mask over
+    every node: the mask, the node areas and X - X0 formed over the whole
+    shell lattice."""
     f = np.zeros_like(grid.X0)
     m = clamp_rows_mask(grid.n1, grid.n2)
     f[m] = -k_clamp * (np.asarray(X, dtype=float) - grid.X0)[m] / \

@@ -116,6 +116,34 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
             assert bad_keys[argv[2]] in err, argv
 
 
+def test_unstable_run_is_one_error_line(tmp_path, capsys):
+    # a run that fails once started exits 1 with one line naming the step,
+    # not a traceback
+    assert main(["run", "--n", "16", "--dt", "1e-3", "--steps", "3",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ibshell: error: max |X - X0| = ")
+    assert err[0].endswith("exceeded a/2 at step 2")
+
+
+def test_unwritable_snapshot_is_one_error_line(tmp_path, capsys):
+    # a snapshot path that is a directory: exit 1 with one line naming the
+    # path, and the snapshots written before it stay
+    out = tmp_path / "out"
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("N = 16\ndt = 8e-8\nsnapshot_every = 1\n")
+    taken = out / "snapshot_000002.ibsh"
+    taken.mkdir(parents=True)
+    assert main(["run", "--config", str(cfg), "--steps", "3",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"ibshell: error: writing snapshot {taken}: ")
+    assert read_snapshot(out / "snapshot_000001.ibsh").t == 8e-8
+    assert sorted(p.name for p in out.iterdir()) == [
+        "snapshot_000001.ibsh", "snapshot_000002.ibsh"]
+
+
 def test_config_without_run_time_is_a_usage_error(tmp_path, capsys):
     # with no positive run time, run would take a negative step count and
     # study would fail only after building every rung

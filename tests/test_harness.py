@@ -144,6 +144,9 @@ def test_sample_steps():
         sample_steps(cfg, 33)
     with pytest.raises(ValueError, match="whole number"):
         sample_steps(ModelConfig(N=16, dt=3.0e-8, T0=2e-6), 50)
+    for n_samples in (0, -5):  # 0 divided by zero; -5 gave no steps
+        with pytest.raises(ValueError, match=f"sampled {n_samples} times"):
+            sample_steps(cfg, n_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -218,12 +218,13 @@ def test_clamp_mask_and_force():
     assert m[:, :2].all() and m[:, -2:].all()
     assert not m[5, 3]
 
-    assert np.abs(clamp_force(grid.X0, grid, 1e5)).max() == 0.0
+    f = clamp_force(grid.X0, grid, 1e5, np.zeros_like(grid.X0))
+    assert np.abs(f).max() == 0.0
 
     X = grid.X0.copy()
     d = np.array([1e-4, 0.0, -2e-4])
     X[0, 3] += d
-    f = clamp_force(X, grid, 1e5)
+    f = clamp_force(X, grid, 1e5, np.zeros_like(X))
     expect = -1e5 * d / grid.node_areas[0, 3]
     assert np.allclose(f[0, 3], expect, rtol=1e-14)
     f[0, 3] = 0.0
@@ -232,7 +233,7 @@ def test_clamp_mask_and_force():
     # an interior displaced node feels no spring
     X = grid.X0.copy()
     X[5, 3] += d
-    assert np.abs(clamp_force(X, grid, 1e5)).max() == 0.0
+    assert np.abs(clamp_force(X, grid, 1e5, np.zeros_like(X))).max() == 0.0
 
 
 @pytest.mark.parametrize("N", [16, 32, 64])
@@ -240,9 +241,14 @@ def test_clamp_force_matches_masked_oracle_bitwise(N):
     grid = build_model_shell(ModelConfig(N=N))
     rng = np.random.default_rng(N)
     X = grid.X0 + 1e-4 * rng.standard_normal(grid.X0.shape)
-    got = clamp_force(X, grid, 1e7)
+    got = clamp_force(X, grid, 1e7, np.zeros_like(X))
     assert np.array_equal(got, oracles.clamp_force_masked(X, grid, 1e7))
     assert not got[~oracles.clamp_rows_mask(grid.n1, grid.n2)].any()
+    # the springs are added into f, in place, and the rest of f is kept
+    f = rng.standard_normal(X.shape)
+    want = f + oracles.clamp_force_masked(X, grid, 1e7)
+    assert clamp_force(X, grid, 1e7, f) is f
+    assert np.array_equal(f, want)
 
 
 def test_clamp_spring_relaxation_decays():
@@ -781,6 +787,13 @@ def test_graymap_conventions(tmp_path):
         with pytest.raises(ValueError, match="vmax"):
             write_displacement_map(w, tmp_path / "bad.pgm", vmax=vmax)
     assert not (tmp_path / "bad.pgm").exists()
+    # a non-finite omega is refused before the file is opened
+    for value in (np.nan, np.inf, -np.inf):
+        w_bad = w.copy()
+        w_bad[2, 3] = value
+        with pytest.raises(ValueError, match="bad.pgm"):
+            write_displacement_map(w_bad, tmp_path / "bad.pgm")
+        assert not (tmp_path / "bad.pgm").exists()
 
     blob = path.read_bytes()
     for size in (3, 7, len(blob) - 1):  # in the header, then in the pixels
@@ -794,7 +807,8 @@ def test_graymap_conventions(tmp_path):
     (b"P5\n-3 4\n255\n", 12),     # read as a 4x3 image
     (b"P5\n-3 -4\n255\n", 12),    # failed inside numpy, naming no file
     (b"P5\n3 4\n65535\n", 24),    # 16-bit pixels read as 8-bit ones
-], ids=["negative-width", "negative-size", "maxval-65535"])
+    (b"P5\n3 4\n255\n", 13),       # a byte after the last pixel
+], ids=["negative-width", "negative-size", "maxval-65535", "trailing-byte"])
 def test_graymap_rejects_bad_header(tmp_path, header, n_pixels):
     path = tmp_path / "bad.pgm"
     path.write_bytes(header + bytes(n_pixels))
