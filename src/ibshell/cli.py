@@ -61,8 +61,9 @@ def _cmd_run(args) -> int:
         with _reading("--dt"):
             cfg = replace(cfg, dt=args.dt)
     steps = args.steps if args.steps is not None else int(round(cfg.T0 / cfg.dt))
+    with _reading(f"--config: {args.config}" if args.config else "--config"):
+        sim = Simulation(cfg)  # the shell's geometry can be degenerate
     out = _out_dir(args)
-    sim = Simulation(cfg)
     params = io.config_param_block(cfg)
     cadence = cfg.snapshot_every
     written = []
@@ -72,10 +73,8 @@ def _cmd_run(args) -> int:
         io.write_snapshot(path, sim.X, sim.u, sim.p, sim.t, cfg.dt, params)
         written.append(path)
 
-    for k in range(cadence, steps + 1, cadence) if cadence > 0 else ():
-        sim.run(k - sim.step_count)
-        snap(f"{k:06d}")
-    sim.run(steps - sim.step_count)
+    sim.run(steps, [(range(cadence, steps + 1, cadence) if cadence else (),
+                     lambda s: snap(f"{s.step_count:06d}"))])
     snap("final")
     drift = np.abs(sim.X - sim.grid.X0).max()
     print(f"ran {steps} steps to t = {sim.t:.6e} s on N = {cfg.N}; "
@@ -137,8 +136,7 @@ def _cmd_render(args) -> int:
     with _reading("snapshot"):
         snap = io.read_snapshot(args.snapshot)  # its errors name the file
     with _reading(f"snapshot: {args.snapshot}"):
-        cfg = io.params_to_config(snap.params)
-    geom = build_geometry(build_model_shell(cfg))
+        geom = build_geometry(build_model_shell(io.params_to_config(snap.params)))
     omega = decompose_displacement(snap.X, geom).omega
     out = Path(args.out) if args.out else Path(args.snapshot).with_suffix(".pgm")
     with _reading("--out"):

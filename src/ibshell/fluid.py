@@ -46,6 +46,10 @@ class FluidParams:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        hh = self.h * self.h  # not h**2, which raises OverflowError
+        if not (np.isfinite(hh) and hh > 0.0):
+            raise ValueError(f"a = {self.a!r} gives a lattice width h = a/N "
+                             f"whose square {hh!r} is not positive and finite")
 
     @property
     def h(self) -> float:

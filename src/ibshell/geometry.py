@@ -35,7 +35,7 @@ from functools import cache, reduce
 import numpy as np
 
 
-class GeometryError(Exception):
+class GeometryError(ValueError):
     """Base class for unusable surface geometry."""
 
 

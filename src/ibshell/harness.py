@@ -191,18 +191,17 @@ def run_sampled(cfg: ModelConfig, n_samples: int, common_dims) -> StudyRecord:
     """Run one experiment, capturing restricted positions at the sample times."""
     steps = sample_steps(cfg, n_samples)
     sim = Simulation(cfg)
-    out = np.empty((n_samples,) + tuple(common_dims) + (3,))
+    out = []
     t0 = time.perf_counter()
-    for j, k in enumerate(steps):
-        sim.run(k - sim.step_count)
-        out[j] = restrict_to_common_grid(sim.X, common_dims)
+    sim.run(steps[-1], [(steps, lambda s: out.append(
+        restrict_to_common_grid(s.X, common_dims)))])
     return StudyRecord(
         label=f"{cfg.dt * 1e8:g}/{cfg.N}",
         N=cfg.N,
         dt=cfg.dt,
         T0=cfg.T0,
         times=steps * cfg.dt,
-        X=out,
+        X=np.stack(out),
         X0=restrict_to_common_grid(sim.grid.X0, common_dims),
         wall_seconds=time.perf_counter() - t0,
     )
@@ -320,17 +319,12 @@ def run_traveling_wave(
                   thickness_law=cfg.thickness_law if thickness_law is None
                   else thickness_law)
     sim = Simulation(cfg)
-    k2c = sim.grid.n2 // 2
     steps = first_snapshot_step + snapshot_stride * np.arange(n_snapshots)
-    omega = np.empty((n_snapshots, sim.grid.n1))
-    omega_full = np.empty((n_snapshots, sim.grid.n1, sim.grid.n2))
-    for j, k in enumerate(steps):
-        sim.run(k - sim.step_count)
-        omega_full[j] = sim.omega()
-        omega[j] = omega_full[j, :, k2c]
-    return WaveRecord(
-        times=steps * cfg.dt, q1=cfg.q1_rows(), omega=omega, omega_full=omega_full
-    )
+    omegas = []
+    sim.run(steps[-1], [(steps, lambda s: omegas.append(s.omega()))])
+    omega_full = np.stack(omegas)
+    return WaveRecord(times=steps * cfg.dt, q1=cfg.q1_rows(),
+                      omega=omega_full[:, :, cfg.n2 // 2], omega_full=omega_full)
 
 
 # ---------------------------------------------------------------------------

@@ -367,7 +367,13 @@ class Simulation:
                 f"{self.step_count}"
             )
 
-    def run(self, n_steps: int):
-        """Advance n_steps."""
+    def run(self, n_steps: int, observers=()):
+        """Advance n_steps, the one loop over `step`. Each observer is a pair
+        (counts, fn), counts a list of step numbers or a range for a cadence:
+        after each step whose new step_count is in counts, fn(self) is called,
+        observers in list order. An observer that raises stops the run."""
         for _ in range(n_steps):
             self.step()
+            for counts, fn in observers:
+                if self.step_count in counts:
+                    fn(self)

@@ -73,12 +73,19 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
     write_snapshot(real, sim.X, sim.u, sim.p, sim.t, cfg.dt, config_param_block(cfg))
     bad_keys = {}  # malformed config file -> the key it sets
     for key, value in (("mu", "inf"), ("F_imp", "nan"), ("z_imp", "nan"),
-                       ("lam", "nan"), ("w0", "-0.1"), ("L", "-0.5")):
-        path = tmp_path / f"bad_{key}.cfg"
+                       ("lam", "nan"), ("w0", "-0.1"), ("L", "-0.5"),
+                       ("a", "1e-300"), ("a", "1e300")):  # h*h is 0 or inf
+        path = tmp_path / f"bad_{key}_{value}.cfg"
         path.write_text(f"N = 16\n{key} = {value}\n")
         bad_keys[str(path)] = key
+    degenerate = []  # valid keys, but a shell whose geometry cannot be built
+    for i, line in enumerate(("alpha = 0", "R = 1e300", "L = 3")):
+        path = tmp_path / f"degenerate_{i}.cfg"
+        path.write_text(f"N = 16\n{line}\n")
+        degenerate.append(str(path))
     for argv, source in [
-        (["run", "--config", path, "--steps", "3"], "--config") for path in bad_keys
+        (["run", "--config", path, "--steps", "3"], "--config")
+        for path in [*bad_keys, *degenerate]
     ] + [
         (["run", "--n", "-4"], "--n"),
         (["run", "--n", "3"], "--n"),
@@ -111,9 +118,10 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
         assert missing in err or missing not in argv, argv
         assert not out.exists(), argv
         assert taken.read_text() == "kept\n", argv
-        if argv[1:2] == ["--config"] and argv[2] in bad_keys:  # and its key
+        if argv[1:2] == ["--config"] and argv[2] != missing:  # and its path
             assert f"--config: {argv[2]}: " in err, argv
-            assert bad_keys[argv[2]] in err, argv
+            if argv[2] in bad_keys:  # and its key
+                assert bad_keys[argv[2]] in err, argv
 
 
 def test_unstable_run_is_one_error_line(tmp_path, capsys):
@@ -258,7 +266,8 @@ def test_render_rejects_params_that_disagree_with_the_header(tmp_path, capsys):
 
 def test_render_rejects_bad_snapshot_contents(tmp_path, capsys):
     # an int param that is not a whole number, a param name that is not
-    # ASCII and a NaN in X each exit 2, naming the param or the file
+    # ASCII, a NaN in X and params whose shell is degenerate each exit 2,
+    # naming the param or the file
     cfg = ModelConfig(N=16)
     sim = Simulation(cfg)
     params = config_param_block(cfg)
@@ -273,6 +282,8 @@ def test_render_rejects_bad_snapshot_contents(tmp_path, capsys):
          "{path}: N must be a power of two, got 48"),
         ("ascii", sim.X, params, "{path}: param name b'k_cl\\xe4mp' is not ASCII"),
         ("nan", X_nan, params, "{path}: X holds a non-finite value"),
+        ("alpha", sim.X, {**params, "alpha": 0.0},
+         "{path}: collapsed parameterization"),
     ]
     u48 = np.zeros((3, 48, 48, 48))
     for name, X, block, message in cases:

@@ -570,6 +570,37 @@ def test_determinism_bitwise():
     assert np.array_equal(a.p, b.p)
 
 
+def test_run_calls_observers_at_their_counts():
+    # run(n, observers) is n hand-called steps; after each step whose count
+    # an observer names it is called, in list order, and never past n
+    cfg = ModelConfig(N=16, dt=8e-8)
+    by_hand = Simulation(cfg)
+    for _ in range(7):
+        by_hand.step()
+    sim, calls = Simulation(cfg), []
+    sim.run(7, [
+        (range(3, 100, 3), lambda s: calls.append(("cadence", s.step_count))),
+        (np.array([1, 3, 9]), lambda s: calls.append(("list", s.step_count))),
+    ])
+    assert calls == [("list", 1), ("cadence", 3), ("list", 3), ("cadence", 6)]
+    assert sim.step_count == 7
+    for name in ("X", "u", "p"):
+        assert np.array_equal(getattr(sim, name), getattr(by_hand, name)), name
+    sim.run(0, [(range(100), lambda s: calls.append("never"))])
+    assert len(calls) == 4 and sim.step_count == 7
+
+    # an observer that raises stops the run at the step it was called after
+    def stop(s):
+        raise RuntimeError("stop")
+
+    stopped, two = Simulation(cfg), Simulation(cfg)
+    with pytest.raises(RuntimeError, match="stop"):
+        stopped.run(7, [([2], stop)])
+    two.step()
+    two.step()
+    assert stopped.step_count == 2 and np.array_equal(stopped.X, two.X)
+
+
 def test_impulse_pushes_fluid_down_and_shell_follows():
     sim = Simulation(ModelConfig(N=16, dt=8e-8))
     # past the clamp-row startup ringing (the clamped rows oscillate about
