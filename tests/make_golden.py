@@ -28,7 +28,7 @@ from oracles import lattice_view
 GOLDEN = Path(__file__).parent / "golden" / "trajectory.npz"
 
 #: (N, steps) of each recorded run, at dt = 3.2e-7 / N
-RUNS = ((16, 30), (32, 20))
+RUNS = ((16, 30), (32, 20), (64, 4))
 CLOSURES = ("leading", "quadratic")
 GEOMETRY = ("g", "ginv", "b", "Gamma", "gradb")
 
