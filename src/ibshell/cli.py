@@ -104,7 +104,10 @@ def _cmd_study(args) -> int:
         with _reading("--dt"):
             dt_list = _parse_ladder(args.dt, float)
     with _reading("--n/--dt ladder"):
-        harness.study_configs(base, N_list, dt_list)
+        cfgs = harness.study_configs(base, N_list, dt_list)
+    with _reading(f"--config: {args.config}" if args.config else "--config"):
+        for cfg in cfgs:  # each rung's shell, before any rung runs
+            Simulation(cfg)
     _out_dir(args)
     study = harness.run_convergence_study(
         base, N_list=N_list, dt_list=dt_list, out_dir=args.out,

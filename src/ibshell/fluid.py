@@ -169,9 +169,10 @@ class FluidSolver:
 
         Returns the new velocity, written into `out` (a new array if None):
         it satisfies the implicit system exactly (to roundoff) and is
-        discretely divergence-free. u and F are left unchanged; an `out` that
-        shares memory with either raises ValueError. The step's pressure is
-        kept as p_hat and inverted only when `pressure()` reads it.
+        discretely divergence-free. u is left unchanged, and so is F unless
+        it is `out`; an `out` that shares memory with u, or with F without
+        being F, raises ValueError. The step's pressure is kept as p_hat and
+        inverted only when `pressure()` reads it.
 
         With `out` given, the step allocates no (3, N, N, N) field: the
         advection is formed in r_hat's memory, the right-hand side in `out`,
@@ -185,7 +186,8 @@ class FluidSolver:
         N = prm.N
         if out is None:
             out = np.empty(np.shape(u))
-        elif np.shares_memory(out, u) or np.shares_memory(out, F):
+        elif np.shares_memory(out, u) or (out is not F
+                                          and np.shares_memory(out, F)):
             raise ValueError("FluidSolver.step: out shares memory with u or F")
         adv, rhat, phat = self._adv, self._rhat, self._phat
         upwind_advection(u, prm.h, out=adv)
@@ -220,15 +222,14 @@ class FluidSolver:
         return self._p
 
     def _rhs_rows(self, u, adv, F, r, lo, hi):
-        """Rows lo:hi (first lattice axis) of r = (rho/dt) u - rho adv + F;
-        scales those rows of adv in place."""
+        """Rows lo:hi (first lattice axis) of r = ((rho/dt) u - rho adv) + F,
+        a component at a time, so r may be F; scales those rows of adv."""
         prm = self.params
-        rows = (slice(None), slice(lo, hi))
-        out, a = r[rows], adv[rows]
-        np.multiply(prm.rho / prm.dt, u[rows], out=out)
-        a *= prm.rho
-        out -= a
-        out += F[rows]
+        for c in range(3):
+            rows = (c, slice(lo, hi))
+            t = prm.rho / prm.dt * u[rows]
+            t -= np.multiply(adv[rows], prm.rho, out=adv[rows])
+            np.add(t, F[rows], out=r[rows])
 
     def _spectral_rows(self, rhat, phat, lo, hi):
         """Rows lo:hi (first axis) of p_hat, and of u_hat over r_hat."""

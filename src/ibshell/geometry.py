@@ -329,9 +329,13 @@ def build_frame(grid: SurfaceGrid):
     product and the norm are summed as np.cross and np.linalg.norm sum them.
     """
     T1, T2 = T = _diff_stack(components_first(grid.X0), grid)
-    cr = T1[[1, 2, 0]] * T2[[2, 0, 1]] - T1[[2, 0, 1]] * T2[[1, 2, 0]]
-    sq = cr * cr
-    nrm = np.sqrt((sq[0] + sq[1]) + sq[2])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        cr = T1[[1, 2, 0]] * T2[[2, 0, 1]] - T1[[2, 0, 1]] * T2[[1, 2, 0]]
+        sq = cr * cr
+        nrm = np.sqrt((sq[0] + sq[1]) + sq[2])
+    if not np.isfinite(nrm).all():
+        raise DegenerateFrameError("the tangent frame overflows: |T1 x T2| "
+                                   "is not finite")
     if np.min(nrm) < 1e-14:
         raise DegenerateFrameError(
             f"collapsed parameterization: min |T1 x T2| = {np.min(nrm):.3e}"

@@ -125,11 +125,14 @@ class ModelConfig:
             raise ValueError(
                 f"snapshot_every must be >= 0, got {self.snapshot_every!r}"
             )
-        self.fluid_params()  # FluidParams holds the lattice and fluid rules
+        h = self.fluid_params().h  # FluidParams holds the lattice and fluid rules
         for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
             if kind is float and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if not math.isfinite(self.F_imp / h / self.dt):  # step 0's impulse
+            raise ValueError(f"F_imp = {self.F_imp!r} makes the impulse "
+                             "F_imp/(h dt) non-finite")
         # MaterialParams holds the material rules
         MaterialParams(lam=self.lam, mu=self.mu, h0=thickness_field(self))
         w = self.width(self.q1_rows())
@@ -306,10 +309,9 @@ class Simulation:
         self.X = self.grid.X0.copy()
         self.step_count = 0
         self.u = np.zeros((3, cfg.N, cfg.N, cfg.N))
-        # lattice arrays every step rewrites: the next velocity (swapped with
-        # u after each solve) and the spread force
+        # the next velocity, swapped with u after each solve: each step
+        # spreads the force into it and the solve writes over the force
         self._u_next = np.empty_like(self.u)
-        self._F = np.empty_like(self.u)
         self._S = None  # the last step's S, rewritten in place by the next
 
     @property
@@ -339,23 +341,23 @@ class Simulation:
         S reads only the old X, so on large lattices the worker lane
         (`lanes.beside`) builds it while this thread forms the shell force;
         the result is bit for bit the serial step's. The lattice arrays the
-        step writes are held, as is S while no node changes cell, and the
-        solve writes into the spare velocity: a step that raises before its
-        solve is done leaves `u` as it was.
+        step writes are held, as is S while no node changes cell. The force
+        is spread into the spare velocity, which the solve overwrites: a
+        step that raises before its solve is done leaves `u` as it was.
         """
         cfg = self.cfg
         X = self.X
         S, f = lanes.beside(lambda: coupling_matrix(X, self.fparams, self._S),
                             lambda: self.shell_force_cartesian(X), cfg.N**3)
         self._S = S
-        F = spread_force(f, S, self.dq_area, self.fparams, out=self._F)
+        F = spread_force(f, S, self.dq_area, self.fparams, out=self._u_next)
         if self.step_count == 0:
             # the impulse: F_z = -F_imp / h on the lattice plane nearest
             # z_imp (plane integral -F_imp a^2), scaled by 1/dt so the
             # injected momentum (and the run) is independent of the step size
             h = self.fparams.h
             F[2, :, :, round(cfg.z_imp / h) % cfg.N] += -cfg.F_imp / h / cfg.dt
-        u = self.solver.step(self.u, F, out=self._u_next)
+        u = self.solver.step(self.u, F, out=F)
         self.u, self._u_next = u, self.u
         U = interpolate_velocity(u, S)
         self.X = X + cfg.dt * U.reshape(X.shape)

@@ -74,18 +74,27 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
     bad_keys = {}  # malformed config file -> the key it sets
     for key, value in (("mu", "inf"), ("F_imp", "nan"), ("z_imp", "nan"),
                        ("lam", "nan"), ("w0", "-0.1"), ("L", "-0.5"),
-                       ("a", "1e-300"), ("a", "1e300")):  # h*h is 0 or inf
+                       ("a", "1e-300"), ("a", "1e300"),  # h*h is 0 or inf
+                       ("F_imp", "1e300"), ("F_imp", "-1e300")):  # F_imp/(h dt)
         path = tmp_path / f"bad_{key}_{value}.cfg"
         path.write_text(f"N = 16\n{key} = {value}\n")
         bad_keys[str(path)] = key
     degenerate = []  # valid keys, but a shell whose geometry cannot be built
-    for i, line in enumerate(("alpha = 0", "R = 1e300", "L = 3")):
+    for i, line in enumerate((
+            "alpha = 0", "R = 1e300", "L = 3",
+            # the tangent frame overflows
+            "L = 1e-300", "L_BM = 1e-300", "w0 = 1e300", "w1 = 1e300",
+            "H = 1e300", "H = -1e300", "alpha = 1e300", "alpha = -1e300")):
         path = tmp_path / f"degenerate_{i}.cfg"
         path.write_text(f"N = 16\n{line}\n")
         degenerate.append(str(path))
     for argv, source in [
         (["run", "--config", path, "--steps", "3"], "--config")
         for path in [*bad_keys, *degenerate]
+    ] + [
+        (["study", "--config", path, "--n", "16,32", "--dt", "4e-8,2e-8"],
+         "--config")
+        for path in degenerate
     ] + [
         (["run", "--n", "-4"], "--n"),
         (["run", "--n", "3"], "--n"),

@@ -389,10 +389,19 @@ def test_pressure_on_read_matches_out_of_place_oracle():
     assert sim.p is not p and np.array_equal(p, p_ref)
 
 
-def test_step_swaps_two_held_velocity_arrays():
+def test_step_swaps_two_held_velocity_arrays(monkeypatch):
     # documented in README "Threads": a step overwrites the array u held
-    # before the step before it
+    # before the step before it, spreading the force into it first, so no
+    # separate force field is held
     sim = Simulation(ModelConfig(N=16, dt=8e-8))
+    assert not hasattr(sim, "_F")
+    solve, seen = ibshell.fluid.FluidSolver.step, []
+
+    def spy(self, u, F, out=None):
+        seen.append(F is out)
+        return solve(self, u, F, out)
+
+    monkeypatch.setattr(ibshell.fluid.FluidSolver, "step", spy)
     sim.step()
     first = sim.u
     sim.step()
@@ -401,6 +410,7 @@ def test_step_swaps_two_held_velocity_arrays():
     kept = second.copy()
     sim.step()
     assert sim.u is first and np.array_equal(second, kept)
+    assert seen == [True] * 3
 
 
 def test_interrupted_solve_leaves_u(monkeypatch):
