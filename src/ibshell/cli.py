@@ -64,13 +64,12 @@ def _cmd_run(args) -> int:
     with _reading(f"--config: {args.config}" if args.config else "--config"):
         sim = Simulation(cfg)  # the shell's geometry can be degenerate
     out = _out_dir(args)
-    params = io.config_param_block(cfg)
     cadence = cfg.snapshot_every
     written = []
 
     def snap(tag):
         path = out / f"snapshot_{tag}.ibsh"
-        io.write_snapshot(path, sim.X, sim.u, sim.p, sim.t, cfg.dt, params)
+        io.write_snapshot(path, sim)
         written.append(path)
 
     sim.run(steps, [(range(cadence, steps + 1, cadence) if cadence else (),

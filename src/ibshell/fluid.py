@@ -50,6 +50,16 @@ class FluidParams:
         if not (np.isfinite(hh) and hh > 0.0):
             raise ValueError(f"a = {self.a!r} gives a lattice width h = a/N "
                              f"whose square {hh!r} is not positive and finite")
+        # the solver divides by the symbol a(k) = rho/dt + (4 mu_f/h^2)
+        # sum_i sin^2(pi k_i/N), which lies in [rho/dt, rho/dt + 12 mu_f/h^2]
+        least = self.rho / self.dt
+        if not (least > 0.0 and np.isfinite(least) and np.isfinite(1.0 / least)):
+            raise ValueError(f"rho = {self.rho!r} makes the fluid symbol's "
+                             f"least value rho/dt = {least!r} or its "
+                             "reciprocal non-finite")
+        if not np.isfinite(least + 12.0 * self.mu_f / hh):
+            raise ValueError(f"mu_f = {self.mu_f!r} makes the fluid symbol "
+                             "rho/dt + (4 mu_f/h^2) sum sin^2 non-finite")
 
     @property
     def h(self) -> float:

@@ -328,8 +328,8 @@ def build_frame(grid: SurfaceGrid):
     Returns the (2, 3, n1, n2) frame and the (3, n1, n2) normal. The cross
     product and the norm are summed as np.cross and np.linalg.norm sum them.
     """
-    T1, T2 = T = _diff_stack(components_first(grid.X0), grid)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        T1, T2 = T = _diff_stack(components_first(grid.X0), grid)
         cr = T1[[1, 2, 0]] * T2[[2, 0, 1]] - T1[[2, 0, 1]] * T2[[1, 2, 0]]
         sq = cr * cr
         nrm = np.sqrt((sq[0] + sq[1]) + sq[2])

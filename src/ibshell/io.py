@@ -32,9 +32,8 @@ from .simulation import FIELD_TYPES, ModelConfig
 MAGIC = b"IBSH"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIIIddI")  # magic, version, N, n1, n2, t, dt, n_params
-_NAME_BYTES = 24
-#: one param record: the NUL-padded ASCII name, then the value
-_PARAM = np.dtype([("name", f"S{_NAME_BYTES}"), ("value", "<f8")])
+#: one param record: the 24-byte NUL-padded ASCII name, then the value
+_PARAM = np.dtype([("name", "S24"), ("value", "<f8")])
 
 
 @dataclass
@@ -85,34 +84,19 @@ def params_to_config(params: dict):
     return ModelConfig(**kwargs)
 
 
-def write_snapshot(path, X, u, p, t, dt, params: dict):
-    """Write one snapshot; raises OSError annotated with the path.
-
-    A param name that is not ASCII or longer than 24 bytes raises ValueError
-    naming the file, before the file is opened.
-    """
-    X = np.asarray(X, dtype=float)
-    u = np.asarray(u, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n1, n2, _ = X.shape
-    N = p.shape[0]
-    block = []
-    for name, value in params.items():
-        try:
-            raw = name.encode("ascii")
-        except UnicodeEncodeError:
-            raise ValueError(f"{path}: param name {name!r} is not ASCII") from None
-        if len(raw) > _NAME_BYTES:
-            raise ValueError(f"{path}: param name {name!r} is longer than "
-                             f"{_NAME_BYTES} bytes")
-        block.append((raw, float(value)))
+def write_snapshot(path, sim):
+    """Write sim's X, u and p at sim.t, with the header's dt and the param
+    block from sim.cfg; raises OSError annotated with the path."""
+    n1, n2, _ = sim.X.shape
+    N = sim.p.shape[0]
+    params = config_param_block(sim.cfg)
     try:
         with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, N, n1, n2, float(t), float(dt),
+            fh.write(_HEADER.pack(MAGIC, VERSION, N, n1, n2, sim.t, sim.cfg.dt,
                                   len(params)))
-            np.array(block, dtype=_PARAM).tofile(fh)
-            X.astype("<f8").tofile(fh)
-            for field in (*u, p):  # transposed, so x is fastest in the file
+            np.array(list(params.items()), dtype=_PARAM).tofile(fh)
+            sim.X.astype("<f8").tofile(fh)
+            for field in (*sim.u, sim.p):  # transposed, so x is fastest in the file
                 field.T.astype("<f8", order="C").tofile(fh)
     except OSError as exc:
         raise OSError(f"writing snapshot {path}: {exc}") from exc
@@ -122,8 +106,8 @@ def read_snapshot(path) -> Snapshot:
     """Read one snapshot; a malformed file raises ValueError naming it.
 
     Rejected: a bad magic, version or length, a param name that is not
-    ASCII, a param block whose N, n1 or n2 is missing or disagrees with the
-    header, and a non-finite value in X, u or p.
+    ASCII, a param block whose N, n1, n2 or dt is missing or disagrees with
+    the header, and a non-finite value in X, u or p.
     """
     try:
         blob = Path(path).read_bytes()
@@ -149,7 +133,7 @@ def read_snapshot(path) -> Snapshot:
             params[raw.decode("ascii")] = value
         except UnicodeDecodeError:
             raise ValueError(f"{path}: param name {raw!r} is not ASCII") from None
-    for key, value in (("N", N), ("n1", n1), ("n2", n2)):
+    for key, value in (("N", N), ("n1", n1), ("n2", n2), ("dt", dt)):
         if key not in params:
             raise ValueError(f"{path}: param {key} is missing (the header's "
                              f"{key} = {value})")

@@ -78,8 +78,8 @@ class MaterialParams:
             raise ValueError("mu must be positive")
         if not (self.lam + 2.0 * self.mu > 0.0):
             raise ValueError("lam + 2*mu must be positive")
-        if not (self.h0 > 0.0).all():
-            raise ValueError("h0 must be positive everywhere")
+        if not ((0.0 < self.h0) & (self.h0 < np.inf)).all():
+            raise ValueError("h0 must be positive and finite everywhere")
 
 
 @dataclass
@@ -106,10 +106,16 @@ class ShellCoefficients:
     Obbar: np.ndarray     # (2, 2, 2, 2, n1, n2)
 
     def __post_init__(self):
-        # the fields are fixed once built: find the nonzero ones here, not
-        # on every force evaluation
-        self._active = {f.name: bool(np.any(getattr(self, f.name)))
-                        for f in fields(self)}
+        # the fields are fixed once built: check that each is finite and
+        # find the nonzero ones here, not on every force evaluation (min and
+        # max carry a NaN through)
+        self._active = {}
+        for f in fields(self):
+            field = getattr(self, f.name)
+            lo, hi = field.min(), field.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(f"shell coefficient field {f.name} is not finite")
+            self._active[f.name] = bool(lo or hi)
 
     def active(self, name: str) -> bool:
         """Whether a coefficient field has any nonzero entry."""
@@ -185,6 +191,7 @@ class _TPoly:
         return _TPoly(out)
 
 
+@np.errstate(all="ignore")  # ShellCoefficients checks that every field is finite
 def compute_coefficients(
     geom: SurfaceGeometry, mat: MaterialParams, order: str = "leading"
 ) -> ShellCoefficients:

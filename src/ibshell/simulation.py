@@ -133,19 +133,24 @@ class ModelConfig:
         if not math.isfinite(self.F_imp / h / self.dt):  # step 0's impulse
             raise ValueError(f"F_imp = {self.F_imp!r} makes the impulse "
                              "F_imp/(h dt) non-finite")
+        if not math.isfinite(self.z_imp / h):  # and the plane it is put on
+            raise ValueError(f"z_imp = {self.z_imp!r} makes the impulse plane "
+                             "z_imp/h non-finite")
         # MaterialParams holds the material rules
         MaterialParams(lam=self.lam, mu=self.mu, h0=thickness_field(self))
         w = self.width(self.q1_rows())
         if not (np.isfinite(w).all() and (w > 0.0).all()):
             raise ValueError(
                 "strip width w(q1) = w0 + (q1/L_BM)(w1 - w0) must be positive "
-                f"and finite on every row, got {w.min()!r} .. {w.max()!r}"
+                f"and finite on every row, got {float(w.min())!r} .. "
+                f"{float(w.max())!r}"
             )
 
     @property
     def dq1(self) -> float:
         return self.L / (self.n1 - 1)
 
+    @np.errstate(all="ignore")  # __post_init__ checks that it is finite
     def width(self, q1):
         return self.w0 + (np.asarray(q1) / self.L_BM) * (self.w1 - self.w0)
 
@@ -232,12 +237,14 @@ def thickness_law(q1, law: str = "table", L: float = 0.5, tol: float = 0.0):
     raise ValueError(f"unknown thickness law {law!r}")
 
 
+@np.errstate(all="ignore")  # MaterialParams checks that h0 is finite
 def thickness_field(cfg: ModelConfig) -> np.ndarray:
     """h0 on the lattice; a function of q1 only, broadcast across rows."""
     h0_rows = thickness_law(cfg.q1_rows(), cfg.thickness_law, L=cfg.L, tol=cfg.dq1)
     return np.broadcast_to(h0_rows[:, None], (cfg.n1, cfg.n2)).copy()
 
 
+@np.errstate(all="ignore")  # SurfaceGrid checks that X0 is finite
 def build_model_shell(cfg: ModelConfig) -> SurfaceGrid:
     """Discretize the helicoidal strip on the verbatim k = 1..n lattice."""
     q1 = cfg.q1_rows()

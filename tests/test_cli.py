@@ -1,15 +1,18 @@
+import re
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from ibshell.cli import main
 from ibshell.io import (
-    config_param_block,
     read_csv,
     read_displacement_map,
     read_snapshot,
     write_snapshot,
 )
-from ibshell.simulation import ModelConfig, Simulation
+from ibshell.simulation import FIELD_TYPES, ModelConfig, Simulation
 
 
 def test_run_writes_snapshots(tmp_path, capsys):
@@ -70,12 +73,15 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
     real = tmp_path / "real.ibsh"
     cfg = ModelConfig(N=16)
     sim = Simulation(cfg)
-    write_snapshot(real, sim.X, sim.u, sim.p, sim.t, cfg.dt, config_param_block(cfg))
+    write_snapshot(real, sim)
     bad_keys = {}  # malformed config file -> the key it sets
     for key, value in (("mu", "inf"), ("F_imp", "nan"), ("z_imp", "nan"),
                        ("lam", "nan"), ("w0", "-0.1"), ("L", "-0.5"),
                        ("a", "1e-300"), ("a", "1e300"),  # h*h is 0 or inf
-                       ("F_imp", "1e300"), ("F_imp", "-1e300")):  # F_imp/(h dt)
+                       ("F_imp", "1e300"), ("F_imp", "-1e300"),  # F_imp/(h dt)
+                       ("z_imp", "1e308"),  # z_imp/h
+                       # the fluid symbol a(k) or its reciprocal
+                       ("rho", "1e308"), ("rho", "5e-324"), ("mu_f", "1e308")):
         path = tmp_path / f"bad_{key}_{value}.cfg"
         path.write_text(f"N = 16\n{key} = {value}\n")
         bad_keys[str(path)] = key
@@ -84,7 +90,9 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
             "alpha = 0", "R = 1e300", "L = 3",
             # the tangent frame overflows
             "L = 1e-300", "L_BM = 1e-300", "w0 = 1e300", "w1 = 1e300",
-            "H = 1e300", "H = -1e300", "alpha = 1e300", "alpha = -1e300")):
+            "H = 1e300", "H = -1e300", "alpha = 1e300", "alpha = -1e300",
+            # a coefficient field of the force operator overflows
+            "lam = 1e308", "mu = 1e308")):
         path = tmp_path / f"degenerate_{i}.cfg"
         path.write_text(f"N = 16\n{line}\n")
         degenerate.append(str(path))
@@ -131,6 +139,39 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
             assert f"--config: {argv[2]}: " in err, argv
             if argv[2] in bad_keys:  # and its key
                 assert bad_keys[argv[2]] in err, argv
+
+
+def test_run_config_value_sweep(tmp_path, capsys):
+    # every float config key, one at a time, at zero, signs, extremes and
+    # plain values: the run ends in exit 0, in a usage error naming the
+    # config file, or in an instability at a named step; a traceback or a
+    # RuntimeWarning (an error in this suite) fails the case
+    out = str(tmp_path / "out")
+    for key in [key for key, kind in FIELD_TYPES.items() if kind is float]:
+        for value in ("0", "-1", "1e300", "-1e300", "1e-300", "5e-324", "1e308",
+                      "0.5", "3", "1e6"):
+            cfg = tmp_path / f"{key}_{value}.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            try:
+                code = main(["run", "--config", str(cfg), "--n", "16", "--dt",
+                             "8e-8", "--steps", "2", "--out", out])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                pytest.fail(f"{key} = {value}: {exc!r}")
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if "error:" in line]
+            case = (key, value, code, err)
+            if code == 0:
+                assert err == "", case
+            elif code == 2:
+                assert err.startswith("usage: ibshell"), case
+                assert len(errors) == 1, case
+                assert errors[0].startswith(f"ibshell: error: --config: {cfg}: "), case
+            else:
+                assert code == 1, case
+                assert len(err.splitlines()) == 1, case
+                assert re.fullmatch(r"ibshell: error: .* at step \d+", errors[0]), case
 
 
 def test_unstable_run_is_one_error_line(tmp_path, capsys):
@@ -253,55 +294,74 @@ def _assert_render_rejects(tmp_path, capsys, path, message):
     assert not (tmp_path / "out.pgm").exists()
 
 
+def _stand_in(sim, **changes):
+    """What the snapshot writer reads of `sim`, with X, u or p, or config
+    attributes, replaced; the config may carry values ModelConfig rejects."""
+    arrays = {key: changes.pop(key, getattr(sim, key)) for key in ("X", "u", "p")}
+    cfg = SimpleNamespace(**{**vars(sim.cfg), **changes})
+    return SimpleNamespace(**arrays, t=sim.t, cfg=cfg)
+
+
+def _rename_param(path, old, new):
+    """Rewrite the first param record named `old` in a snapshot file."""
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(old.ljust(24, b"\0"), new.ljust(24, b"\0"), 1))
+
+
 def test_render_rejects_params_that_disagree_with_the_header(tmp_path, capsys):
     # the param block rebuilds the shell that render decomposes X against,
-    # so it must hold the header's N, n1 and n2, and agree with them
-    cfg = ModelConfig(N=16)
+    # and dt times the step count is t, so it must hold the header's N, n1,
+    # n2 and dt, and agree with them
+    cfg = ModelConfig(N=16, dt=8e-8)
     sim = Simulation(cfg)
-    params = config_param_block(cfg)
     cases = [
-        ("n2", sim.X[:, :5], params, "param n2 = "),
-        ("n1", sim.X, {**params, "n1": cfg.n1 + 2.0}, "param n1 = "),
-        ("N", sim.X, {**params, "N": 32.0}, "param N = "),
+        ("n2", _stand_in(sim, X=sim.X[:, :5]), "param n2 = "),
+        ("n1", _stand_in(sim, n1=cfg.n1 + 2), "param n1 = "),
+        ("N", _stand_in(sim, N=32), "param N = "),
     ]
-    for key in ("N", "n1", "n2"):
-        block = {k: v for k, v in params.items() if k != key}
-        cases.append((f"no_{key}", sim.X, block, f"param {key} is missing"))
-    for name, X, block, message in cases:
+    for name, source, message in cases:
         path = tmp_path / f"{name}.ibsh"
-        write_snapshot(path, X, sim.u, sim.p, sim.t, cfg.dt, block)
+        write_snapshot(path, source)
         _assert_render_rejects(tmp_path, capsys, path, f"{path}: {message}")
+    path = tmp_path / "dt.ibsh"
+    write_snapshot(path, sim)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<d", blob, 28, 4e-8)  # the header's dt
+    path.write_bytes(blob)
+    _assert_render_rejects(tmp_path, capsys, path, f"{path}: param dt = 8e-08 "
+                           "disagrees with the header's dt = 4e-08")
+    for key in ("N", "n1", "n2", "dt"):
+        path = tmp_path / f"no_{key}.ibsh"
+        write_snapshot(path, sim)
+        _rename_param(path, key.encode(), f"no_{key}".encode())
+        _assert_render_rejects(tmp_path, capsys, path,
+                               f"{path}: param {key} is missing")
 
 
 def test_render_rejects_bad_snapshot_contents(tmp_path, capsys):
     # an int param that is not a whole number, a param name that is not
     # ASCII, a NaN in X and params whose shell is degenerate each exit 2,
     # naming the param or the file
-    cfg = ModelConfig(N=16)
-    sim = Simulation(cfg)
-    params = config_param_block(cfg)
+    sim = Simulation(ModelConfig(N=16))
     X_nan = sim.X.copy()
     X_nan[40, 3, 2] = np.nan
-    cases = [
-        ("inf", sim.X, {**params, "snapshot_every": np.inf},
-         "{path}: snapshot param snapshot_every = inf is not a finite whole number"),
-        ("frac", sim.X, {**params, "snapshot_every": 16.4},
-         "{path}: snapshot param snapshot_every = 16.4 is not a finite whole number"),
-        ("n48", sim.X, {**params, "N": 48.0},
-         "{path}: N must be a power of two, got 48"),
-        ("ascii", sim.X, params, "{path}: param name b'k_cl\\xe4mp' is not ASCII"),
-        ("nan", X_nan, params, "{path}: X holds a non-finite value"),
-        ("alpha", sim.X, {**params, "alpha": 0.0},
-         "{path}: collapsed parameterization"),
-    ]
     u48 = np.zeros((3, 48, 48, 48))
-    for name, X, block, message in cases:
+    cases = [
+        ("inf", _stand_in(sim, snapshot_every=np.inf),
+         "{path}: snapshot param snapshot_every = inf is not a finite whole number"),
+        ("frac", _stand_in(sim, snapshot_every=16.4),
+         "{path}: snapshot param snapshot_every = 16.4 is not a finite whole number"),
+        ("n48", _stand_in(sim, u=u48, p=u48[0], N=48),
+         "{path}: N must be a power of two, got 48"),
+        ("ascii", sim, "{path}: param name b'k_cl\\xe4mp' is not ASCII"),
+        ("nan", _stand_in(sim, X=X_nan), "{path}: X holds a non-finite value"),
+        ("alpha", _stand_in(sim, alpha=0.0), "{path}: collapsed parameterization"),
+    ]
+    for name, source, message in cases:
         path = tmp_path / f"{name}.ibsh"
-        u, p = (u48, u48[0]) if name == "n48" else (sim.u, sim.p)
-        write_snapshot(path, X, u, p, sim.t, cfg.dt, block)
+        write_snapshot(path, source)
         if name == "ascii":
-            blob = path.read_bytes()
-            path.write_bytes(blob.replace(b"k_clamp\0", b"k_cl\xe4mp\0", 1))
+            _rename_param(path, b"k_clamp", b"k_cl\xe4mp")
         _assert_render_rejects(tmp_path, capsys, path, message.format(path=path))
 
 

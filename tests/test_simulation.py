@@ -3,6 +3,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import oracles
@@ -21,6 +22,7 @@ from ibshell.io import (
     write_snapshot,
 )
 from ibshell.simulation import (
+    FIELD_TYPES,
     InstabilityError,
     ModelConfig,
     Simulation,
@@ -118,6 +120,15 @@ def test_config_rejects_bad_step_clamp_and_cadence(tmp_path):
         ("L", float("nan"), "L must be positive and finite"),
         ("w0", -0.1, r"strip width w\(q1\)"),
         ("w1", -0.5, r"strip width w\(q1\)"),
+        # overflows: no RuntimeWarning, and the bounds print as plain floats
+        ("w1", -1e300, r"strip .* row, got -1\.4375000000000003e\+299 \.\. -8\.9"),
+        ("L_BM", 0.0, r"strip .* row, got inf \.\. inf"),
+        ("L_BM", 5e-324, r"strip .* row, got inf \.\. inf"),
+        ("L", 1e308, "h0 must be positive and finite everywhere"),
+        ("z_imp", 1e308, r"z_imp = 1e\+308 makes the impulse plane z_imp/h non-finite"),
+        ("rho", 1e308, r"rho = 1e\+308 makes the fluid symbol's least value"),
+        ("rho", 5e-324, r"rho = 5e-324 makes the fluid symbol's least value"),
+        ("mu_f", 1e308, r"mu_f = 1e\+308 makes the fluid symbol"),
     ):
         kwargs = {"N": 16, key: val}
         with pytest.raises(ValueError, match=msg):
@@ -128,6 +139,15 @@ def test_config_rejects_bad_step_clamp_and_cadence(tmp_path):
     # the boundary values stay valid: no clamp, no snapshots
     cfg = ModelConfig(N=16, k_clamp=0.0, snapshot_every=0)
     assert (cfg.k_clamp, cfg.snapshot_every) == (0.0, 0)
+
+
+def test_overflowing_material_is_rejected_at_build():
+    # Lame coefficients so large that a coefficient field of the force
+    # operator overflows: the build names the field, with no RuntimeWarning
+    for key in ("lam", "mu"):
+        cfg = ModelConfig(N=16, **{key: 1e308})
+        with pytest.raises(ValueError, match="shell coefficient field A is not finite"):
+            Simulation(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +719,8 @@ def test_snapshot_round_trip(tmp_path):
     sim = Simulation(ModelConfig(N=16, dt=8e-8))
     sim.run(2)
     assert sim.u.any() and sim.p.any()
-    params = config_param_block(sim.cfg)
     path = tmp_path / "snap.ibsh"
-    write_snapshot(path, sim.X, sim.u, sim.p, sim.t, sim.cfg.dt, params)
+    write_snapshot(path, sim)
     snap = read_snapshot(path)
     assert snap.N == sim.cfg.N and (snap.n1, snap.n2) == (sim.cfg.n1, sim.cfg.n2)
     assert snap.t == sim.t and snap.dt == sim.cfg.dt
@@ -724,16 +743,23 @@ def test_snapshot_byte_layout(tmp_path):
     X = rng.standard_normal((n1, n2, 3))
     u = rng.standard_normal((3, N, N, N))
     p = rng.standard_normal((N, N, N))
-    params = {"N": 4.0, "n1": 5.0, "n2": 6.0, "k_clamp": 2.5}
+    # the writer reads attributes only: a stand-in config with the arrays' sizes
+    cfg = SimpleNamespace(**{**vars(ModelConfig()), "N": N, "n1": n1, "n2": n2,
+                             "dt": 4e-8, "k_clamp": 2.5})
     path = tmp_path / "layout.ibsh"
-    write_snapshot(path, X, u, p, 1.5e-7, 4e-8, params)
+    write_snapshot(path, SimpleNamespace(X=X, u=u, p=p, t=1.5e-7, cfg=cfg))
     blob = path.read_bytes()
     header = struct.unpack_from("<4sIIIIddI", blob)
-    assert header == (b"IBSH", 1, N, n1, n2, 1.5e-7, 4e-8, len(params))
+    assert header == (b"IBSH", 1, N, n1, n2, 1.5e-7, 4e-8, len(FIELD_TYPES))
     off = 40
-    for name, value in params.items():
-        assert struct.unpack_from("<24sd", blob, off) == (
-            name.encode("ascii").ljust(24, b"\0"), value)
+    # one record per config field, in field order; a choice is its index
+    for name, kind in FIELD_TYPES.items():
+        raw = name.encode("ascii")  # every field name is ASCII and fits
+        assert len(raw) <= 24
+        value = getattr(cfg, name)
+        if kind is str:
+            value = ModelConfig._CHOICES[name].index(value)
+        assert struct.unpack_from("<24sd", blob, off) == (raw.ljust(24, b"\0"), value)
         off += 32
     data = np.frombuffer(blob, dtype="<f8", offset=off)
     assert data.size == 3 * n1 * n2 + 4 * N**3
@@ -748,16 +774,20 @@ def test_snapshot_byte_layout(tmp_path):
 
 def test_snapshot_rejects_wrong_length_and_unknown_codes(tmp_path, sim16):
     sim = sim16
-    params = config_param_block(sim.cfg)
     path = tmp_path / "snap.ibsh"
-    write_snapshot(path, sim.X, sim.u, sim.p, sim.t, sim.cfg.dt, params)
+    write_snapshot(path, sim)
     blob = path.read_bytes()
     for size in (10, 30, 200, len(blob) - 8, len(blob) + 8):
         bad = tmp_path / f"size{size}.ibsh"
         bad.write_bytes((blob + bytes(8))[:size])
         with pytest.raises(ValueError, match=bad.name):
             read_snapshot(bad)
+    bad = tmp_path / "version.ibsh"
+    bad.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+    with pytest.raises(ValueError, match="version.ibsh: unsupported snapshot version 2"):
+        read_snapshot(bad)
 
+    params = config_param_block(sim.cfg)
     assert params["thickness_law"] == 1.0  # v1 code of "table"
     with pytest.raises(ValueError, match="thickness_law has unknown code 7.0"):
         params_to_config({**params, "thickness_law": 7.0})
@@ -770,44 +800,27 @@ def test_snapshot_rejects_wrong_length_and_unknown_codes(tmp_path, sim16):
 
 def test_snapshot_rejects_non_finite_fields_and_non_ascii_names(tmp_path, sim16):
     sim = sim16
-    params = config_param_block(sim.cfg)
     fields = {"X": sim.X, "u": sim.u, "p": sim.p}
     for key, at in (("X", (3, 2, 1)), ("u", (2, 1, 5, 9)), ("p", (7, 0, 3))):
         for bad_value in (np.nan, -np.inf):
             arrays = {k: v.copy() for k, v in fields.items()}
             arrays[key][at] = bad_value
             path = tmp_path / f"{key}.ibsh"
-            write_snapshot(path, arrays["X"], arrays["u"], arrays["p"], sim.t,
-                           sim.cfg.dt, params)
+            write_snapshot(path, SimpleNamespace(**arrays, t=sim.t, cfg=sim.cfg))
             with pytest.raises(ValueError,
                                match=f"{key}.ibsh: {key} holds a non-finite"):
                 read_snapshot(path)
 
     path = tmp_path / "name.ibsh"
-    write_snapshot(path, sim.X, sim.u, sim.p, sim.t, sim.cfg.dt, params)
+    write_snapshot(path, sim)
     path.write_bytes(path.read_bytes().replace(b"k_clamp\0", b"k_cl\xe4mp\0", 1))
     with pytest.raises(ValueError, match=r"name.ibsh: param name b'k_cl\\xe4mp'"):
         read_snapshot(path)
 
 
-def test_snapshot_io_error_has_path_context(tmp_path):
+def test_snapshot_io_error_has_path_context(tmp_path, sim16):
     with pytest.raises(OSError, match="no/such/dir"):
-        write_snapshot(
-            tmp_path / "no/such/dir/x.ibsh",
-            np.zeros((5, 5, 3)), np.zeros((3, 4, 4, 4)), np.zeros((4, 4, 4)),
-            0.0, 1e-8, {},
-        )
-
-
-@pytest.mark.parametrize("name", ["x" * 30, "thickness_läw"])
-def test_snapshot_bad_param_name_writes_no_file(tmp_path, name):
-    path = tmp_path / "bad.ibsh"
-    with pytest.raises(ValueError, match=f"bad.ibsh: param name {name!r}"):
-        write_snapshot(
-            path, np.zeros((5, 5, 3)), np.zeros((3, 4, 4, 4)),
-            np.zeros((4, 4, 4)), 0.0, 1e-8, {"N": 4.0, name: 1.0},
-        )
-    assert not path.exists()
+        write_snapshot(tmp_path / "no/such/dir/x.ibsh", sim16)
 
 
 def test_graymap_conventions(tmp_path):
