@@ -21,7 +21,8 @@ for k in (1, 2, 4, 8, 15):
     u[1] = np.broadcast_to(
         np.sin(2 * np.pi * k * x / prm.a)[:, None, None], (prm.N,) * 3
     )
-    u1 = solver.step(u, np.zeros_like(u))  # u_y(x) does not advect itself
+    # no force, and u_y(x) does not advect itself
+    u1 = solver.step(u, lambda r: None)
     amp = (prm.rho / prm.dt) / (
         prm.rho / prm.dt
         + 4 * prm.mu_f / prm.h**2 * np.sin(np.pi * k / prm.N) ** 2
@@ -32,7 +33,8 @@ for k in (1, 2, 4, 8, 15):
 
 rng = np.random.default_rng(1)
 F = rng.standard_normal((3, prm.N, prm.N, prm.N))
-u1 = solver.step(np.zeros((3, prm.N, prm.N, prm.N)), F)
+u1 = solver.step(np.zeros((3, prm.N, prm.N, prm.N)),
+                 lambda r: np.add(r, F, out=r))  # r += F
 print("\nrandom body force, one step from rest:")
 print(f"  max |D0 . u| = {np.abs(divergence(u1, prm.h)).max():.2e} "
       f"(vs |u|/h = {np.abs(u1).max() / prm.h:.2e})")

@@ -59,22 +59,21 @@ def _new_matrix(cells, N: int):
 
     Row m has its 64 columns ordered (i, j, k) over the 4^3 offsets from
     cells[:, m], wrapped periodically; int32 indices while N^3 and 64 M
-    fit, int64 beyond.
+    fit, int64 beyond, written a block of nodes at a time.
     """
     M = cells.shape[1]
     big = max(N**3, 64 * M) > np.iinfo(np.int32).max
     itype = np.int64 if big else np.int32
-    idx = ((cells[:, None, :] + np.arange(4)[:, None]) % N).astype(itype)
-    flat = (
-        (idx[0][:, None, None] * N + idx[1][None, :, None]) * N
-        + idx[2][None, None, :]
-    )  # (4, 4, 4, M)
+    indices = np.empty((M, 64), dtype=itype)
+    for a in range(0, M, _BLOCK):
+        b = slice(a, a + _BLOCK)
+        i, j, k = (cells[:, None, b] + np.arange(4)[:, None]) % N
+        flat = (i[:, None, None] * N + j[None, :, None]) * N + k[None, None, :]
+        indices[b] = flat.reshape(64, -1).T
     indptr = np.arange(0, 64 * M + 1, 64, dtype=itype)
     # not canonicalized: sorting or merging columns would reorder the sums
-    return sparse.csr_array(
-        (np.empty(64 * M), flat.reshape(64, M).T.flatten(), indptr),
-        shape=(M, N**3),
-    )
+    return sparse.csr_array((np.empty(64 * M), indices.reshape(-1), indptr),
+                            shape=(M, N**3))
 
 
 def coupling_matrix(X, params: FluidParams, S=None):
@@ -114,17 +113,17 @@ def spread_force(f, S, dq, params: FluidParams, out=None):
     F(x) = sum_q f(q) delta_h(x - X(q)) dq(q), delta_h the tensor-product
     kernel scaled by h^-3, i.e. F = S^T (f dq / h^3) per component with
     S = coupling_matrix(X, params). `f` is (..., 3) and `dq` the matching
-    per-node parameter area weight. Returns (3, N, N, N), written into
-    `out` (a new array if None). The components are shared between the
+    per-node parameter area weight. Returns F (3, N, N, N) added into `out`
+    in place (into zeros if None). The components are shared between the
     lanes on large lattices (`lanes.share`).
     """
     N, h = params.N, params.h
     ff = np.asarray(f, dtype=float).reshape(-1, 3)
     coef = np.asarray(dq, dtype=float).reshape(-1) / h**3
-    F = np.empty((3, N, N, N)) if out is None else out
+    F = np.zeros((3, N, N, N)) if out is None else out
 
     def spread(c):
-        F[c] = (S.T @ (ff[:, c] * coef)).reshape(N, N, N)
+        F[c] += (S.T @ (ff[:, c] * coef)).reshape(N, N, N)
 
     lanes.share(spread, range(3), N**3)
     return F

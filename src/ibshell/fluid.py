@@ -143,7 +143,8 @@ class FluidSolver:
 
     The spectra r_hat (3, N, N, N/2+1) and p_hat (N, N, N/2+1) are made once,
     with np.empty, so set-up touches none of their pages; each step writes
-    them in place.
+    them in place. Component c of the right-hand side r is formed in the
+    first N^3 floats of r_hat[c] and transformed in place.
     """
 
     def __init__(self, params: FluidParams):
@@ -167,45 +168,44 @@ class FluidSolver:
         half = (N, N, N // 2 + 1)
         self._rhat = np.empty((3,) + half, dtype=complex)
         self._phat = np.empty(half, dtype=complex)
-        # r_hat's memory is free until the forward transforms, so the
-        # advection is formed there, in a real (3, N, N, N) view of it
-        self._adv = self._rhat.reshape(-1).view(float)[:3 * N**3].reshape(
+        self._r = self._rhat.view(float).reshape(3, -1)[:, :N**3].reshape(
             (3,) + (N,) * 3)
         self._p = np.zeros((N,) * 3)  # None while p_hat holds the pressure
         self._solving = False  # True while a step rewrites p_hat
 
-    def step(self, u, F, out=None):
-        """Advance one step from velocity u under body force F.
+    def step(self, u, add_force, out=None):
+        """Advance one step from velocity u; add_force(r) adds the body force
+        into the right-hand side r (3, N, N, N), which holds
+        (rho/dt) u - rho adv when it is called.
 
         Returns the new velocity, written into `out` (a new array if None):
         it satisfies the implicit system exactly (to roundoff) and is
-        discretely divergence-free. u is left unchanged, and so is F unless
-        it is `out`; an `out` that shares memory with u, or with F without
-        being F, raises ValueError. The step's pressure is kept as p_hat and
-        inverted only when `pressure()` reads it.
+        discretely divergence-free. `out` may be u; one that otherwise shares
+        memory with u raises ValueError. u is read only by the advection and
+        the right-hand side, and `out` written only by the inverse
+        transforms, so a step interrupted before them leaves u as it was.
+        The step's pressure is kept as p_hat and inverted only when
+        `pressure()` reads it.
 
-        With `out` given, the step allocates no (3, N, N, N) field: the
-        advection is formed in r_hat's memory, the right-hand side in `out`,
-        and each FFT takes one field component, into the held spectra or
-        into `out` (numpy.fft's out=, summed as scipy.fft sums); only the
-        per-component temporaries of a row block remain. On lattices of at
-        least `lanes.SPLIT_MIN_POINTS` points the FFTs and the row blocks are
-        shared between the lanes, bit for bit as on one thread.
+        The step allocates no (3, N, N, N) field: the advection and then r
+        are formed in r_hat's memory, and each FFT takes one component, in
+        place or into `out` (numpy.fft's out=, summed as scipy.fft sums).
+        From `lanes.SPLIT_MIN_POINTS` points on, the lanes share the FFTs and
+        the row blocks, bit for bit as on one thread.
         """
         prm = self.params
         N = prm.N
         if out is None:
             out = np.empty(np.shape(u))
-        elif np.shares_memory(out, u) or (out is not F
-                                          and np.shares_memory(out, F)):
-            raise ValueError("FluidSolver.step: out shares memory with u or F")
-        adv, rhat, phat = self._adv, self._rhat, self._phat
-        upwind_advection(u, prm.h, out=adv)
-        lanes.share_rows(lambda lo, hi: self._rhs_rows(u, adv, F, out, lo, hi),
-                         N, N**3)
+        elif out is not u and np.shares_memory(out, u):
+            raise ValueError("FluidSolver.step: out shares memory with u")
+        r, rhat, phat = self._r, self._rhat, self._phat
+        upwind_advection(u, prm.h, out=r)
+        lanes.share_rows(lambda lo, hi: self._rhs_rows(u, r, lo, hi), N, N**3)
+        add_force(r)
 
         def forward(c):  # rfft along axis 2, then fft along 0, then 1
-            np.fft.rfftn(out[c], axes=(1, 0, 2), out=rhat[c])
+            np.fft.rfftn(r[c], axes=(1, 0, 2), out=rhat[c])
 
         lanes.share(forward, range(3), N**3)
         self._p, self._solving = None, True
@@ -231,15 +231,14 @@ class FluidSolver:
             _inverse(self._phat, self._p)
         return self._p
 
-    def _rhs_rows(self, u, adv, F, r, lo, hi):
-        """Rows lo:hi (first lattice axis) of r = ((rho/dt) u - rho adv) + F,
-        a component at a time, so r may be F; scales those rows of adv."""
+    def _rhs_rows(self, u, r, lo, hi):
+        """Rows lo:hi (first lattice axis) of r = (rho/dt) u - rho adv, over
+        the advection adv that r holds, a component at a time."""
         prm = self.params
         for c in range(3):
             rows = (c, slice(lo, hi))
-            t = prm.rho / prm.dt * u[rows]
-            t -= np.multiply(adv[rows], prm.rho, out=adv[rows])
-            np.add(t, F[rows], out=r[rows])
+            adv = np.multiply(r[rows], prm.rho, out=r[rows])
+            np.subtract(prm.rho / prm.dt * u[rows], adv, out=adv)
 
     def _spectral_rows(self, rhat, phat, lo, hi):
         """Rows lo:hi (first axis) of p_hat, and of u_hat over r_hat."""

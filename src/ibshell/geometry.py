@@ -384,14 +384,20 @@ def mixed_second_form(b, ginv):
 
 
 def build_geometry(grid: SurfaceGrid) -> SurfaceGeometry:
-    """Run the full initialization chain on a grid."""
+    """Run the full initialization chain on a grid. Raises GeometryError
+    naming b, Gamma or gradb when one is not finite (mesh widths so small
+    that their differences overflow)."""
     T, Nrm = build_frame(grid)
     g, ginv = build_metric(T)
-    b = build_second_form(Nrm, T, grid)
-    Gamma = build_christoffel(g, ginv, grid)
-    gradb = _covariant_derivative_raw(
-        mixed_second_form(b, ginv), ("l", "u"), Gamma, grid
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        b = build_second_form(Nrm, T, grid)
+        Gamma = build_christoffel(g, ginv, grid)
+        gradb = _covariant_derivative_raw(
+            mixed_second_form(b, ginv), ("l", "u"), Gamma, grid
+        )
+    for name, field in (("b", b), ("Gamma", Gamma), ("gradb", gradb)):
+        if not np.isfinite(field).all():
+            raise GeometryError(f"the rest shell's {name} is not finite")
     return SurfaceGeometry(
         grid=grid, T=T, Nrm=Nrm, g=g, ginv=ginv, b=b, Gamma=Gamma, gradb=gradb
     )

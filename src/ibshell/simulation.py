@@ -299,9 +299,8 @@ class Simulation:
     """Owns the precomputed geometry/coefficients/solver and the state.
 
     `u` is the velocity of the last step and `p` its pressure. A step writes
-    its velocity into a held spare array and then swaps the two, so the
-    array `u` held before a step is overwritten by the step after it; `p`
-    is a new array on the first read after each step.
+    its velocity over `u`, which is the same array every step; `p` is a new
+    array on the first read after each step.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -316,9 +315,6 @@ class Simulation:
         self.X = self.grid.X0.copy()
         self.step_count = 0
         self.u = np.zeros((3, cfg.N, cfg.N, cfg.N))
-        # the next velocity, swapped with u after each solve: each step
-        # spreads the force into it and the solve writes over the force
-        self._u_next = np.empty_like(self.u)
         self._S = None  # the last step's S, rewritten in place by the next
 
     @property
@@ -349,24 +345,29 @@ class Simulation:
         (`lanes.beside`) builds it while this thread forms the shell force;
         the result is bit for bit the serial step's. The lattice arrays the
         step writes are held, as is S while no node changes cell. The force
-        is spread into the spare velocity, which the solve overwrites: a
-        step that raises before its solve is done leaves `u` as it was.
+        is spread into the solve's right-hand side. The solve writes over
+        `u` only after its last read of it, so a step that raises before
+        then leaves `u` as it was.
         """
         cfg = self.cfg
         X = self.X
         S, f = lanes.beside(lambda: coupling_matrix(X, self.fparams, self._S),
                             lambda: self.shell_force_cartesian(X), cfg.N**3)
         self._S = S
-        F = spread_force(f, S, self.dq_area, self.fparams, out=self._u_next)
-        if self.step_count == 0:
-            # the impulse: F_z = -F_imp / h on the lattice plane nearest
-            # z_imp (plane integral -F_imp a^2), scaled by 1/dt so the
-            # injected momentum (and the run) is independent of the step size
-            h = self.fparams.h
-            F[2, :, :, round(cfg.z_imp / h) % cfg.N] += -cfg.F_imp / h / cfg.dt
-        u = self.solver.step(self.u, F, out=F)
-        self.u, self._u_next = u, self.u
-        U = interpolate_velocity(u, S)
+
+        def add_force(r):
+            spread_force(f, S, self.dq_area, self.fparams, out=r)
+            if self.step_count == 0:
+                # the impulse: F_z = -F_imp / h on the lattice plane nearest
+                # z_imp (plane integral -F_imp a^2), scaled by 1/dt so the
+                # injected momentum (and the run) is independent of the step
+                # size. u starts at 0, so r held +0 before the spread force
+                h = self.fparams.h
+                iz = round(cfg.z_imp / h) % cfg.N
+                r[2, :, :, iz] += -cfg.F_imp / h / cfg.dt
+
+        self.solver.step(self.u, add_force, out=self.u)
+        U = interpolate_velocity(self.u, S)
         self.X = X + cfg.dt * U.reshape(X.shape)
         self.step_count += 1
         drift = np.abs(self.X - self.grid.X0).max()

@@ -535,6 +535,12 @@ def clamp_force_masked(X, grid, k_clamp):
 # ---------------------------------------------------------------------------
 
 
+def adding(F):
+    """The `add_force` of a body force array F for `FluidSolver.step`: it
+    adds F into the right-hand side r in place, so the step's r = t + F."""
+    return lambda r: np.add(r, F, out=r)
+
+
 def fluid_step_out_of_place(solver, u, F):
     """`FluidSolver.step` with every intermediate a new array.
 

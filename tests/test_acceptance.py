@@ -93,7 +93,7 @@ def test_criterion_2_fluid_solver_exactness():
             dp = (np.roll(u, -1, axis=ax) - u) / h
             adv += u[k] * np.where(u[k] >= 0.0, dm, dp)
         r = prm.rho * u / prm.dt - prm.rho * adv + F
-        u_new = solver.step(u, F)
+        u_new = solver.step(u, oracles.adding(F))
         p_new = solver.pressure()
         # physical-space residual of the implicit system (test-local stencils)
         visc = np.zeros_like(u_new)

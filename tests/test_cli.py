@@ -91,6 +91,8 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
             # the tangent frame overflows
             "L = 1e-300", "L_BM = 1e-300", "w0 = 1e300", "w1 = 1e300",
             "H = 1e300", "H = -1e300", "alpha = 1e300", "alpha = -1e300",
+            # the frame is finite, but the differences of b overflow
+            "L = 1e-300\nalpha = 11.3",
             # a coefficient field of the force operator overflows
             "lam = 1e308", "mu = 1e308")):
         path = tmp_path / f"degenerate_{i}.cfg"
@@ -172,6 +174,36 @@ def test_run_config_value_sweep(tmp_path, capsys):
                 assert code == 1, case
                 assert len(err.splitlines()) == 1, case
                 assert re.fullmatch(r"ibshell: error: .* at step \d+", errors[0]), case
+
+
+def test_render_param_value_sweep(tmp_path, capsys):
+    # every float config key of a snapshot's param block, one at a time, at
+    # the values of the run sweep above: render ends in exit 0, or in a
+    # usage error naming the snapshot; a traceback or a RuntimeWarning (an
+    # error in this suite) fails the case
+    sim = Simulation(ModelConfig(N=16))
+    out = str(tmp_path / "out.pgm")
+    for key in [key for key, kind in FIELD_TYPES.items() if kind is float]:
+        for value in ("0", "-1", "1e300", "-1e300", "1e-300", "5e-324", "1e308",
+                      "0.5", "3", "1e6"):
+            path = tmp_path / f"{key}_{value}.ibsh"
+            write_snapshot(path, _stand_in(sim, **{key: float(value)}))
+            try:
+                code = main(["render", str(path), "--out", out])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                pytest.fail(f"{key} = {value}: {exc!r}")
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if "error:" in line]
+            case = (key, value, code, err)
+            if code == 0:
+                assert err == "", case
+            else:
+                assert code == 2, case
+                assert err.startswith("usage: ibshell"), case
+                assert len(errors) == 1, case
+                assert errors[0].startswith(f"ibshell: error: snapshot: {path}: "), case
 
 
 def test_unstable_run_is_one_error_line(tmp_path, capsys):
@@ -356,6 +388,7 @@ def test_render_rejects_bad_snapshot_contents(tmp_path, capsys):
         ("ascii", sim, "{path}: param name b'k_cl\\xe4mp' is not ASCII"),
         ("nan", _stand_in(sim, X=X_nan), "{path}: X holds a non-finite value"),
         ("alpha", _stand_in(sim, alpha=0.0), "{path}: collapsed parameterization"),
+        ("L", _stand_in(sim, L=1e-300), "{path}: the rest shell's gradb is not finite"),
     ]
     for name, source, message in cases:
         path = tmp_path / f"{name}.ibsh"

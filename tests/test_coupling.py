@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
 
 from ibshell.coupling import coupling_matrix, interpolate_velocity, phi, spread_force
 from ibshell.fluid import FluidParams
+from ibshell.simulation import ModelConfig, build_model_shell
 
 PRM = FluidParams(N=16, a=0.1, rho=1.034, mu_f=0.0197, dt=1e-8)
 
@@ -121,6 +124,24 @@ def test_coupling_matrix_matches_broadcast_oracle_bitwise(N):
     assert not np.array_equal(S_data, S.data)  # the reuse rewrote the weights
 
 
+def test_fresh_coupling_matrix_memory_at_n64():
+    # S's column indices are written a block of nodes at a time into the
+    # one (M, 64) array S keeps; a whole (4, 4, 4, M) index array and its
+    # flattened copy took 6.0 MB beyond S, the blockwise build 1.9 MB
+    cfg = ModelConfig(N=64, dt=2e-8)
+    X, prm = build_model_shell(cfg).X0, cfg.fluid_params()
+    coupling_matrix(X, prm)  # warm: first-call allocations are not S's
+    tracemalloc.start()
+    try:
+        S = coupling_matrix(X, prm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
+    assert held > 12e6  # 16,025 rows x 64 entries x 12 bytes
+    assert peak - held <= 3e6, peak - held
+
+
 # ---------------------------------------------------------------------------
 # spreading
 # ---------------------------------------------------------------------------
@@ -147,6 +168,10 @@ def test_spread_zero_and_nonfinite():
     f, X, dq = shell_arrays(20, rng)
     S = coupling_matrix(X, PRM)
     assert np.abs(spread_force(np.zeros_like(f), S, dq, PRM)).max() == 0.0
+    # into a given `out`, the force is added to what it holds
+    G = rng.standard_normal((3, PRM.N, PRM.N, PRM.N))
+    want = G + spread_force(f, S, dq, PRM)
+    assert spread_force(f, S, dq, PRM, out=G) is G and np.array_equal(G, want)
     X[0, 3, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         coupling_matrix(X, PRM)

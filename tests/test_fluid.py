@@ -192,7 +192,7 @@ def test_step_matches_out_of_place_oracle_bitwise(N):
     F = 1e3 * rng.standard_normal((3, N, N, N))
     u_in, F_in = u.copy(), F.copy()
     for force in (F, np.zeros_like(F)):
-        got = solver.step(u, force), solver.pressure()
+        got = solver.step(u, oracles.adding(force)), solver.pressure()
         ref = oracles.fluid_step_out_of_place(solver, u, force)
         assert np.array_equal(got[0], ref[0])
         assert np.array_equal(got[1], ref[1])
@@ -241,19 +241,27 @@ def test_step_writes_into_out_and_rejects_aliases():
     F = rng.standard_normal((3, N, N, N))
     u_in, F_in = u.copy(), F.copy()
     want = oracles.fluid_step_out_of_place(solver, u, F)[0]
-    out = np.full_like(u, np.nan)
-    assert solver.step(u, F, out=out) is out
+    out, seen = np.full_like(u, np.nan), []
+
+    def add_force(r):  # r holds the explicit part when the force is added
+        seen.append(r.copy())
+        np.add(r, F, out=r)
+
+    assert solver.step(u, add_force, out=out) is out
     assert np.array_equal(out, want)
+    prm = solver.params
+    explicit = prm.rho / prm.dt * u - prm.rho * upwind_advection(u, prm.h)
+    assert len(seen) == 1 and np.array_equal(seen[0], explicit)
     assert np.array_equal(u, u_in) and np.array_equal(F, F_in)
-    for alias in (u, u[::-1], F[:, :, ::-1]):
+    for alias in (u[::-1], u[:, :, ::-1]):
         with pytest.raises(ValueError, match="shares memory"):
-            solver.step(u, F, out=alias)
+            solver.step(u, oracles.adding(F), out=alias)
     with pytest.raises(ValueError, match="shares memory"):
         upwind_advection(u, 0.1, out=u[::-1])
     assert np.array_equal(u, u_in) and np.array_equal(F, F_in)
-    G = F.copy()  # F itself may be out: the velocity is written over it
-    assert solver.step(u, G, out=G) is G
-    assert np.array_equal(G, want) and np.array_equal(u, u_in)
+    # u itself may be out: the new velocity is written over it
+    assert solver.step(u, oracles.adding(F), out=u) is u
+    assert np.array_equal(u, want) and np.array_equal(F, F_in)
 
 
 def test_pressure_is_inverted_once_per_step():
@@ -263,18 +271,19 @@ def test_pressure_is_inverted_once_per_step():
     rng = np.random.default_rng(6)
     u = rng.standard_normal((3, 16, 16, 16))
     F = rng.standard_normal((3, 16, 16, 16))
-    solver.step(u, F)
+    solver.step(u, oracles.adding(F))
     p = solver.pressure()
     assert p is not p0 and solver.pressure() is p
     kept = p.copy()
-    solver.step(u, np.zeros_like(F))
+    solver.step(u, oracles.adding(np.zeros_like(F)))
     assert solver.pressure() is not p
     assert np.array_equal(p, kept)  # a read pressure is never overwritten
 
 
 def test_zero_is_fixed_point():
     solver = FluidSolver(PAR16)
-    u = solver.step(np.zeros((3, 16, 16, 16)), np.zeros((3, 16, 16, 16)))
+    u = solver.step(np.zeros((3, 16, 16, 16)),
+                    oracles.adding(np.zeros((3, 16, 16, 16))))
     p = solver.pressure()
     assert np.all(u == 0.0) and np.all(p == 0.0)
 
@@ -285,7 +294,7 @@ def test_uniform_force_accelerates_uniformly():
     F = np.zeros((3, 16, 16, 16))
     F[2] = c
     solver = FluidSolver(PAR16)
-    u = solver.step(np.zeros((3, 16, 16, 16)), F)
+    u = solver.step(np.zeros((3, 16, 16, 16)), oracles.adding(F))
     p = solver.pressure()
     assert np.allclose(u[2], c * PAR16.dt / PAR16.rho, rtol=1e-13)
     assert np.abs(u[:2]).max() < 1e-18
@@ -299,7 +308,7 @@ def test_solver_exactness_random_forces():
     u = np.zeros((3, 16, 16, 16))
     for trial in range(5):
         F = rng.standard_normal((3, 16, 16, 16))
-        u_new = solver.step(u, F)
+        u_new = solver.step(u, oracles.adding(F))
         p_new = solver.pressure()
         res = residual(u_new, p_new, u, F, prm)
         rnorm = np.abs(prm.rho * u / prm.dt + F).max()
@@ -316,8 +325,9 @@ def test_momentum_bookkeeping():
     rng = np.random.default_rng(4)
     F = rng.standard_normal((3, 16, 16, 16))
     # start from a divergence-free random state via one projection step
-    u0 = solver.step(np.zeros((3, 16, 16, 16)), rng.standard_normal((3, 16, 16, 16)))
-    u1 = solver.step(u0, F)
+    u0 = solver.step(np.zeros((3, 16, 16, 16)),
+                     oracles.adding(rng.standard_normal((3, 16, 16, 16))))
+    u1 = solver.step(u0, oracles.adding(F))
     dmom = (u1 - u0).sum(axis=(1, 2, 3)) * prm.h**3
     # the mean mode has a(0) = rho/dt and no pressure: force in, advection out
     adv = upwind_advection(u0, prm.h)
@@ -337,7 +347,8 @@ def test_viscous_mode_decay():
         u[1] = np.broadcast_to(
             np.sin(2 * np.pi * k * x / prm.a)[:, None, None], (N,) * 3
         )  # u_y(x): divergence-free
-        u_new = solver.step(u, np.zeros_like(u))  # u_y(x) does not advect itself
+        # u_y(x) does not advect itself
+        u_new = solver.step(u, oracles.adding(np.zeros_like(u)))
         p_new = solver.pressure()
         amp = prm.rho / prm.dt / (
             prm.rho / prm.dt + 4 * prm.mu_f / h**2 * np.sin(np.pi * k / N) ** 2

@@ -287,9 +287,11 @@ def test_impulse_plane_and_integral(monkeypatch):
     forces = []
     solve = ibshell.fluid.FluidSolver.step
 
-    def spy(solver, u, F, out=None):
-        forces.append(F.copy())
-        return solve(solver, u, F, out=out)
+    def spy(solver, u, add_force, out=None):
+        F = np.zeros_like(u)
+        add_force(F)
+        forces.append(F)
+        return solve(solver, u, add_force, out=out)
 
     monkeypatch.setattr(ibshell.fluid.FluidSolver, "step", spy)
     for dt in (8e-8, 4e-8):
@@ -346,7 +348,7 @@ def test_single_step_matches_hand_chained_modules(sim16):
     F = spread_force(f, S0, ref.dq_area, ref.fparams)
     F[2, :, :, round(cfg.z_imp / ref.fparams.h) % cfg.N] += \
         -cfg.F_imp / ref.fparams.h / cfg.dt
-    u = ref.solver.step(ref.u, F)
+    u = ref.solver.step(ref.u, oracles.adding(F))
     p = ref.solver.pressure()
     U = interpolate_velocity(u, S0)
     X = ref.grid.X0 + cfg.dt * U.reshape(ref.grid.X0.shape)
@@ -377,7 +379,8 @@ def test_cell_crossing_rebuilds_stencil_columns(monkeypatch):
     sim.X = X
     S_ref = oracles.coupling_matrix_broadcast(X, sim.fparams)
     f = sim.shell_force_cartesian(X)
-    u = sim.solver.step(sim.u, spread_force(f, S_ref, sim.dq_area, sim.fparams))
+    F = spread_force(f, S_ref, sim.dq_area, sim.fparams)
+    u = sim.solver.step(sim.u, oracles.adding(F))
     p = sim.solver.pressure()
     X_ref = X + cfg.dt * interpolate_velocity(u, S_ref).reshape(X.shape)
     sim.step()
@@ -409,27 +412,27 @@ def test_pressure_on_read_matches_out_of_place_oracle():
     assert sim.p is not p and np.array_equal(p, p_ref)
 
 
-def test_step_swaps_two_held_velocity_arrays(monkeypatch):
-    # documented in README "Threads": a step overwrites the array u held
-    # before the step before it, spreading the force into it first, so no
-    # separate force field is held
+def test_step_writes_over_the_one_held_velocity(monkeypatch):
+    # documented in README "Threads": a step writes the new velocity over
+    # u, the same array every step, and spreads the force into the fluid
+    # right-hand side, so no spare velocity or force field is held
     sim = Simulation(ModelConfig(N=16, dt=8e-8))
-    assert not hasattr(sim, "_F")
+    assert not any(hasattr(sim, name) for name in ("_u_next", "_F"))
+    assert not hasattr(sim.solver, "_adv")
     solve, seen = ibshell.fluid.FluidSolver.step, []
 
-    def spy(self, u, F, out=None):
-        seen.append(F is out)
-        return solve(self, u, F, out)
+    def spy(self, u, add_force, out=None):
+        seen.append(out is u)
+        return solve(self, u, add_force, out)
 
     monkeypatch.setattr(ibshell.fluid.FluidSolver, "step", spy)
+    u = sim.u
+    kept = u.copy()
     sim.step()
-    first = sim.u
+    assert sim.u is u and not np.array_equal(u, kept)
     sim.step()
-    second = sim.u
-    assert second is not first and not np.shares_memory(first, second)
-    kept = second.copy()
     sim.step()
-    assert sim.u is first and np.array_equal(second, kept)
+    assert sim.u is u
     assert seen == [True] * 3
 
 
@@ -459,7 +462,10 @@ def test_interrupted_solve_leaves_u(monkeypatch):
 def test_warm_step_memory_peak_at_n32(monkeypatch):
     # one lane, so the whole step runs (and allocates) on this thread; a
     # step that allocated fresh lattice fields (r, r_hat, p_hat, F, S's
-    # weights, the new u and p) peaked at 5.5 MB, one held in place at 1.4
+    # weights, the new u and p) peaked at 5.5 MB. One that holds u, r_hat
+    # and p_hat, forms r in r_hat's memory and writes the new u over the
+    # old peaks at 1.4: the temporaries of one component (the spread
+    # S.T @ v, the copy numpy.fft makes of r[c] to transform it in place)
     monkeypatch.setattr(ibshell.lanes, "_lane_pool", lambda: None)
     sim = Simulation(ModelConfig(N=32, dt=4e-8))
     sim.run(3)
@@ -664,7 +670,7 @@ def test_instability_detector_fires():
     with pytest.raises(InstabilityError):
         sim.step()
     # the failed step is complete: state and count are the step's results
-    assert sim.step_count == 1 and sim.u is not u and sim.p is not None
+    assert sim.step_count == 1 and sim.u is u and sim.p is not None
     assert np.abs(sim.X - sim.grid.X0).max() > 0.05
     # a blow-up to NaN is caught at the step that produces it
     sim = Simulation(ModelConfig(N=16, dt=8e-8))
