@@ -29,6 +29,10 @@ from .shell import decompose_displacement
 from .simulation import InstabilityError, ModelConfig, Simulation, build_model_shell
 
 
+class _Failed(RuntimeError):
+    """A command that failed once it had started."""
+
+
 @contextlib.contextmanager
 def _reading(source: str):
     """An error met while reading an input becomes a usage error naming it."""
@@ -98,24 +102,27 @@ def _cmd_study(args) -> int:
     base = _load_config(args)
     with _reading("--n"):
         N_list = _parse_ladder(args.n, int) if args.n else harness.STUDY_N
-        dt_list = tuple(harness.STUDY_DT_SCALE / N for N in N_list)
-    if args.dt:
-        with _reading("--dt"):
-            dt_list = _parse_ladder(args.dt, float)
+    with _reading("--dt"):
+        dt_list = _parse_ladder(args.dt, float) if args.dt else None
     with _reading("--n/--dt ladder"):
         cfgs = harness.study_configs(base, N_list, dt_list)
     with _reading(f"--config: {args.config}" if args.config else "--config"):
+        harness.check_moves(base)
         for cfg in cfgs:  # each rung's shell, before any rung runs
             Simulation(cfg)
     _out_dir(args)
-    study = harness.run_convergence_study(
-        base, N_list=N_list, dt_list=dt_list, out_dir=args.out,
-        progress=lambda rec: print(
-            f"run {rec.label}: {len(rec.times)} samples, "
-            f"{rec.wall_seconds:.1f} s wall"
-        ),
-    )
-    for fine, mid, coarse, p, r in study.rates():
+    try:
+        study = harness.run_convergence_study(
+            base, N_list=N_list, dt_list=dt_list, out_dir=args.out,
+            progress=lambda rec: print(
+                f"run {rec.label}: {len(rec.times)} samples, "
+                f"{rec.wall_seconds:.1f} s wall"
+            ),
+        )
+        rates = study.rates()
+    except ValueError as exc:  # runs that cannot be compared, e.g. unmoved
+        raise _Failed(f"study: {exc}") from exc
+    for fine, mid, coarse, p, r in rates:
         if args.norm in (None, p):
             print(f"rate L{p}: {r:.4f}   ({fine} | {mid} | {coarse})")
     for path in study.csv_paths:
@@ -196,7 +203,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except argparse.ArgumentError as exc:
         parser.error(str(exc))  # exits with status 2
-    except (InstabilityError, OSError) as exc:  # failed once started
+    except (InstabilityError, OSError, _Failed) as exc:  # failed once started
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
 

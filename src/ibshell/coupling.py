@@ -16,8 +16,9 @@ kernel weights, so they are adjoint: <spread(f), u> h^3 = <f, interp(u)> dq.
 
 S's columns depend only on the nodes' cells floor(X/h) - 1, not on where in
 its cell a node sits. A time loop passes each step's S back to
-`coupling_matrix`, which rewrites its weights in place while no node changes
-cell (in practice the whole run) and builds a new S when one does.
+`coupling_matrix`, whose one pass over blocks of nodes rewrites S's weights in
+place while no node changes cell (in practice the whole run), and writes a
+new S's columns beside the weights when one does.
 """
 
 from __future__ import annotations
@@ -44,38 +45,6 @@ def phi(r):
     return out if out.ndim else float(out)
 
 
-def _node_cells(X, params: FluidParams):
-    """Lattice coordinates s = X/h and cells floor(s) - 1 of X (..., 3), as
-    (3, M) arrays. Raises ValueError on non-finite X."""
-    Xf = np.asarray(X, dtype=float).reshape(-1, 3)
-    if not np.isfinite(Xf).all():
-        raise ValueError("non-finite shell position in coupling_matrix")
-    s = np.ascontiguousarray(Xf.T) / params.h
-    return s, np.floor(s).astype(np.int64) - 1
-
-
-def _new_matrix(cells, N: int):
-    """S for nodes in `cells`, its data not yet written.
-
-    Row m has its 64 columns ordered (i, j, k) over the 4^3 offsets from
-    cells[:, m], wrapped periodically; int32 indices while N^3 and 64 M
-    fit, int64 beyond, written a block of nodes at a time.
-    """
-    M = cells.shape[1]
-    big = max(N**3, 64 * M) > np.iinfo(np.int32).max
-    itype = np.int64 if big else np.int32
-    indices = np.empty((M, 64), dtype=itype)
-    for a in range(0, M, _BLOCK):
-        b = slice(a, a + _BLOCK)
-        i, j, k = (cells[:, None, b] + np.arange(4)[:, None]) % N
-        flat = (i[:, None, None] * N + j[None, :, None]) * N + k[None, None, :]
-        indices[b] = flat.reshape(64, -1).T
-    indptr = np.arange(0, 64 * M + 1, 64, dtype=itype)
-    # not canonicalized: sorting or merging columns would reorder the sums
-    return sparse.csr_array((np.empty(64 * M), indices.reshape(-1), indptr),
-                            shape=(M, N**3))
-
-
 def coupling_matrix(X, params: FluidParams, S=None):
     """The sparse M x N^3 kernel-weight matrix S of positions X (..., 3).
 
@@ -86,24 +55,46 @@ def coupling_matrix(X, params: FluidParams, S=None):
     `S`, when given, is the matrix of earlier positions. If it has the same
     shape and every row still starts at the same column (no node changed
     cell, up to the period), the weights are rewritten into its data and S
-    itself is returned; otherwise a new S is built. The weights are formed
-    one block of nodes at a time, as (3, 4, nodes) per-axis weights and
-    their (4, 4, 4, nodes) tensor product (w0 w1) w2, so no temporary grows
-    with M.
+    itself is returned; otherwise a new S is built. One pass over blocks of
+    nodes forms each block's cells + offsets (3, 4, nodes), writes a new S's
+    columns from them, and writes the weights as the per-axis phi's tensor
+    product (w0 w1) w2, so no temporary grows with M.
     """
-    s, cells = _node_cells(X, params)
-    N, M = params.N, cells.shape[1]
-    w = cells % N  # a row's first column, its wrapped cell, fixes all 64
-    if (S is None or S.shape != (M, N**3)
-            or not np.array_equal(S.indices[::64], (w[0] * N + w[1]) * N + w[2])):
-        S = _new_matrix(cells, N)
-    data = S.data.reshape(M, 64)
+    Xf = np.asarray(X, dtype=float).reshape(-1, 3)
+    if not np.isfinite(Xf).all():
+        raise ValueError("non-finite shell position in coupling_matrix")
+    s = np.ascontiguousarray(Xf.T) / params.h  # lattice coordinates
+    cells = np.floor(s).astype(np.int64) - 1
+    N, M = params.N, len(Xf)
+
+    def column(i, j, k):  # S's column layout: lattice point (i, j, k) raveled
+        return (i * N + j) * N + k
+
+    # a row's first column, its wrapped cell's, fixes all 64
+    new = (S is None or S.shape != (M, N**3)
+           or not np.array_equal(S.indices[::64], column(*(cells % N))))
+    if new:
+        big = max(N**3, 64 * M) > np.iinfo(np.int32).max
+        itype = np.int64 if big else np.int32
+        data, indices = np.empty((M, 64)), np.empty((M, 64), dtype=itype)
+    else:
+        data = S.data.reshape(M, 64)
     offsets = np.arange(4)[:, None]
     for a in range(0, M, _BLOCK):
         b = slice(a, a + _BLOCK)
-        wb = phi(s[:, None, b] - (cells[:, None, b] + offsets))
+        o = cells[:, None, b] + offsets  # (3, 4, nodes) cells + offsets
+        if new:
+            i, j, k = o % N
+            flat = column(i[:, None, None], j[None, :, None], k[None, None, :])
+            indices[b] = flat.reshape(64, -1).T
+        wb = phi(s[:, None, b] - o)
         w3 = wb[0][:, None, None] * wb[1][None, :, None] * wb[2][None, None, :]
         data[b] = w3.reshape(64, -1).T
+    if new:  # from the filled columns, whose values scipy's dtype check reads
+        indptr = np.arange(0, 64 * M + 1, 64, dtype=itype)
+        # not canonicalized: sorting or merging columns would reorder the sums
+        S = sparse.csr_array((data.reshape(-1), indices.reshape(-1), indptr),
+                             shape=(M, N**3))
     return S
 
 

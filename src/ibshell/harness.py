@@ -32,7 +32,6 @@ from .simulation import ModelConfig, Simulation, build_model_shell
 #: at N=64
 STUDY_N = (16, 32, 64)
 STUDY_DT_SCALE = 3.2e-7
-STUDY_DT = tuple(STUDY_DT_SCALE / N for N in STUDY_N)
 #: samples per study run, evenly spaced over (0, T0]
 STUDY_SAMPLES = 50
 #: the norms every study table reports
@@ -207,9 +206,19 @@ def run_sampled(cfg: ModelConfig, n_samples: int, common_dims) -> StudyRecord:
     )
 
 
-def study_configs(base_cfg: ModelConfig, N_list, dt_list,
+def check_moves(cfg: ModelConfig):
+    """ValueError when cfg's shell never moves: a study divides by its motion."""
+    if cfg.F_imp == 0.0:
+        raise ValueError("F_imp = 0 gives no impulse: the shell never moves, "
+                         "so a study has no motion to compare")
+
+
+def study_configs(base_cfg: ModelConfig, N_list, dt_list=None,
                   n_samples: int = STUDY_SAMPLES) -> list:
-    """One config per rung; ValueError on a bad ladder or an unsampleable rung."""
+    """One config per rung, dt_list STUDY_DT_SCALE / N when None; ValueError
+    on a bad ladder or an unsampleable rung."""
+    if dt_list is None:
+        dt_list = [STUDY_DT_SCALE / N for N in N_list]
     if len(N_list) < 2:
         raise ValueError("a study needs at least two runs")
     if len(N_list) != len(dt_list):
@@ -223,18 +232,21 @@ def study_configs(base_cfg: ModelConfig, N_list, dt_list,
 def run_convergence_study(
     base_cfg: ModelConfig | None = None,
     N_list=STUDY_N,
-    dt_list=STUDY_DT,
+    dt_list=None,
     n_samples: int = STUDY_SAMPLES,
     out_dir=None,
     progress=None,
 ) -> StudySet:
     """Run the resolution ladder and assemble norms/rates tables.
 
-    Samples n_samples times evenly over (0, T0]; the space-time norms use the
-    ones in [T0/2, T0] (>= 25 by default). The ladder is checked before any
-    rung runs; runs come finest first. CSV tables land in out_dir when given.
+    Samples n_samples times evenly over (0, T0], dt_list None taking
+    STUDY_DT_SCALE / N; the space-time norms use the samples in [T0/2, T0]
+    (>= 25 by default). The ladder and F_imp are checked before any rung
+    runs; runs come finest first. CSV tables land in out_dir when given.
     """
-    cfgs = study_configs(base_cfg or ModelConfig(), N_list, dt_list, n_samples)
+    base_cfg = base_cfg or ModelConfig()
+    check_moves(base_cfg)
+    cfgs = study_configs(base_cfg, N_list, dt_list, n_samples)
     common = (min(c.n1 for c in cfgs) - 1, min(c.n2 for c in cfgs) - 1)
     records = []
     for cfg in sorted(cfgs, key=lambda c: -c.N):  # finest first

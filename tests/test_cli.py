@@ -249,6 +249,41 @@ def test_config_without_run_time_is_a_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_study_of_a_shell_that_never_moves_is_a_usage_error(
+        tmp_path, monkeypatch, capsys):
+    import ibshell.cli as cli
+    import ibshell.harness as harness
+
+    def no_run(cfg):
+        raise AssertionError(f"rung N = {cfg.N} was built before F_imp was checked")
+
+    monkeypatch.setattr(cli, "Simulation", no_run)
+    monkeypatch.setattr(harness, "Simulation", no_run)
+    cfg = tmp_path / "still.cfg"
+    cfg.write_text("F_imp = 0\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:  # a sampleable ladder: 50, 100 steps
+        main(["study", "--config", str(cfg), "--n", "16,32", "--dt",
+              "4e-8,2e-8", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: ibshell")
+    assert err[-1].startswith(f"ibshell: error: --config: {cfg}: F_imp = 0 ")
+    assert not out.exists()
+
+
+def test_study_of_an_unmoved_shell_fails_in_one_line(tmp_path, capsys):
+    # F_imp = 1e-300 passes the up-front checks, but X + dt U rounds to X on
+    # every step, so the runs' relative differences divide by zero motion
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("F_imp = 1e-300\n")
+    assert main(["study", "--config", str(cfg), "--n", "16,32", "--dt",
+                 "4e-8,4e-8", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "ibshell: error: study: relative difference undefined: "
+        "the reference run has not moved"]
+
+
 def test_study_prints_rates_per_norm(tmp_path, monkeypatch, capsys):
     import ibshell.harness as harness
 

@@ -124,10 +124,27 @@ def test_coupling_matrix_matches_broadcast_oracle_bitwise(N):
     assert not np.array_equal(S_data, S.data)  # the reuse rewrote the weights
 
 
+def test_coupling_matrix_int64_columns():
+    # N^3 = 2^33 columns overflow int32, so S's indices are int64; seven
+    # nodes build it in milliseconds, with no N^3 array
+    prm = FluidParams(N=2048, a=0.1, rho=1.0, mu_f=0.01, dt=1e-8)
+    X = np.random.default_rng(7).uniform(0.0, prm.a, size=(7, 3))
+    S = coupling_matrix(X, prm)
+    assert S.shape == (7, 2048**3) and S.indices.dtype == np.int64
+    for Y in (X, X + 1e-9):
+        S_y = coupling_matrix(Y, prm, S)
+        ref = oracles.coupling_matrix_broadcast(Y, prm)
+        assert S_y is S  # no node changed cell: the weights are rewritten
+        assert np.array_equal(S_y.data, ref.data)
+        assert np.array_equal(S_y.indices, ref.indices)
+        assert np.array_equal(S_y.indptr, ref.indptr)
+
+
 def test_fresh_coupling_matrix_memory_at_n64():
-    # S's column indices are written a block of nodes at a time into the
-    # one (M, 64) array S keeps; a whole (4, 4, 4, M) index array and its
-    # flattened copy took 6.0 MB beyond S, the blockwise build 1.9 MB
+    # one pass over blocks of nodes writes S's column indices and weights
+    # straight into the (M, 64) arrays S keeps; a whole (4, 4, 4, M) index
+    # array and its flattened copy took 6.0 MB beyond S, the one-pass build
+    # 1.8 MB
     cfg = ModelConfig(N=64, dt=2e-8)
     X, prm = build_model_shell(cfg).X0, cfg.fluid_params()
     coupling_matrix(X, prm)  # warm: first-call allocations are not S's

@@ -191,6 +191,24 @@ def test_study_rejects_bad_ladders(monkeypatch):
             run_convergence_study(N_list=N_list, dt_list=dt_list)
 
 
+def test_study_rejects_a_shell_that_never_moves(monkeypatch):
+    # with no impulse every rung stays at X0, and the relative differences
+    # would divide by that zero motion only after the whole ladder ran
+    def no_run(cfg):
+        raise AssertionError(f"rung N = {cfg.N} ran before F_imp was checked")
+
+    monkeypatch.setattr(harness, "Simulation", no_run)
+    for F_imp in (0.0, -0.0):
+        with pytest.raises(ValueError, match="F_imp = 0"):
+            run_convergence_study(ModelConfig(F_imp=F_imp), N_list=(16, 32),
+                                  dt_list=(4e-8, 2e-8))
+
+
+def test_study_default_dt_ladder():
+    cfgs = harness.study_configs(ModelConfig(), harness.STUDY_N)
+    assert [c.dt for c in cfgs] == [3.2e-7 / N for N in (16, 32, 64)]
+
+
 @pytest.mark.slow
 def test_traveling_wave_machinery():
     rec = run_traveling_wave(
