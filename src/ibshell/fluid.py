@@ -22,6 +22,13 @@ import numpy as np
 
 from . import lanes
 
+
+def check_N(N: int):
+    """ValueError unless N, the lattice points per side, is a power of two."""
+    if N < 2 or (N & (N - 1)) != 0:
+        raise ValueError(f"N must be a power of two, got {N}")
+
+
 @dataclass(frozen=True)
 class FluidParams:
     """Lattice and fluid constants.
@@ -40,8 +47,7 @@ class FluidParams:
     dt: float
 
     def __post_init__(self):
-        if self.N < 2 or (self.N & (self.N - 1)) != 0:
-            raise ValueError(f"N must be a power of two, got {self.N}")
+        check_N(self.N)
         for name in ("a", "rho", "mu_f", "dt"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0.0):
@@ -138,34 +144,29 @@ def divergence(u, h: float):
 
 
 class FluidSolver:
-    """Precomputed Fourier symbols and held spectra for repeated steps at
-    fixed parameters.
+    """Held spectra for repeated steps at fixed parameters.
 
     The spectra r_hat (3, N, N, N/2+1) and p_hat (N, N, N/2+1) are made once,
     with np.empty, so set-up touches none of their pages; each step writes
     them in place. Component c of the right-hand side r is formed in the
-    first N^3 floats of r_hat[c] and transformed in place.
+    first N^3 floats of r_hat[c] and transformed in place. Only the 1-D sine
+    vectors of the symbols are held; each row block of the spectral update
+    forms its own a(k) and |g_hat|^2 from them.
     """
 
     def __init__(self, params: FluidParams):
         self.params = params
-        N, h = params.N, params.h
+        N = params.N
         k = np.arange(N)
         s = np.sin(2.0 * np.pi * k / N)
         s[0] = 0.0
         s[N // 2] = 0.0  # exact Nyquist zero of the centered-gradient symbol
         sh = np.sin(np.pi * k / N) ** 2
-        sr = s[:N // 2 + 1]  # the rfft half of the last axis, k = 0..N/2
-        shr = sh[:N // 2 + 1]
-        # broadcastable symbol arrays over the rfft layout (N, N, N//2+1)
-        self._s = (s[:, None, None], s[None, :, None], sr[None, None, :])
-        self.a_k = params.rho / params.dt + (4.0 * params.mu_f / h**2) * (
-            sh[:, None, None] + sh[None, :, None] + shr[None, None, :]
-        )
-        gsq = (self._s[0] ** 2 + self._s[1] ** 2 + self._s[2] ** 2) / h**2
-        self.zero_g = gsq == 0.0
-        self._gsq_safe = np.where(self.zero_g, 1.0, gsq)
         half = (N, N, N // 2 + 1)
+        # broadcastable 1-D symbol vectors over the rfft layout: the last
+        # axis is the rfft half, k = 0..N/2
+        self._s = (s[:, None, None], s[None, :, None], s[None, None, :half[2]])
+        self._sh = (sh[:, None, None], sh[None, :, None], sh[None, None, :half[2]])
         self._rhat = np.empty((3,) + half, dtype=complex)
         self._phat = np.empty(half, dtype=complex)
         self._r = self._rhat.view(float).reshape(3, -1)[:, :N**3].reshape(
@@ -242,22 +243,33 @@ class FluidSolver:
 
     def _spectral_rows(self, rhat, phat, lo, hi):
         """Rows lo:hi (first axis) of p_hat, and of u_hat over r_hat."""
-        h = self.params.h
+        prm = self.params
+        h = prm.h
         rows = slice(lo, hi)
         s0 = self._s[0][rows]
         s1, s2 = self._s[1], self._s[2]
         r, p = rhat[:, rows], phat[rows]
+        # the block's symbols: a(k) and |g_hat|^2 (1 on the null modes)
+        a = self._sh[0][rows] + self._sh[1]
+        a = a + self._sh[2]
+        a *= 4.0 * prm.mu_f / h**2
+        a += prm.rho / prm.dt
+        g = s0**2 + s1**2
+        g = g + s2**2
+        g /= h**2
+        zero = g == 0.0
+        g[zero] = 1.0
         # p_hat = (conj(g_hat) . r_hat) / |g_hat|^2, zero on the null modes
         np.multiply(s0, r[0], out=p)
         p += s1 * r[1]
         p += s2 * r[2]
         p *= -1j / h
-        p /= self._gsq_safe[rows]
-        p[self.zero_g[rows]] = 0.0
+        p /= g
+        p[zero] = 0.0
         # u_hat = (r_hat - g_hat p_hat) / a(k), built over r_hat
         for i, si in enumerate((s0, s1, s2)):
             r[i] -= (1j / h) * si * p
-            r[i] /= self.a_k[rows]
+            r[i] /= a
 
 
 def _inverse(spectrum, out):

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .coupling import phi
+from .fluid import check_N
 from .geometry import SurfaceGrid, build_geometry
 from .io import write_csv
 from .shell import (
@@ -216,11 +217,21 @@ def check_moves(cfg: ModelConfig):
 def study_configs(base_cfg: ModelConfig, N_list, dt_list=None,
                   n_samples: int = STUDY_SAMPLES) -> list:
     """One config per rung, dt_list STUDY_DT_SCALE / N when None; ValueError
-    on a bad ladder or an unsampleable rung."""
-    if dt_list is None:
-        dt_list = [STUDY_DT_SCALE / N for N in N_list]
+    on a bad ladder or an unsampleable rung.
+
+    The rates are log2 of norm ratios, so the N list, finest first, must
+    halve at every rung; each N is checked before any dt is formed.
+    """
     if len(N_list) < 2:
         raise ValueError("a study needs at least two runs")
+    for N in N_list:
+        check_N(N)
+    finest = sorted(N_list, reverse=True)
+    if any(fine != 2 * coarse for fine, coarse in zip(finest, finest[1:])):
+        raise ValueError("N must halve at every rung, finest first, got "
+                         + ", ".join(map(str, finest)))
+    if dt_list is None:
+        dt_list = [STUDY_DT_SCALE / N for N in N_list]
     if len(N_list) != len(dt_list):
         raise ValueError("N_list and dt_list must pair up")
     cfgs = [base_cfg.with_resolution(N, dt) for N, dt in zip(N_list, dt_list)]

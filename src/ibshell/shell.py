@@ -14,6 +14,8 @@ Like the geometry, every tensor field here is one components-first array,
 (2, ..., n1, n2), from the coefficient build through the force: the ten
 coefficient fields, the jet, the accumulators and the tangential parts of
 the displacement and the force, as attributes, arguments and results alike.
+The leading closure's five zero fields are read-only zero views that own no
+memory; every other field is C-contiguous.
 Only X and the cartesian force density are (n1, n2, 3) point fields. Every
 contraction is `geometry._contraction`, an explicit sum of (n1, n2) slices
 in the order numpy's einsum sums it on lattice-first arrays, which the spec
@@ -89,9 +91,10 @@ class ShellCoefficients:
     Index conventions follow the defining integrals: e.g. Psi[r, s, t] is the
     coefficient contracted as Psi^{r s t} W_r inside a double divergence over
     (s, t), and Omegabar[m, n, r] multiplies grad_m W_n with r free.
-    `compute_coefficients` builds each field as a C-contiguous
-    components-first array of the shape listed here, every contraction
-    summed in `geometry._contraction`'s order.
+    `compute_coefficients` builds each field as a components-first array of
+    the shape listed here, every contraction summed in
+    `geometry._contraction`'s order: C-contiguous, or a read-only zero view
+    (every stride 0) for a field the closure makes identically zero.
     """
 
     A: np.ndarray         # (n1, n2)
@@ -197,8 +200,12 @@ def compute_coefficients(
 ) -> ShellCoefficients:
     """Precompute the force-operator coefficient tensors.
 
-    Warns when h0 * |curvature| >= 0.5 (thin-shell model stretched) and raises
-    ThinShellError at >= 1 (fibers would cross).
+    The leading closure's vanishing odd-in-t fields (Abbar, Phi, Psi, Psibar,
+    Omegabar) are `np.broadcast_to(0.0, shape)` views, which own 8 bytes;
+    every other field is a new C-contiguous array.
+
+    Warns when h0 * |curvature| >= 0.5 (thin-shell model stretched) and
+    raises ThinShellError at >= 1 (fibers would cross).
     """
     if order not in ("leading", "quadratic"):
         raise ValueError(f"order must be 'leading' or 'quadratic', got {order!r}")
@@ -224,12 +231,15 @@ def compute_coefficients(
     Omega = _contraction("stlr,stm,lrn->mn")(Abar, gradb, gradb)
 
     if order == "leading":
+        def zero(like):  # np.zeros_like, even np.zeros, writes its pages
+            return np.broadcast_to(0.0, like.shape)
+
         return ShellCoefficients(
             A=I0 * _contraction("abgd,ab,gd->")(Lam0, b, b), Abar=Abar,
-            Abbar=np.zeros_like(b), Phi=np.zeros_like(b[0]),
+            Abbar=zero(b), Phi=zero(b[0]),
             Phibar=I0 * _contraction("abmn,ab->mn")(Lam0, b),
-            Psi=np.zeros_like(gradb), Psibar=np.zeros_like(Lam0), Omega=Omega,
-            Omegabar=np.zeros_like(gradb), Obbar=I0 * Lam0,
+            Psi=zero(gradb), Psibar=zero(Lam0), Omega=Omega,
+            Omegabar=zero(gradb), Obbar=I0 * Lam0,
         )
 
     # ---- quadratic closure: Taylor-expand every integrand factor in t ----

@@ -552,14 +552,23 @@ def fluid_step_out_of_place(solver, u, F):
     r = r - prm.rho * upwind_advection(u, h)
     r = r + F
     rhat = scipy.fft.rfftn(r, axes=(1, 2, 3))
-    num = (-1j / h) * (
-        solver._s[0] * rhat[0] + solver._s[1] * rhat[1] + solver._s[2] * rhat[2]
-    )
-    phat = np.where(solver.zero_g, 0.0, num / solver._gsq_safe)
+    # the symbols over the whole rfft layout, from the parameters alone
+    N = prm.N
+    k = np.arange(N)
+    s = np.sin(2.0 * np.pi * k / N)
+    s[0] = s[N // 2] = 0.0
+    sh = np.sin(np.pi * k / N) ** 2
+    sk = (s[:, None, None], s[None, :, None], s[None, None, :N // 2 + 1])
+    a_k = prm.rho / prm.dt + (4.0 * prm.mu_f / h**2) * (
+        sh[:, None, None] + sh[None, :, None] + sh[None, None, :N // 2 + 1])
+    gsq = (sk[0] ** 2 + sk[1] ** 2 + sk[2] ** 2) / h**2
+    zero_g = gsq == 0.0
+    num = (-1j / h) * (sk[0] * rhat[0] + sk[1] * rhat[1] + sk[2] * rhat[2])
+    phat = np.where(zero_g, 0.0, num / np.where(zero_g, 1.0, gsq))
     uhat = np.empty_like(rhat)
     for i in range(3):
-        uhat[i] = (rhat[i] - (1j / h) * solver._s[i] * phat) / solver.a_k
-    shape = (prm.N,) * 3
+        uhat[i] = (rhat[i] - (1j / h) * sk[i] * phat) / a_k
+    shape = (N,) * 3
     u_new = scipy.fft.irfftn(uhat, s=shape, axes=(1, 2, 3))
     p_new = scipy.fft.irfftn(phat, s=shape)
     return u_new, p_new

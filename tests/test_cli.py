@@ -85,6 +85,11 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
         path = tmp_path / f"bad_{key}_{value}.cfg"
         path.write_text(f"N = 16\n{key} = {value}\n")
         bad_keys[str(path)] = key
+    ladder_says = {  # an N ladder -> what its error says of N
+        "0,16": "N must be a power of two, got 0",
+        "-16,32": "N must be a power of two, got -16",
+        "16,16,32": "N must halve at every rung",
+        "16,64,128": "N must halve at every rung"}
     degenerate = []  # valid keys, but a shell whose geometry cannot be built
     for i, line in enumerate((
             "alpha = 0", "R = 1e300", "L = 3",
@@ -116,6 +121,7 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
         (["study", "--n", "16,32", "--dt", "1e-8"], "--n/--dt ladder"),
         (["study", "--n", "16,32", "--dt", "8e-8,4e-8"], "--n/--dt ladder"),
         (["study", "--n", "16,32", "--dt", "3e-8,1e-8"], "--n/--dt ladder"),
+        *((["study", f"--n={ladder}"], "--n/--dt ladder") for ladder in ladder_says),
         (["render", missing], "snapshot"),
         (["render", snap, "--vmax", "0"], "--vmax"),
         (["render", snap, "--vmax=-2e-12"], "--vmax"),
@@ -134,6 +140,9 @@ def test_input_errors_are_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage: ibshell"), argv
         assert f"ibshell: error: {source}: " in err, argv
+        ladder = argv[1].removeprefix("--n=")
+        if ladder in ladder_says:
+            assert f"{source}: {ladder_says[ladder]}" in err, argv
         assert missing in err or missing not in argv, argv
         assert not out.exists(), argv
         assert taken.read_text() == "kept\n", argv

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
@@ -278,6 +280,23 @@ def test_pressure_is_inverted_once_per_step():
     solver.step(u, oracles.adding(np.zeros_like(F)))
     assert solver.pressure() is not p
     assert np.array_equal(p, kept)  # a read pressure is never overwritten
+
+
+def test_solver_memory_at_n64():
+    # the solver holds r_hat, p_hat and the pressure buffer, and each row
+    # block of the spectral update forms its own symbols; held over the whole
+    # lattice, a(k), 1/|g|^2 and the null-mode mask took 2.3 MB more
+    prm = FluidParams(N=64, a=0.1, rho=1.034, mu_f=0.0197, dt=2e-8)
+    FluidSolver(prm)  # warm: first-call allocations are not the solver's
+    tracemalloc.start()
+    try:
+        solver = FluidSolver(prm)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    held = solver._rhat.nbytes + solver._phat.nbytes + solver.pressure().nbytes
+    assert held > 10.7e6  # 6.5 + 2.2 + 2.1 MB
+    assert kept - held <= 0.1e6, kept - held
 
 
 def test_zero_is_fixed_point():

@@ -186,6 +186,12 @@ def test_study_rejects_bad_ladders(monkeypatch):
         ((16, 32), (2e-8,), "pair up"),
         ((16, 32), (8e-8, 4e-8), "sampled"),  # 25 steps at N = 16
         ((16, 32), (3e-8, 1e-8), "whole number"),
+        # N is checked before the default dt STUDY_DT_SCALE / N is formed
+        ((0, 16), None, "N must be a power of two, got 0"),
+        ((-16, 32), None, "N must be a power of two, got -16"),
+        # the rates are log2 of norm ratios: each rung must halve N
+        ((16, 16, 32), None, "halve"),
+        ((16, 64, 128), None, "halve"),
     ):
         with pytest.raises(ValueError, match=match):
             run_convergence_study(N_list=N_list, dt_list=dt_list)

@@ -1,13 +1,15 @@
-"""The fallbacks of `lanes.beside` for a worker job that has not begun.
+"""The fallbacks of `lanes.beside` for a worker job that has not begun, and
+the error path of `lanes.share` on two threads.
 
-The worker is a one-thread pool whose thread is held on an event, so a job
-submitted to it cannot begin before the calling thread is done with its own.
-A timer releases the event after HOLD_SECONDS, so that a call that waits for
-the held worker fails its test instead of hanging.
+For the fallbacks the worker is a one-thread pool whose thread is held on an
+event, so a job submitted to it cannot begin before the calling thread is
+done with its own. A timer releases the event after HOLD_SECONDS, so that a
+call that waits for the held worker fails its test instead of hanging.
 """
 
 import contextlib
 import threading
+import time
 from concurrent import futures
 
 import pytest
@@ -74,3 +76,50 @@ def test_share_runs_every_item_once_here(monkeypatch):
                     range(20), POINTS)
     assert sorted(item for item, _ in calls) == list(range(20))
     assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("fails_on", ["worker", "here"])
+def test_share_raises_an_item_error_once_after_both_threads_stop(
+        monkeypatch, fails_on):
+    # the first item each thread takes waits until the worker has begun, so
+    # both threads take part; the failing thread's first item raises. The
+    # error surfaces from share once, after the other thread has finished
+    # every item left, and no item runs twice
+    me = threading.get_ident()
+    pool = futures.ThreadPoolExecutor(max_workers=1)
+    began = threading.Event()
+    timer = threading.Timer(HOLD_SECONDS, began.set)  # a hang fails instead
+    timer.start()
+    monkeypatch.setattr(lanes, "_lane_pool", lambda: pool)
+    lock = threading.Lock()
+    started, finished, raised, seen = [], [], [], set()
+
+    def fn(item):
+        on_worker = threading.get_ident() != me
+        with lock:
+            started.append(item)
+            first = on_worker not in seen
+            seen.add(on_worker)
+        if on_worker:
+            began.set()
+        began.wait()
+        if first and on_worker == (fails_on == "worker"):
+            raised.append(item)
+            raise KeyError(item)
+        time.sleep(0.002)  # the other thread is still busy when one fails
+        with lock:
+            finished.append(item)
+
+    try:
+        with pytest.raises(KeyError) as exc:
+            lanes.share(fn, range(20), POINTS)
+        done_at_raise = sorted(finished)
+        assert seen == {True, False}, "the worker took no item"
+        assert len(raised) == 1 and exc.value.args == (raised[0],)
+        assert sorted(started) == list(range(20))  # each item once
+        assert done_at_raise == sorted(set(range(20)) - set(raised))
+        lanes.share(lambda item: None, range(4), POINTS)  # it does not recur
+    finally:
+        timer.cancel()
+        began.set()
+        pool.shutdown(wait=True)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -597,12 +598,20 @@ def _build_chart(name):
 def test_build_matches_einsum_oracle_bitwise(chart):
     # every geometric and coefficient field, built components-first, against
     # the lattice-first einsum build it replaced, in both closures; each is
-    # stored as one C-contiguous array with the lattice as its last two axes
+    # stored as one C-contiguous array with the lattice as its last two axes,
+    # except the leading closure's five zero fields, read-only zero views
+    # that own no memory
     grid, mat = _build_chart(chart)
     lattice = (grid.n1, grid.n2)
+    zero_views = {("leading", name) for name in
+                  ("Abbar", "Phi", "Psi", "Psibar", "Omegabar")}
 
     def check_storage(a, name):
-        assert a.flags.c_contiguous and a.shape[-2:] == lattice, name
+        assert a.shape[-2:] == lattice, name
+        if name in zero_views:
+            assert not any(a.strides) and not a.flags.writeable, name
+        else:
+            assert a.flags.c_contiguous, name
 
     geom = build_geometry(grid)
     want = oracles.build_geometry_einsum(grid)
@@ -622,3 +631,24 @@ def test_build_matches_einsum_oracle_bitwise(chart):
             check_storage(got, (order, f.name))
             assert _same_bits(oracles.lattice_view(got), want_c[f.name]), (order, f.name)
         check_storage(compute_force(disp, coeff, geom).fmu, (order, "fmu"))
+
+
+def test_leading_coefficients_memory_at_n64():
+    # the leading closure's five zero fields are read-only zero views; as
+    # np.zeros_like arrays they took 4.9 MB beside the five live fields
+    from ibshell.simulation import ModelConfig, build_model_shell, thickness_field
+
+    cfg = ModelConfig(N=64)
+    geom = build_geometry(build_model_shell(cfg))
+    mat = MaterialParams(cfg.lam, cfg.mu, thickness_field(cfg))
+    compute_coefficients(geom, mat, order="leading")  # warm
+    tracemalloc.start()
+    try:
+        coeff = compute_coefficients(geom, mat, order="leading")
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    live = sum(getattr(coeff, name).nbytes
+               for name in ("A", "Abar", "Phibar", "Omega", "Obbar"))
+    assert live > 5.2e6  # 41 fields of 16,025 nodes
+    assert kept <= 5.5e6, kept
