@@ -33,16 +33,37 @@ from .fluid import FluidParams
 _BLOCK = 512
 
 
+def _core(y):
+    """phi on its inner branch, 0 <= y <= 1."""
+    return (3.0 - 2.0 * y + np.sqrt(1.0 + 4.0 * y - 4.0 * y * y)) / 8.0
+
+
 def phi(r):
     """1D kernel weight; vectorized over any array shape."""
     x = np.abs(np.asarray(r, dtype=float))
     inner = x <= 1.0
     # y = |r| on the inner branch and 2 - |r| on the outer one, clipped at 0:
     # past the support core is then exactly 1/2, so 1/2 - core is exactly 0
-    y = np.where(inner, x, np.fmax(2.0 - x, 0.0))
-    core = (3.0 - 2.0 * y + np.sqrt(1.0 + 4.0 * y - 4.0 * y * y)) / 8.0
+    core = _core(np.where(inner, x, np.fmax(2.0 - x, 0.0)))
     out = np.where(inner, core, 0.5 - core)
     return out if out.ndim else float(out)
+
+
+def _stencil_phi(r):
+    """phi(r), bit for bit, for r = s - (floor(s) - 1 + j) with the offset
+    j = 0..3 along axis 1.
+
+    Each offset's branch is fixed: |r| <= 1 for j = 1, 2 and
+    1 <= |r| <= 2 for j = 0, 3 (rounding keeps r inside those bounds), and
+    where |r| = 1 both branches give core(1) = 1/4 exactly. `r` is
+    overwritten.
+    """
+    y = np.abs(r, out=r)
+    outer = y[:, 0::3]
+    np.subtract(2.0, outer, out=outer)
+    w = _core(y)
+    np.subtract(0.5, w[:, 0::3], out=w[:, 0::3])
+    return w
 
 
 def coupling_matrix(X, params: FluidParams, S=None):
@@ -58,7 +79,8 @@ def coupling_matrix(X, params: FluidParams, S=None):
     itself is returned; otherwise a new S is built. One pass over blocks of
     nodes forms each block's cells + offsets (3, 4, nodes), writes a new S's
     columns from them, and writes the weights as the per-axis phi's tensor
-    product (w0 w1) w2, so no temporary grows with M.
+    product (w0 w1) w2, so no temporary grows with M. Each offset in the
+    stencil fixes its branch of phi (`_stencil_phi`, bit for bit `phi`).
     """
     Xf = np.asarray(X, dtype=float).reshape(-1, 3)
     if not np.isfinite(Xf).all():
@@ -87,7 +109,7 @@ def coupling_matrix(X, params: FluidParams, S=None):
             i, j, k = o % N
             flat = column(i[:, None, None], j[None, :, None], k[None, None, :])
             indices[b] = flat.reshape(64, -1).T
-        wb = phi(s[:, None, b] - o)
+        wb = _stencil_phi(s[:, None, b] - o)
         w3 = wb[0][:, None, None] * wb[1][None, :, None] * wb[2][None, None, :]
         data[b] = w3.reshape(64, -1).T
     if new:  # from the filled columns, whose values scipy's dtype check reads
@@ -112,9 +134,10 @@ def spread_force(f, S, dq, params: FluidParams, out=None):
     ff = np.asarray(f, dtype=float).reshape(-1, 3)
     coef = np.asarray(dq, dtype=float).reshape(-1) / h**3
     F = np.zeros((3, N, N, N)) if out is None else out
+    ST = S.T  # a new csc_array through scipy's checks: formed once per call
 
     def spread(c):
-        F[c] += (S.T @ (ff[:, c] * coef)).reshape(N, N, N)
+        F[c] += (ST @ (ff[:, c] * coef)).reshape(N, N, N)
 
     lanes.share(spread, range(3), N**3)
     return F

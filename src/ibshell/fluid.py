@@ -149,9 +149,12 @@ class FluidSolver:
     The spectra r_hat (3, N, N, N/2+1) and p_hat (N, N, N/2+1) are made once,
     with np.empty, so set-up touches none of their pages; each step writes
     them in place. Component c of the right-hand side r is formed in the
-    first N^3 floats of r_hat[c] and transformed in place. Only the 1-D sine
-    vectors of the symbols are held; each row block of the spectral update
-    forms its own a(k) and |g_hat|^2 from them.
+    first N^3 floats of r_hat[c] and transformed in place, with no N^3 copy
+    of it. Only the 1-D sine vectors of the symbols are held; each row block
+    of the spectral update forms its own a(k) and |g_hat|^2 from them. The
+    pressure before the first step is a read-only zero view, which owns no
+    memory (np.zeros would: glibc's calloc writes the pages of the freed
+    heap it recycles).
     """
 
     def __init__(self, params: FluidParams):
@@ -171,7 +174,9 @@ class FluidSolver:
         self._phat = np.empty(half, dtype=complex)
         self._r = self._rhat.view(float).reshape(3, -1)[:, :N**3].reshape(
             (3,) + (N,) * 3)
-        self._p = np.zeros((N,) * 3)  # None while p_hat holds the pressure
+        # zeros before the first step, owning no memory; None while p_hat
+        # holds the pressure
+        self._p = np.broadcast_to(0.0, (N,) * 3)
         self._solving = False  # True while a step rewrites p_hat
 
     def step(self, u, add_force, out=None):
@@ -190,7 +195,8 @@ class FluidSolver:
 
         The step allocates no (3, N, N, N) field: the advection and then r
         are formed in r_hat's memory, and each FFT takes one component, in
-        place or into `out` (numpy.fft's out=, summed as scipy.fft sums).
+        place or into `out` (numpy.fft's out=, summed as scipy.fft sums),
+        the forward one without an N^3 copy of its input (`_forward`).
         From `lanes.SPLIT_MIN_POINTS` points on, the lanes share the FFTs and
         the row blocks, bit for bit as on one thread.
         """
@@ -205,10 +211,7 @@ class FluidSolver:
         lanes.share_rows(lambda lo, hi: self._rhs_rows(u, r, lo, hi), N, N**3)
         add_force(r)
 
-        def forward(c):  # rfft along axis 2, then fft along 0, then 1
-            np.fft.rfftn(r[c], axes=(1, 0, 2), out=rhat[c])
-
-        lanes.share(forward, range(3), N**3)
+        lanes.share(self._forward, range(3), N**3)
         self._p, self._solving = None, True
         lanes.share_rows(lambda lo, hi: self._spectral_rows(rhat, phat, lo, hi),
                          N, N**3)
@@ -217,7 +220,8 @@ class FluidSolver:
         return out
 
     def pressure(self):
-        """The pressure of the last step (zero before the first).
+        """The pressure of the last step (before the first, a read-only
+        zero view).
 
         The first read after a step inverts the held p_hat into a new array;
         later reads return that array until the next step. Raises
@@ -231,6 +235,23 @@ class FluidSolver:
             self._p = np.empty((self.params.N,) * 3)
             _inverse(self._phat, self._p)
         return self._p
+
+    def _forward(self, c):
+        """r_hat[c] = rfftn(r[c]) in r_hat[c]'s memory, which holds r[c], with
+        no N^3 copy of r[c]: numpy's rfftn(axes=(1, 0, 2)), pass by pass.
+
+        The rfft along axis 2 runs over blocks of 8N rows (the first two
+        axes flattened), last block first: output row q starts at float
+        q (N + 2), past every input row not yet read, so only a block's own
+        rows are copied. Then fft along axis 0 and then axis 1, in place.
+        """
+        N = self.params.N
+        rows, spectra = self._r[c].reshape(N * N, N), self._rhat[c]
+        out = spectra.reshape(N * N, N // 2 + 1)
+        for lo in reversed(range(0, N * N, 8 * N)):
+            np.fft.rfft(rows[lo:lo + 8 * N], out=out[lo:lo + 8 * N])
+        np.fft.fft(spectra, axis=0, out=spectra)
+        np.fft.fft(spectra, axis=1, out=spectra)
 
     def _rhs_rows(self, u, r, lo, hi):
         """Rows lo:hi (first lattice axis) of r = (rho/dt) u - rho adv, over
@@ -259,17 +280,19 @@ class FluidSolver:
         g /= h**2
         zero = g == 0.0
         g[zero] = 1.0
+        # complex / real is a complex division: multiply by the reciprocals
+        ia, ig = np.divide(1.0, a, out=a), np.divide(1.0, g, out=g)
         # p_hat = (conj(g_hat) . r_hat) / |g_hat|^2, zero on the null modes
         np.multiply(s0, r[0], out=p)
         p += s1 * r[1]
         p += s2 * r[2]
         p *= -1j / h
-        p /= g
+        p *= ig
         p[zero] = 0.0
         # u_hat = (r_hat - g_hat p_hat) / a(k), built over r_hat
         for i, si in enumerate((s0, s1, s2)):
             r[i] -= (1j / h) * si * p
-            r[i] /= a
+            r[i] *= ia
 
 
 def _inverse(spectrum, out):

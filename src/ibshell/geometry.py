@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -125,11 +125,16 @@ def _contraction(spec):
     einsum's, and follows from the spec: with two operands that both end
     in the summed labels, in that order, term k goes to lane k mod 2 and the
     result is lane 0 + lane 1; every other sum runs in flat order.
+
+    The result is a new C-contiguous array, and lane 0 is summed in it:
+    each product is written into one scratch array and lane 1 into another,
+    so a call holds at most three arrays of the result's size.
     """
     ins, free = spec.split("->")
     ops = ins.split(",")
     summed = "".join(dict.fromkeys(i for op in ops for i in op if i not in free))
-    two_lane = len(ops) == 2 and summed and all(op.endswith(summed) for op in ops)
+    two_lane = len(ops) == 2 and bool(summed) and all(
+        op.endswith(summed) for op in ops)
     # each operand is read as (its summed axes, its free axes, n1, n2); a
     # term's index picks the summed values and adds a length-1 axis for each
     # free index the operand lacks, so the factors broadcast to the result
@@ -140,8 +145,12 @@ def _contraction(spec):
                      + [len(op), len(op) + 1])
         picks.append(([summed.index(i) for i in own],
                       tuple(slice(None) if i in op else None for i in free)))
-    lengths = [next((k, op.index(i)) for k, op in enumerate(ops) if i in op)
-               for i in summed]
+
+    def where(labels):  # (operand, axis) of each label, to read its length
+        return [next((k, op.index(i)) for k, op in enumerate(ops) if i in op)
+                for i in labels]
+
+    lengths, sizes = where(summed), where(free)
     plans = {}  # summed-axis lengths -> each term's index into each operand
 
     def contract(*fields):
@@ -149,18 +158,21 @@ def _contraction(spec):
         if n not in plans:
             plans[n] = [[tuple(at[k] for k in own) + tail for own, tail in picks]
                         for at in itertools.product(*map(range, n))]
+        out = np.empty(tuple(fields[k].shape[j] for k, j in sizes)
+                       + fields[0].shape[-2:])
+        lane1, product = (np.empty(out.shape) if use else None
+                          for use in (two_lane, summed))
+        lanes = [out, lane1]
         fields = [a.transpose(perm) for a, perm in zip(fields, perms)]
-        terms = (reduce(np.multiply, [a[at] for a, at in zip(fields, ats)])
-                 for ats in plans[n])
-        out = next(terms)  # a new array: a product of two or more slices
+        for k, ats in enumerate(plans[n]):
+            dst = lanes[k] if k < 1 + two_lane else product
+            np.multiply(fields[0][ats[0]], fields[1][ats[1]], out=dst)
+            for a, at in zip(fields[2:], ats[2:]):
+                np.multiply(dst, a[at], out=dst)
+            if dst is product:
+                lanes[k % 2 if two_lane else 0] += product
         if two_lane:
-            lanes = [out, next(terms)]
-            for k, term in enumerate(terms):
-                lanes[k % 2] += term
-            out = lanes[0] + lanes[1]
-        else:
-            for term in terms:
-                out += term
+            out += lane1
         out += 0.0  # einsum sums from +0, so it never returns -0
         return out
 

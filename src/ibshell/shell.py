@@ -354,27 +354,30 @@ def compute_force(
     operator is defined. Rows whose coefficient field is identically zero
     (the leading closure on a flat chart zeroes most of them) are skipped.
     The divergences are linear, so each is taken once, of the summed T or S.
+
+    Each term is added into its accumulator as soon as it is formed. The
+    jet is dropped before the divergences, and S and T as their divergences
+    are taken, so the cartesian assembly runs beside f3 and f^mu alone.
     """
     grid, Gamma = geom.grid, geom.Gamma
     omega, W = disp.omega, disp.W_low
-    dw = _diff_stack(omega, grid)  # (D_mu omega)
     jet = {"omega": omega, "W": W,
-           "hess": _covariant_derivative_raw(dw, ("l",), Gamma, grid),
+           "hess": _covariant_derivative_raw(_diff_stack(omega, grid), ("l",),
+                                             Gamma, grid),
            "gradW": _covariant_derivative_raw(W, ("l",), Gamma, grid)}
     acc = {"f3": np.zeros(omega.shape), "fmu": np.zeros(W.shape),
            "T": np.zeros((2,) + W.shape), "S": np.zeros((2,) + W.shape)}
     for name, contract, arg, target, sign in _TERMS:
         if coeff.active(name):
-            term = contract(getattr(coeff, name), jet[arg])
-            if sign > 0:
-                acc[target] += term
-            else:
-                acc[target] -= term
-
-    f3 = FORCE_ON_FLUID_SIGN * (acc["f3"] + _double_divergence(acc["S"], geom))
-    fmu = FORCE_ON_FLUID_SIGN * (
-        acc["fmu"] + _covariant_divergence(acc["T"], ("u", "u"), 0, Gamma, grid)
-    )
+            update = np.add if sign > 0 else np.subtract
+            update(acc[target], contract(getattr(coeff, name), jet[arg]),
+                   out=acc[target])
+    del jet
+    f3, fmu = acc["f3"], acc["fmu"]
+    f3 += _double_divergence(acc.pop("S"), geom)
+    f3 *= FORCE_ON_FLUID_SIGN
+    fmu += _covariant_divergence(acc.pop("T"), ("u", "u"), 0, Gamma, grid)
+    fmu *= FORCE_ON_FLUID_SIGN
     return ShellForceDensity(
         f3=f3, fmu=fmu, cartesian=force_to_cartesian(f3, fmu, geom)
     )

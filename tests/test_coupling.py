@@ -124,6 +124,33 @@ def test_coupling_matrix_matches_broadcast_oracle_bitwise(N):
     assert not np.array_equal(S_data, S.data)  # the reuse rewrote the weights
 
 
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_stencil_weights_match_phi_bitwise(N):
+    # coupling_matrix fixes each stencil offset's branch of phi (inner for
+    # offsets 1 and 2, outer for 0 and 3); its weights must be phi's tensor
+    # products, sign bits included, on the model shell and at lattice
+    # coordinates on cell faces and one ulp to either side of them (a box
+    # of side 1, so X = s h and X / h = s are exact)
+    def weights(X, prm):
+        s = X / prm.h
+        cells = np.floor(s).astype(np.int64) - 1
+        w = phi(s[:, :, None] - (cells[:, :, None] + np.arange(4)))
+        w3 = w[:, 0, :, None, None] * w[:, 1, None, :, None] * w[:, 2, None, None, :]
+        return w3.reshape(-1)
+
+    cfg = ModelConfig(N=N)
+    box = FluidParams(N=N, a=1.0, rho=1.0, mu_f=0.01, dt=1e-8)
+    rng = np.random.default_rng(N)
+    faces = rng.integers(-N, 2 * N, size=(300, 3)).astype(float)
+    faces[:3] = [[0.0, 1.0, 2.0], [N - 1.0, N, N + 1.0], [-1.0, -2.0, 3.0]]
+    s = np.concatenate([faces, np.nextafter(faces, -np.inf),
+                        np.nextafter(faces, np.inf)])
+    for X, prm in ((build_model_shell(cfg).X0.reshape(-1, 3), cfg.fluid_params()),
+                   (s * box.h, box)):
+        S = coupling_matrix(X, prm)
+        assert S.data.tobytes() == weights(X, prm).tobytes()
+
+
 def test_coupling_matrix_int64_columns():
     # N^3 = 2^33 columns overflow int32, so S's indices are int64; seven
     # nodes build it in milliseconds, with no N^3 array

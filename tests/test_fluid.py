@@ -5,6 +5,7 @@ import oracles
 import pytest
 import scipy.fft
 
+import ibshell.lanes
 from ibshell.fluid import (
     FluidParams,
     FluidSolver,
@@ -297,6 +298,48 @@ def test_solver_memory_at_n64():
     held = solver._rhat.nbytes + solver._phat.nbytes + solver.pressure().nbytes
     assert held > 10.7e6  # 6.5 + 2.2 + 2.1 MB
     assert kept - held <= 0.1e6, kept - held
+
+
+def test_pressure_before_a_step_owns_no_memory():
+    # before the first step the pressure is a read-only zero view: as
+    # np.zeros it took 2.1 MB at N = 64, whose pages glibc's calloc writes
+    # when it recycles freed heap
+    prm = FluidParams(N=64, a=0.1, rho=1.034, mu_f=0.0197, dt=2e-8)
+    FluidSolver(prm).pressure()  # warm
+    tracemalloc.start()
+    try:
+        solver = FluidSolver(prm)
+        p = solver.pressure()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert p.shape == (64,) * 3 and not p.any() and solver.pressure() is p
+    assert p.strides == (0, 0, 0) and not p.flags.writeable
+    spectra = solver._rhat.nbytes + solver._phat.nbytes
+    assert kept - spectra <= 0.1e6, kept - spectra
+
+
+def test_one_lane_step_memory_at_n64(monkeypatch):
+    # one lane, so the whole step allocates on this thread. Each forward
+    # transform runs the rfft over blocks of rows, last first, so no N^3
+    # copy of r[c] is made (rfftn of r[c] into r_hat[c], which holds it,
+    # copied it first: a 2.17 MB peak); the spectral update forms its
+    # symbols per 8-row block
+    monkeypatch.setattr(ibshell.lanes, "_lane_pool", lambda: None)
+    N = 64
+    solver = FluidSolver(FluidParams(N=N, a=0.1, rho=1.034, mu_f=0.0197, dt=2e-8))
+    rng = np.random.default_rng(N)
+    u = rng.standard_normal((3, N, N, N))
+    F = rng.standard_normal((3, N, N, N))
+    solver.step(u, oracles.adding(F), out=u)  # warm
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solver.step(u, oracles.adding(F), out=u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0e6, peak
 
 
 def test_zero_is_fixed_point():

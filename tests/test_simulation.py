@@ -479,6 +479,26 @@ def test_warm_step_memory_peak_at_n32(monkeypatch):
     assert peak <= 2.5e6, peak
 
 
+def test_shell_force_memory_at_n64():
+    # the force adds each term into its accumulator as it is formed, drops
+    # the jet before the divergences and the accumulators before the
+    # cartesian assembly, and each contraction sums lane 0 in its result
+    # and writes lane 1 and the products into two scratch arrays: it peaked
+    # at 5.52 MB of temporaries before
+    sim = Simulation(ModelConfig(N=64, dt=2e-8))
+    sim.run(1)
+    X = sim.X
+    sim.shell_force_cartesian(X)  # warm
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sim.shell_force_cartesian(X)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.6e6, peak
+
+
 @pytest.fixture
 def worker_lane():
     """A one-thread pool for the worker lane, so the two-lane step also runs
