@@ -13,6 +13,9 @@ total force exactly, and interpolation reproduces constants exactly.
 
 Interpolation is S u and spreading is S^T (f dq / h^3) with one matrix S of
 kernel weights, so they are adjoint: <spread(f), u> h^3 = <f, interp(u)> dq.
+S is a record of its CSR arrays (`CSR`); both products run through scipy's
+compiled CSR kernels, loaded alone from scipy's install without importing
+`scipy.sparse`, whose package import costs ~21 MB and ~0.28 s.
 
 S's columns depend only on the nodes' cells floor(X/h) - 1, not on where in
 its cell a node sits. A time loop passes each step's S back to
@@ -23,11 +26,37 @@ new S's columns beside the weights when one does.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+from dataclasses import dataclass
+
 import numpy as np
-from scipy import sparse
 
 from . import lanes
 from .fluid import FluidParams
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels (`scipy/sparse/_sparsetools`), alone.
+
+    `find_spec` locates scipy without importing it, and the extension loads
+    without `scipy.sparse`'s package import. Its `csr_matvec` is the kernel
+    behind scipy's `S @ x` and its `csc_matvec` the one behind `S.T @ v`.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("ibshell.coupling needs scipy, which is not installed")
+    where = os.path.join(spec.submodule_search_locations[0], "sparse")
+    ext = importlib.machinery.PathFinder.find_spec("_sparsetools", [where])
+    if ext is None:
+        raise ImportError(f"no compiled _sparsetools extension in {where}")
+    module = importlib.util.module_from_spec(ext)
+    ext.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 #: nodes per block of the weight transpose: 64 weights x 512 nodes is 256 kB
 _BLOCK = 512
@@ -66,8 +95,23 @@ def _stencil_phi(r):
     return w
 
 
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A sparse matrix as its CSR arrays, under scipy's attribute names.
+
+    Row m's entries are data[indptr[m]:indptr[m + 1]] at the columns
+    indices[indptr[m]:indptr[m + 1]]; `indices` and `indptr` share one
+    integer dtype. A `scipy.sparse.csr_array` serves wherever one is read.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
 def coupling_matrix(X, params: FluidParams, S=None):
-    """The sparse M x N^3 kernel-weight matrix S of positions X (..., 3).
+    """The M x N^3 kernel-weight matrix S, a `CSR`, of positions X (..., 3).
 
     Row m holds node m's 64 tensor-product phi weights at the raveled indices
     of its (periodically wrapped) 4^3 neighborhood; for N < 4 the wrap repeats
@@ -112,11 +156,9 @@ def coupling_matrix(X, params: FluidParams, S=None):
         wb = _stencil_phi(s[:, None, b] - o)
         w3 = wb[0][:, None, None] * wb[1][None, :, None] * wb[2][None, None, :]
         data[b] = w3.reshape(64, -1).T
-    if new:  # from the filled columns, whose values scipy's dtype check reads
+    if new:  # not canonicalized: sorting or merging columns would reorder the sums
         indptr = np.arange(0, 64 * M + 1, 64, dtype=itype)
-        # not canonicalized: sorting or merging columns would reorder the sums
-        S = sparse.csr_array((data.reshape(-1), indices.reshape(-1), indptr),
-                             shape=(M, N**3))
+        S = CSR(data.reshape(-1), indices.reshape(-1), indptr, (M, N**3))
     return S
 
 
@@ -131,13 +173,22 @@ def spread_force(f, S, dq, params: FluidParams, out=None):
     lanes on large lattices (`lanes.share`).
     """
     N, h = params.N, params.h
+    M, n = S.shape
     ff = np.asarray(f, dtype=float).reshape(-1, 3)
     coef = np.asarray(dq, dtype=float).reshape(-1) / h**3
+    if len(ff) != M or len(coef) != M:  # the kernel reads v unchecked
+        raise ValueError(f"spread_force: {len(ff)} forces and {len(coef)} "
+                         f"weights for the {M} rows of S")
     F = np.zeros((3, N, N, N)) if out is None else out
-    ST = S.T  # a new csc_array through scipy's checks: formed once per call
 
     def spread(c):
-        F[c] += (ST @ (ff[:, c] * coef)).reshape(N, N, N)
+        # S^T v as scipy's S.T @ v forms it: the transpose's CSC kernel on
+        # S's own arrays, summing into zeros. Into F directly, the sum would
+        # start from F rather than from 0 and round differently.
+        y = np.zeros(n)
+        _sparsetools.csc_matvec(n, M, S.indptr, S.indices, S.data,
+                                ff[:, c] * coef, y)
+        F[c] += y.reshape(N, N, N)
 
     lanes.share(spread, range(3), N**3)
     return F
@@ -151,11 +202,17 @@ def interpolate_velocity(u, S):
     `u` is (3, N, N, N); returns (M, 3) in the row order of S. The
     components are shared between the lanes on large lattices.
     """
+    M, n = S.shape
     uf = np.asarray(u, dtype=float).reshape(3, -1)
-    U = np.empty((S.shape[0], 3))
+    if uf.shape[1] != n:  # the kernel reads u unchecked
+        raise ValueError(f"interpolate_velocity: {uf.shape[1]} lattice points "
+                         f"per component for the {n} columns of S")
+    U = np.empty((M, 3))
 
     def interpolate(c):
-        U[:, c] = S @ uf[c]
+        y = np.zeros(M)  # S u as scipy's S @ u forms it: summed into zeros
+        _sparsetools.csr_matvec(M, n, S.indptr, S.indices, S.data, uf[c], y)
+        U[:, c] = y
 
     lanes.share(interpolate, range(3), uf.shape[1])
     return U
