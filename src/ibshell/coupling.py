@@ -13,9 +13,12 @@ total force exactly, and interpolation reproduces constants exactly.
 
 Interpolation is S u and spreading is S^T (f dq / h^3) with one matrix S of
 kernel weights, so they are adjoint: <spread(f), u> h^3 = <f, interp(u)> dq.
-S is a record of its CSR arrays (`CSR`); both products run through scipy's
-compiled CSR kernels, loaded alone from scipy's install without importing
-`scipy.sparse`, whose package import costs ~21 MB and ~0.28 s.
+S is a record of its CSR arrays (`CSR`), checked where it is made; both
+products run through scipy's compiled CSR kernels, loaded alone from scipy's
+install without importing `scipy.sparse`, whose package import costs ~21 MB
+and ~0.28 s, and checked where they are loaded. Spreading sums S^T v straight
+into the array it adds to (in a step, the fluid's right-hand side), with no
+N^3 vector between.
 
 S's columns depend only on the nodes' cells floor(X/h) - 1, not on where in
 its cell a node sits. A time loop passes each step's S back to
@@ -53,7 +56,34 @@ def _load_sparsetools():
         raise ImportError(f"no compiled _sparsetools extension in {where}")
     module = importlib.util.module_from_spec(ext)
     ext.loader.exec_module(module)
+    _check_kernels(module)
     return module
+
+
+def _check_kernels(module):
+    """Raise ImportError unless `module`'s csr_matvec adds A x, and its
+    csc_matvec A^T x, into a nonzero y, with int32 and with int64 indices.
+
+    The kernels are private to scipy, and the products rely on their
+    arguments and on their adding into y (spreading adds into its `out`).
+    """
+    data = np.arange(1.0, 7.0)  # A = [[1, 0, 2, 0], [0, 3, 0, 4], [5, 0, 0, 6]]
+    for itype in (np.int32, np.int64):
+        indptr = np.array([0, 2, 4, 6], dtype=itype)
+        indices = np.array([0, 2, 1, 3, 0, 3], dtype=itype)
+        Ax, ATv = np.full(3, 10.0), np.full(4, 10.0)
+        module.csr_matvec(3, 4, indptr, indices, data, np.arange(1.0, 5.0), Ax)
+        module.csc_matvec(4, 3, indptr, indices, data, np.arange(1.0, 4.0), ATv)
+        # 10 + A (1, 2, 3, 4) and 10 + A^T (1, 2, 3), summed by hand
+        if (Ax.tolist() != [10 + 1 + 6, 10 + 6 + 16, 10 + 5 + 24]
+                or ATv.tolist() != [10 + 1 + 15, 10 + 6, 10 + 2, 10 + 8 + 18]):
+            # imported here only: importlib.metadata adds ~1.8 MB to every
+            # process that imports ibshell
+            from importlib.metadata import version
+            raise ImportError(
+                f"scipy {version('scipy')}: its compiled sparse kernels do "
+                f"not add A x and A^T x into y with {itype.__name__} "
+                f"indices, as ibshell.coupling needs")
 
 
 _sparsetools = _load_sparsetools()
@@ -102,12 +132,37 @@ class CSR:
     Row m's entries are data[indptr[m]:indptr[m + 1]] at the columns
     indices[indptr[m]:indptr[m + 1]]; `indices` and `indptr` share one
     integer dtype. A `scipy.sparse.csr_array` serves wherever one is read.
+
+    The compiled kernels index by these arrays unchecked, so a record is
+    checked when it is made, and a malformed one raises ValueError naming
+    the field.
     """
 
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     shape: tuple
+
+    def __post_init__(self):
+        M, n = self.shape
+        data, indices, indptr = self.data, self.indices, self.indptr
+        if data.dtype != np.float64 or data.ndim != 1:
+            bad = "data: must be a 1-D float64 array"
+        elif indptr.dtype not in (np.int32, np.int64) or indices.dtype != indptr.dtype:
+            bad = "indices, indptr: must share one dtype, int32 or int64"
+        elif indptr.shape != (M + 1,):
+            bad = f"indptr: must have shape ({M + 1},), not {indptr.shape}"
+        elif indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
+            bad = "indptr: must start at 0 and never decrease"
+        elif indices.shape != data.shape or len(data) != indptr[-1]:
+            bad = (f"indices, data: must both have shape ({indptr[-1]},), "
+                   f"not {indices.shape} and {data.shape}")
+        # one pass: viewed as unsigned, a negative column reads as a huge one
+        elif len(indices) and indices.view(f"u{indices.itemsize}").max() >= n:
+            bad = f"indices: every column must lie in [0, {n})"
+        else:
+            return
+        raise ValueError(f"CSR {bad}")
 
 
 def coupling_matrix(X, params: FluidParams, S=None):
@@ -168,9 +223,9 @@ def spread_force(f, S, dq, params: FluidParams, out=None):
     F(x) = sum_q f(q) delta_h(x - X(q)) dq(q), delta_h the tensor-product
     kernel scaled by h^-3, i.e. F = S^T (f dq / h^3) per component with
     S = coupling_matrix(X, params). `f` is (..., 3) and `dq` the matching
-    per-node parameter area weight. Returns F (3, N, N, N) added into `out`
-    in place (into zeros if None). The components are shared between the
-    lanes on large lattices (`lanes.share`).
+    per-node parameter area weight. Returns F (3, N, N, N): each term of
+    S^T v added in place into `out`, float64 with C-contiguous components
+    (zeros if None). The lanes share the components (`lanes.share`).
     """
     N, h = params.N, params.h
     M, n = S.shape
@@ -180,15 +235,14 @@ def spread_force(f, S, dq, params: FluidParams, out=None):
         raise ValueError(f"spread_force: {len(ff)} forces and {len(coef)} "
                          f"weights for the {M} rows of S")
     F = np.zeros((3, N, N, N)) if out is None else out
+    if (n != N**3 or F.shape != (3, N, N, N) or F.dtype != np.float64
+            or not F[0].flags.c_contiguous):  # a reshape copy would drop the force
+        raise ValueError(f"spread_force: out must be a float64 (3, {N}, {N}, "
+                         f"{N}) with C-contiguous components for S's {n} columns")
 
-    def spread(c):
-        # S^T v as scipy's S.T @ v forms it: the transpose's CSC kernel on
-        # S's own arrays, summing into zeros. Into F directly, the sum would
-        # start from F rather than from 0 and round differently.
-        y = np.zeros(n)
+    def spread(c):  # F[c] += S^T v, term by term in S's row order
         _sparsetools.csc_matvec(n, M, S.indptr, S.indices, S.data,
-                                ff[:, c] * coef, y)
-        F[c] += y.reshape(N, N, N)
+                                ff[:, c] * coef, F[c].reshape(-1))
 
     lanes.share(spread, range(3), N**3)
     return F

@@ -541,16 +541,17 @@ def adding(F):
     return lambda r: np.add(r, F, out=r)
 
 
-def fluid_step_out_of_place(solver, u, F):
+def fluid_step_out_of_place(solver, u, add_force):
     """`FluidSolver.step` with every intermediate a new array.
 
-    The pre-in-place form: no `overwrite_x`, no operand updated in place.
+    The pre-in-place form: no `overwrite_x`, no operand updated in place
+    but r, into which add_force(r) adds the body force, as in the step.
     """
     prm = solver.params
     h = prm.h
     r = prm.rho / prm.dt * u
     r = r - prm.rho * upwind_advection(u, h)
-    r = r + F
+    add_force(r)
     rhat = scipy.fft.rfftn(r, axes=(1, 2, 3))
     # the symbols over the whole rfft layout, from the parameters alone
     N = prm.N

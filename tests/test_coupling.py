@@ -1,13 +1,16 @@
 import dataclasses
+import importlib.metadata
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
 
+from ibshell import coupling
 from ibshell.coupling import coupling_matrix, interpolate_velocity, phi, spread_force
 from ibshell.fluid import FluidParams
 from ibshell.simulation import ModelConfig, build_model_shell
@@ -214,10 +217,16 @@ def test_spread_zero_and_nonfinite():
     f, X, dq = shell_arrays(20, rng)
     S = coupling_matrix(X, PRM)
     assert np.abs(spread_force(np.zeros_like(f), S, dq, PRM)).max() == 0.0
-    # into a given `out`, the force is added to what it holds
+    # into a given `out`, each of S's terms is added to what it holds, one
+    # at a time in S's row order (np.add.at adds unbuffered, in order)
     G = rng.standard_normal((3, PRM.N, PRM.N, PRM.N))
-    want = G + spread_force(f, S, dq, PRM)
-    assert spread_force(f, S, dq, PRM, out=G) is G and np.array_equal(G, want)
+    want = G.reshape(3, -1).copy()
+    v = f.reshape(-1, 3) * (dq.reshape(-1) / PRM.h**3)[:, None]
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    for c in range(3):
+        np.add.at(want[c], S.indices, S.data * v[rows, c])
+    assert spread_force(f, S, dq, PRM, out=G) is G
+    assert np.array_equal(G.reshape(3, -1), want)
     X[0, 3, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         coupling_matrix(X, PRM)
@@ -421,3 +430,78 @@ def test_mismatched_sizes_raise_before_the_kernel_reads():
         for args in ((f_d, dq), (f, dq_d), (f_d, dq_d)):
             with pytest.raises(ValueError):
                 spread_force(args[0], S, args[1], prm)
+
+
+def test_spread_rejects_an_out_it_cannot_add_into_in_place():
+    # the kernel adds into F[c].reshape(-1); a reshape that copies, another
+    # dtype or another lattice would drop the force or write out of bounds
+    X, f, dq, v, prm = _model_arrays()
+    S = coupling_matrix(X, prm)
+    big = np.zeros((3, 16, 16, 32))
+    for out in (v.astype(np.float32), big[..., ::2], np.zeros((3, 8, 8, 8))):
+        with pytest.raises(ValueError, match="out must be"):
+            spread_force(f, S, dq, prm, out=out)
+    assert not big.any()
+
+
+def test_spread_into_held_r_memory_at_n64():
+    # the kernel adds S^T v straight into r's components; a fresh N^3 sum
+    # per component, two at once on two lanes, took 4.58 MB
+    X, f, dq, r, prm = _model_arrays(64)
+    S = coupling_matrix(X, prm)
+    spread_force(f, S, dq, prm, out=r)  # warm
+    tracemalloc.start()
+    try:
+        spread_force(f, S, dq, prm, out=r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6, peak
+
+
+def test_malformed_csr_raises_where_it_is_made():
+    # the kernels index by S's arrays unchecked: a column of N^3 wrote one
+    # float past the buffer, and one of 10^9 crashed the process in a product
+    X, _, _, _, prm = _model_arrays()
+    S = coupling_matrix(X, prm)
+    n = prm.N**3
+
+    def column(value):
+        indices = S.indices.copy()
+        indices[100] = value
+        return {"indices": indices}
+
+    descending = S.indptr.copy()
+    descending[5] = descending[7]
+    cases = [
+        ("indices", column(n)),
+        ("indices", column(10**9)),
+        ("indices", column(-1)),
+        ("indices, indptr", {"indices": S.indices.astype(np.int64)}),
+        ("indices, indptr", {"indices": S.indices.astype(np.int16),
+                             "indptr": S.indptr.astype(np.int16)}),
+        ("data", {"data": S.data.astype(np.float32)}),
+        ("data", {"data": S.data.reshape(-1, 64)}),
+        ("indptr", {"indptr": S.indptr[:-1]}),
+        ("indptr", {"indptr": S.indptr + 64}),
+        ("indptr", {"indptr": descending}),
+        ("indices, data", {"indices": S.indices[:-1], "data": S.data[:-1]}),
+    ]
+    for field, change in cases:
+        with pytest.raises(ValueError, match=f"^CSR {field}:"):
+            dataclasses.replace(S, **change)
+
+
+def test_kernels_that_overwrite_y_fail_the_load_check():
+    # spreading relies on csc_matvec adding into y, which scipy does not
+    # document for its private kernels
+    real = coupling._sparsetools
+
+    def overwrite(*args):
+        args[-1][:] = 0.0
+        real.csc_matvec(*args)
+
+    coupling._check_kernels(real)
+    stub = types.SimpleNamespace(csr_matvec=real.csr_matvec, csc_matvec=overwrite)
+    with pytest.raises(ImportError, match=f"scipy {importlib.metadata.version('scipy')}"):
+        coupling._check_kernels(stub)

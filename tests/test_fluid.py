@@ -196,7 +196,7 @@ def test_step_matches_out_of_place_oracle_bitwise(N):
     u_in, F_in = u.copy(), F.copy()
     for force in (F, np.zeros_like(F)):
         got = solver.step(u, oracles.adding(force)), solver.pressure()
-        ref = oracles.fluid_step_out_of_place(solver, u, force)
+        ref = oracles.fluid_step_out_of_place(solver, u, oracles.adding(force))
         assert np.array_equal(got[0], ref[0])
         assert np.array_equal(got[1], ref[1])
         # in-place work touches only the step's own temporaries
@@ -243,7 +243,7 @@ def test_step_writes_into_out_and_rejects_aliases():
     u = rng.standard_normal((3, N, N, N))
     F = rng.standard_normal((3, N, N, N))
     u_in, F_in = u.copy(), F.copy()
-    want = oracles.fluid_step_out_of_place(solver, u, F)[0]
+    want = oracles.fluid_step_out_of_place(solver, u, oracles.adding(F))[0]
     out, seen = np.full_like(u, np.nan), []
 
     def add_force(r):  # r holds the explicit part when the force is added

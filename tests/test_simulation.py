@@ -345,10 +345,13 @@ def test_single_step_matches_hand_chained_modules(sim16):
     ref = Simulation(cfg)
     S0 = coupling_matrix(ref.grid.X0, ref.fparams)
     f = ref.shell_force_cartesian(ref.grid.X0)
-    F = spread_force(f, S0, ref.dq_area, ref.fparams)
-    F[2, :, :, round(cfg.z_imp / ref.fparams.h) % cfg.N] += \
-        -cfg.F_imp / ref.fparams.h / cfg.dt
-    u = ref.solver.step(ref.u, oracles.adding(F))
+
+    def add_force(r):  # as the step does: spread into r, then the impulse
+        spread_force(f, S0, ref.dq_area, ref.fparams, out=r)
+        r[2, :, :, round(cfg.z_imp / ref.fparams.h) % cfg.N] += \
+            -cfg.F_imp / ref.fparams.h / cfg.dt
+
+    u = ref.solver.step(ref.u, add_force)
     p = ref.solver.pressure()
     U = interpolate_velocity(u, S0)
     X = ref.grid.X0 + cfg.dt * U.reshape(ref.grid.X0.shape)
@@ -379,8 +382,8 @@ def test_cell_crossing_rebuilds_stencil_columns(monkeypatch):
     sim.X = X
     S_ref = oracles.coupling_matrix_broadcast(X, sim.fparams)
     f = sim.shell_force_cartesian(X)
-    F = spread_force(f, S_ref, sim.dq_area, sim.fparams)
-    u = sim.solver.step(sim.u, oracles.adding(F))
+    u = sim.solver.step(sim.u, lambda r: spread_force(
+        f, S_ref, sim.dq_area, sim.fparams, out=r))  # as the step does
     p = sim.solver.pressure()
     X_ref = X + cfg.dt * interpolate_velocity(u, S_ref).reshape(X.shape)
     sim.step()
@@ -401,9 +404,10 @@ def test_pressure_on_read_matches_out_of_place_oracle():
     sim.run(2)
     u, X = sim.u.copy(), sim.X
     S = coupling_matrix(X, sim.fparams)
-    F = spread_force(sim.shell_force_cartesian(X), S, sim.dq_area, sim.fparams)
+    f = sim.shell_force_cartesian(X)
     sim.step()
-    u_ref, p_ref = oracles.fluid_step_out_of_place(sim.solver, u, F)
+    u_ref, p_ref = oracles.fluid_step_out_of_place(
+        sim.solver, u, lambda r: spread_force(f, S, sim.dq_area, sim.fparams, out=r))
     p = sim.p
     assert np.array_equal(sim.u, u_ref)
     assert np.array_equal(p, p_ref)
