@@ -312,7 +312,9 @@ class SurfaceGeometry:
     """All intrinsic tensors of the reference surface, built once per grid.
 
     Every field is a C-contiguous components-first array, every contraction
-    that built it summed in `_contraction`'s order.
+    that built it summed in `_contraction`'s order. g, ginv, b and gradb are
+    read only by the shell's coefficient build, so a `Simulation` holds a
+    `dataclasses.replace` copy with those four fields None.
 
     T      : tangent frame T_alpha = D_alpha X0, shape (2, 3, n1, n2)
     Nrm    : unit normal (T1 x T2)/|T1 x T2|, shape (3, n1, n2)

@@ -15,7 +15,9 @@ Like the geometry, every tensor field here is one components-first array,
 coefficient fields, the jet, the accumulators and the tangential parts of
 the displacement and the force, as attributes, arguments and results alike.
 The leading closure's five zero fields are read-only zero views that own no
-memory; every other field is C-contiguous.
+memory. Abar, and the leading closure's Obbar, are read-only views of the 9
+components distinct under the elasticity form's pair symmetry, each a
+contiguous (n1, n2) slice. Every other field is C-contiguous.
 Only X and the cartesian force density are (n1, n2, 3) point fields. Every
 contraction is `geometry._contraction`, an explicit sum of (n1, n2) slices
 in the order numpy's einsum sums it on lattice-first arrays, which the spec
@@ -94,7 +96,10 @@ class ShellCoefficients:
     `compute_coefficients` builds each field as a components-first array of
     the shape listed here, every contraction summed in
     `geometry._contraction`'s order: C-contiguous, or a read-only zero view
-    (every stride 0) for a field the closure makes identically zero.
+    (every stride 0) for a field the closure makes identically zero. Abar,
+    and the leading closure's Obbar, are symmetric within each index pair
+    and stored so: read-only views whose [a, b] and [b, a] (and [g, d] and
+    [d, g]) are the same memory, 9 of the 16 components.
     """
 
     A: np.ndarray         # (n1, n2)
@@ -172,6 +177,26 @@ def _curvature_scale(b, ginv):
     return np.abs(half_tr) + disc
 
 
+def _pair_symmetric(scale, Lam):
+    """scale * Lam for a Lam symmetric within each index pair, stored once.
+
+    The 9 distinct components scale * Lam[a, b, g, d], (ab, gd) in
+    {00, 01, 11}^2, are formed into one (3, 3, n1, n2) array, each the same
+    elementwise product as `scale * Lam`'s. The result is its read-only
+    (2, 2, 2, 2, n1, n2) view that reads [a + b, g + d], so [0, 1] and
+    [1, 0] of either pair are the same memory.
+    """
+    pairs = ((0, 0), (0, 1), (1, 1))
+    store = np.empty((3, 3) + Lam.shape[-2:])
+    for i, ab in enumerate(pairs):
+        for j, gd in enumerate(pairs):
+            np.multiply(scale, Lam[ab + gd], out=store[i, j])
+    s_ab, s_gd = store.strides[:2]
+    return np.lib.stride_tricks.as_strided(
+        store, (2, 2, 2, 2) + store.shape[2:],
+        (s_ab, s_ab, s_gd, s_gd) + store.strides[2:], writeable=False)
+
+
 class _TPoly:
     """Tensor-field-valued polynomial in the thickness coordinate t (deg <= 2).
 
@@ -201,8 +226,10 @@ def compute_coefficients(
     """Precompute the force-operator coefficient tensors.
 
     The leading closure's vanishing odd-in-t fields (Abbar, Phi, Psi, Psibar,
-    Omegabar) are `np.broadcast_to(0.0, shape)` views, which own 8 bytes;
-    every other field is a new C-contiguous array.
+    Omegabar) are `np.broadcast_to(0.0, shape)` views, which own 8 bytes.
+    Abar (I2 Lam0) and the leading closure's Obbar (I0 Lam0) are
+    `_pair_symmetric` views, which own 9 of their 16 components. Every other
+    field is a new C-contiguous array.
 
     Warns when h0 * |curvature| >= 0.5 (thin-shell model stretched) and
     raises ThinShellError at >= 1 (fibers would cross).
@@ -227,7 +254,7 @@ def compute_coefficients(
     I0 = 2.0 * h0          # integral of dt
     I2 = (2.0 / 3.0) * h0**3  # integral of t^2 dt
     # explicit t^2: through h0^3 only the bracket's t^0 term, Lam0, survives
-    Abar = I2 * Lam0
+    Abar = _pair_symmetric(I2, Lam0)
     Omega = _contraction("stlr,stm,lrn->mn")(Abar, gradb, gradb)
 
     if order == "leading":
@@ -239,7 +266,7 @@ def compute_coefficients(
             Abbar=zero(b), Phi=zero(b[0]),
             Phibar=I0 * _contraction("abmn,ab->mn")(Lam0, b),
             Psi=zero(gradb), Psibar=zero(Lam0), Omega=Omega,
-            Omegabar=zero(gradb), Obbar=I0 * Lam0,
+            Omegabar=zero(gradb), Obbar=_pair_symmetric(I0, Lam0),
         )
 
     # ---- quadratic closure: Taylor-expand every integrand factor in t ----

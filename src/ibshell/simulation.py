@@ -298,6 +298,10 @@ def clamp_force(X, grid: SurfaceGrid, k_clamp: float, f: np.ndarray) -> np.ndarr
 class Simulation:
     """Owns the precomputed geometry/coefficients/solver and the state.
 
+    `geom` keeps only what the step reads: the grid, T, Nrm and Gamma. The
+    metric, its inverse, b and grad b are read by the coefficient build
+    alone, and are released once it has run (None on `geom`).
+
     `u` is the velocity of the last step and `p` its pressure. A step writes
     its velocity over `u`, which is the same array every step; `p` is a new
     array on the first read after each step.
@@ -306,9 +310,10 @@ class Simulation:
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         self.grid = build_model_shell(cfg)
-        self.geom = build_geometry(self.grid)
+        geom = build_geometry(self.grid)
         mat = MaterialParams(lam=cfg.lam, mu=cfg.mu, h0=thickness_field(cfg))
-        self.coeff = compute_coefficients(self.geom, mat, order=cfg.coefficients_order)
+        self.coeff = compute_coefficients(geom, mat, order=cfg.coefficients_order)
+        self.geom = replace(geom, g=None, ginv=None, b=None, gradb=None)
         self.fparams = cfg.fluid_params()
         self.solver = FluidSolver(self.fparams)
         self.dq_area = self.grid.node_areas

@@ -7,7 +7,9 @@ meant to move them runs this script, and says so in CHANGES.md.
 
 For each run (N, steps) and each thickness closure the file holds X after
 the run, and SHA-256 digests of u, p, the ten coefficient fields and the
-geometry's g, ginv, b, Gamma and gradb. Each digest is taken over the
+geometry's g, ginv, b, Gamma and gradb. The geometry's digests are taken
+from `build_geometry(sim.grid)`, since a `Simulation` releases g, ginv, b
+and gradb once its coefficients are built. Each digest is taken over the
 C-ordered bytes of the field's lattice-first (n1, n2, ...) view, so it does
 not depend on how the field is stored. The file also records the numpy and
 scipy versions and the SIMD extensions numpy found at runtime, since the
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from ibshell.geometry import build_geometry
 from ibshell.shell import ShellCoefficients
 from ibshell.simulation import ModelConfig, Simulation
 from oracles import lattice_view
@@ -58,7 +61,8 @@ def run(N, steps, closure):
     """X after the run, and the digest of every recorded field."""
     sim = Simulation(ModelConfig(N=N, dt=3.2e-7 / N, coefficients_order=closure))
     built = {f.name: getattr(sim.coeff, f.name) for f in fields(ShellCoefficients)}
-    built.update((name, getattr(sim.geom, name)) for name in GEOMETRY)
+    geom = build_geometry(sim.grid)
+    built.update((name, getattr(geom, name)) for name in GEOMETRY)
     digests = {name: digest(lattice_view(a)) for name, a in built.items()}
     sim.run(steps)
     digests.update(u=digest(sim.u), p=digest(sim.p))

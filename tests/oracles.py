@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.fft
+from numpy.lib.array_utils import byte_bounds
 from scipy import sparse
 
 from ibshell.fluid import upwind_advection
@@ -721,6 +722,59 @@ def compute_force_termwise(disp, coeff, geom):
     return ShellForceDensity(
         f3=f3, fmu=fmu, cartesian=force_to_cartesian_aos(f3, fmu, f)
     )
+
+
+# ---------------------------------------------------------------------------
+# Held memory
+# ---------------------------------------------------------------------------
+
+#: the ledger's name of each attribute of a `Simulation` and of its solver;
+#: an array held under any other attribute is listed under that attribute
+HELD_NAMES = {"_S": "S", "solver._rhat": "r_hat", "solver._r": "r_hat",
+              "solver._phat": "p_hat", "coeff": "coefficients",
+              "geom": "geometry", "grid": "grid and X", "X": "grid and X",
+              "dq_area": "grid and X"}
+
+
+def held_bytes(sim):
+    """The bytes owned by every array a `Simulation` holds, by name.
+
+    The arrays are found by walking the attributes of `sim`, of the solver
+    and of every record, tuple or dict they hold, each object once, so the
+    grid shared by `sim` and its geometry is the grid's. Each byte counts
+    once, by the memory extents of the arrays (`byte_bounds`), for the
+    first array in address order that spans it: r inside r_hat adds
+    nothing, a pair-symmetric view counts the 9 of its 16 components it
+    reads, and a zero view counts its 8 bytes.
+    """
+    arrays, seen = [], set()
+
+    def walk(obj, path):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            parts = path.split(".")
+            key = ".".join(parts[:2] if parts[0] == "solver" else parts[:1])
+            arrays.append((HELD_NAMES.get(key, key), obj))
+        elif isinstance(obj, dict):
+            for k, v in obj.items():
+                walk(v, f"{path}.{k}")
+        elif isinstance(obj, (list, tuple)):
+            for k, v in enumerate(obj):
+                walk(v, f"{path}.{k}")
+        elif hasattr(obj, "__dict__"):
+            for k, v in vars(obj).items():
+                walk(v, f"{path}.{k}" if path else k)
+
+    walk(sim, "")
+    spans = sorted(((*byte_bounds(a), name) for name, a in arrays),
+                   key=lambda span: (span[0], -span[1]))
+    held, end = {}, 0
+    for lo, hi, name in spans:
+        held[name] = held.get(name, 0) + max(0, hi - max(lo, end))
+        end = max(end, hi)
+    return held
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 from ibshell.geometry import (
     _contraction,
@@ -600,16 +601,25 @@ def test_build_matches_einsum_oracle_bitwise(chart):
     # the lattice-first einsum build it replaced, in both closures; each is
     # stored as one C-contiguous array with the lattice as its last two axes,
     # except the leading closure's five zero fields, read-only zero views
-    # that own no memory
+    # that own no memory, and Abar and the leading Obbar, read-only views
+    # that read the 9 components distinct under the pair symmetry, each a
+    # contiguous (n1, n2) slice
     grid, mat = _build_chart(chart)
     lattice = (grid.n1, grid.n2)
     zero_views = {("leading", name) for name in
                   ("Abbar", "Phi", "Psi", "Psibar", "Omegabar")}
+    pair_views = {("leading", "Abar"), ("quadratic", "Abar"), ("leading", "Obbar")}
 
     def check_storage(a, name):
         assert a.shape[-2:] == lattice, name
         if name in zero_views:
             assert not any(a.strides) and not a.flags.writeable, name
+        elif name in pair_views:
+            s = a.strides
+            lo, hi = byte_bounds(a)
+            assert s[0] == s[1] and s[2] == s[3] and not a.flags.writeable, name
+            assert a[0, 0, 0, 0].flags.c_contiguous, name
+            assert hi - lo == 9 * a[0, 0, 0, 0].nbytes, name
         else:
             assert a.flags.c_contiguous, name
 
@@ -635,7 +645,9 @@ def test_build_matches_einsum_oracle_bitwise(chart):
 
 def test_leading_coefficients_memory_at_n64():
     # the leading closure's five zero fields are read-only zero views; as
-    # np.zeros_like arrays they took 4.9 MB beside the five live fields
+    # np.zeros_like arrays they took 4.9 MB beside the five live fields.
+    # Abar and Obbar keep the 9 components distinct under the pair
+    # symmetry: stored whole, the build kept 5.26 MB
     from ibshell.simulation import ModelConfig, build_model_shell, thickness_field
 
     cfg = ModelConfig(N=64)
@@ -651,4 +663,4 @@ def test_leading_coefficients_memory_at_n64():
     live = sum(getattr(coeff, name).nbytes
                for name in ("A", "Abar", "Phibar", "Omega", "Obbar"))
     assert live > 5.2e6  # 41 fields of 16,025 nodes
-    assert kept <= 5.5e6, kept
+    assert kept <= 3.67e6, kept

@@ -1,7 +1,9 @@
+import gc
 import struct
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -501,6 +503,36 @@ def test_shell_force_memory_at_n64():
     finally:
         tracemalloc.stop()
     assert peak <= 4.6e6, peak
+
+
+def test_simulation_releases_build_only_geometry(monkeypatch):
+    # only the coefficient build reads g, ginv, b and grad b; the step reads
+    # the grid, T, Nrm and Gamma, and the run holds nothing else of the
+    # geometry
+    refs, build = [], ibshell.simulation.build_geometry
+
+    def build_geometry(grid):
+        geom = build(grid)
+        refs.extend(weakref.ref(getattr(geom, name))
+                    for name in ("g", "ginv", "b", "gradb"))
+        return geom
+
+    monkeypatch.setattr(ibshell.simulation, "build_geometry", build_geometry)
+    sim = Simulation(ModelConfig(N=16, dt=8e-8))
+    gc.collect()
+    assert len(refs) == 4 and all(ref() is None for ref in refs)
+    assert all(getattr(sim.geom, name) is not None
+               for name in ("T", "Nrm", "Gamma"))
+
+
+def test_held_bytes_after_three_n64_steps():
+    # every array the run holds, each byte once (tests/oracles.held_bytes):
+    # 33.9 MB; 38.2 while Simulation held g, ginv, b and grad b and Abar and
+    # Obbar stored all 16 components
+    sim = Simulation(ModelConfig(N=64, dt=2e-8))
+    sim.run(3)
+    held = oracles.held_bytes(sim)
+    assert sum(held.values()) <= 34.4e6, held
 
 
 @pytest.fixture
