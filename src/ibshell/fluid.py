@@ -146,15 +146,17 @@ def divergence(u, h: float):
 class FluidSolver:
     """Held spectra for repeated steps at fixed parameters.
 
-    The spectra r_hat (3, N, N, N/2+1) and p_hat (N, N, N/2+1) are made once,
-    with np.empty, so set-up touches none of their pages; each step writes
-    them in place. Component c of the right-hand side r is formed in the
-    first N^3 floats of r_hat[c] and transformed in place, with no N^3 copy
-    of it. Only the 1-D sine vectors of the symbols are held; each row block
-    of the spectral update forms its own a(k) and |g_hat|^2 from them. The
-    pressure before the first step is a read-only zero view, which owns no
-    memory (np.zeros would: glibc's calloc writes the pages of the freed
-    heap it recycles).
+    The spectra r_hat (3, N, N, N/2+1) are made once, with np.empty, so
+    set-up touches none of their pages; each step writes them in place.
+    Component c of the right-hand side r is formed in the first N^3 floats
+    of r_hat[c] and transformed in place, with no N^3 copy of it. p_hat owns
+    no memory: between steps it is r_hat[2], which the next step's advection
+    rewrites, and during the spectral update u_hat[2] waits in the outgoing
+    velocity instead (`_spectral_rows`). Only the 1-D sine vectors of the
+    symbols are held; each row block of the spectral update forms its own
+    a(k) and |g_hat|^2 from them. The pressure before the first step is a
+    read-only zero view, which owns no memory (np.zeros would: glibc's
+    calloc writes the pages of the freed heap it recycles).
     """
 
     def __init__(self, params: FluidParams):
@@ -171,13 +173,13 @@ class FluidSolver:
         self._s = (s[:, None, None], s[None, :, None], s[None, None, :half[2]])
         self._sh = (sh[:, None, None], sh[None, :, None], sh[None, None, :half[2]])
         self._rhat = np.empty((3,) + half, dtype=complex)
-        self._phat = np.empty(half, dtype=complex)
+        self._phat = self._rhat[2]  # between steps only
         self._r = self._rhat.view(float).reshape(3, -1)[:, :N**3].reshape(
             (3,) + (N,) * 3)
         # zeros before the first step, owning no memory; None while p_hat
         # holds the pressure
         self._p = np.broadcast_to(0.0, (N,) * 3)
-        self._solving = False  # True while a step rewrites p_hat
+        self._solving = False  # True while a step rewrites r_hat
 
     def step(self, u, add_force, out=None):
         """Advance one step from velocity u; add_force(r) adds the body force
@@ -186,36 +188,54 @@ class FluidSolver:
 
         Returns the new velocity, written into `out` (a new array if None):
         it satisfies the implicit system exactly (to roundoff) and is
-        discretely divergence-free. `out` may be u; one that otherwise shares
-        memory with u raises ValueError. u is read only by the advection and
-        the right-hand side, and `out` written only by the inverse
-        transforms, so a step interrupted before them leaves u as it was.
-        The step's pressure is kept as p_hat and inverted only when
-        `pressure()` reads it.
+        discretely divergence-free. `out` must be a C-contiguous float64
+        (3, N, N, N) array, and may be u; one that otherwise shares memory
+        with u, or has another dtype, shape or layout, raises ValueError
+        before anything is read or written. u is read only by the advection
+        and the right-hand side, and `out` written only from the spectral
+        update on, so a step interrupted before it leaves u as it was. The
+        step's pressure is kept as p_hat in r_hat[2] and inverted only when
+        `pressure()` reads it; from the advection on, until the step
+        returns, `pressure()` raises.
 
         The step allocates no (3, N, N, N) field: the advection and then r
         are formed in r_hat's memory, and each FFT takes one component, in
         place or into `out` (numpy.fft's out=, summed as scipy.fft sums),
         the forward one without an N^3 copy of its input (`_forward`).
-        From `lanes.SPLIT_MIN_POINTS` points on, the lanes share the FFTs and
-        the row blocks, bit for bit as on one thread.
+        u_hat[2] is formed in `out`'s first N^2 (N+2) floats, which end
+        before out[2]: its whole inverse, into out[2], runs beside the
+        first two passes of the other components' inverses, and their last
+        passes then write over it. From `lanes.SPLIT_MIN_POINTS` points on,
+        the lanes share the FFTs and the row blocks, bit for bit as on one
+        thread.
         """
         prm = self.params
         N = prm.N
+        shape = (3,) + (N,) * 3
         if out is None:
             out = np.empty(np.shape(u))
         elif out is not u and np.shares_memory(out, u):
             raise ValueError("FluidSolver.step: out shares memory with u")
-        r, rhat, phat = self._r, self._rhat, self._phat
+        elif (out.shape != shape or out.dtype != np.float64
+              or not out.flags.c_contiguous):  # a reshape copy would drop u_hat[2]
+            raise ValueError(f"FluidSolver.step: out must be a C-contiguous "
+                             f"float64 array of shape {shape}")
+        self._p, self._solving = None, True
+        r, rhat = self._r, self._rhat
+        u2 = out.reshape(-1)[:N * N * (N + 2)].view(complex).reshape(
+            rhat.shape[1:])
         upwind_advection(u, prm.h, out=r)
         lanes.share_rows(lambda lo, hi: self._rhs_rows(u, r, lo, hi), N, N**3)
         add_force(r)
 
         lanes.share(self._forward, range(3), N**3)
-        self._p, self._solving = None, True
-        lanes.share_rows(lambda lo, hi: self._spectral_rows(rhat, phat, lo, hi),
+        lanes.share_rows(lambda lo, hi: self._spectral_rows(rhat, u2, lo, hi),
                          N, N**3)
-        lanes.share(lambda c: _inverse(rhat[c], out[c]), range(3), N**3)
+        inverse = (lambda: _inverse(u2, out[2]), lambda: _ifft_leading(rhat[0]),
+                   lambda: _ifft_leading(rhat[1]))
+        lanes.share(lambda job: job(), inverse, N**3)
+        lanes.share(lambda c: np.fft.irfft(rhat[c], n=N, axis=2, out=out[c]),
+                    range(2), N**3)
         self._solving = False
         return out
 
@@ -226,7 +246,7 @@ class FluidSolver:
         The first read after a step inverts the held p_hat into a new array;
         later reads return that array until the next step. Raises
         RuntimeError when the last step was interrupted after it began to
-        rewrite p_hat.
+        rewrite r_hat, which holds p_hat.
         """
         if self._p is None:
             if self._solving:
@@ -262,14 +282,18 @@ class FluidSolver:
             adv = np.multiply(r[rows], prm.rho, out=r[rows])
             np.subtract(prm.rho / prm.dt * u[rows], adv, out=adv)
 
-    def _spectral_rows(self, rhat, phat, lo, hi):
-        """Rows lo:hi (first axis) of p_hat, and of u_hat over r_hat."""
+    def _spectral_rows(self, rhat, u2, lo, hi):
+        """Rows lo:hi (first axis) of u_hat[0] and u_hat[1] over r_hat, of
+        u_hat[2] in u2 and then of p_hat over r_hat[2].
+
+        The block's p_hat is formed in a block-sized scratch, since r_hat[2]
+        is read until u_hat[2] is formed."""
         prm = self.params
         h = prm.h
         rows = slice(lo, hi)
         s0 = self._s[0][rows]
         s1, s2 = self._s[1], self._s[2]
-        r, p = rhat[:, rows], phat[rows]
+        r = rhat[:, rows]
         # the block's symbols: a(k) and |g_hat|^2 (1 on the null modes)
         a = self._sh[0][rows] + self._sh[1]
         a = a + self._sh[2]
@@ -283,22 +307,30 @@ class FluidSolver:
         # complex / real is a complex division: multiply by the reciprocals
         ia, ig = np.divide(1.0, a, out=a), np.divide(1.0, g, out=g)
         # p_hat = (conj(g_hat) . r_hat) / |g_hat|^2, zero on the null modes
-        np.multiply(s0, r[0], out=p)
+        p = np.multiply(s0, r[0])
         p += s1 * r[1]
         p += s2 * r[2]
         p *= -1j / h
         p *= ig
         p[zero] = 0.0
-        # u_hat = (r_hat - g_hat p_hat) / a(k), built over r_hat
-        for i, si in enumerate((s0, s1, s2)):
-            r[i] -= (1j / h) * si * p
-            r[i] *= ia
+        # u_hat = (r_hat - g_hat p_hat) / a(k), built over r_hat but for
+        # u_hat[2], which goes to u2 so that p_hat can take r_hat[2]
+        for i, si, ui in ((0, s0, r[0]), (1, s1, r[1]), (2, s2, u2[rows])):
+            np.subtract(r[i], (1j / h) * si * p, out=ui)
+            ui *= ia
+        r[2] = p
 
 
 def _inverse(spectrum, out):
     """irfftn of an (N, N, N/2+1) spectrum into the real (N, N, N) `out`,
-    summed as scipy.fft.irfftn sums it: ifft along axis 0, then axis 1, in
-    place on `spectrum` (which is overwritten), then irfft along axis 2."""
+    summed as scipy.fft.irfftn sums it: `_ifft_leading`, which overwrites
+    `spectrum`, then irfft along axis 2."""
+    _ifft_leading(spectrum)
+    np.fft.irfft(spectrum, n=out.shape[2], axis=2, out=out)
+
+
+def _ifft_leading(spectrum):
+    """The first two passes of `_inverse`: ifft along axis 0, then axis 1,
+    in place on `spectrum`."""
     np.fft.ifft(spectrum, axis=0, out=spectrum)
     np.fft.ifft(spectrum, axis=1, out=spectrum)
-    np.fft.irfft(spectrum, n=out.shape[2], axis=2, out=out)

@@ -86,7 +86,10 @@ def params_to_config(params: dict):
 
 def write_snapshot(path, sim):
     """Write sim's X, u and p at sim.t, with the header's dt and the param
-    block from sim.cfg; raises OSError annotated with the path."""
+    block from sim.cfg; raises OSError annotated with the path.
+
+    Each fluid field is written a plane at a time, transposed so that x is
+    fastest in the file, so no N^3 copy of it is made."""
     n1, n2, _ = sim.X.shape
     N = sim.p.shape[0]
     params = config_param_block(sim.cfg)
@@ -95,9 +98,10 @@ def write_snapshot(path, sim):
             fh.write(_HEADER.pack(MAGIC, VERSION, N, n1, n2, sim.t, sim.cfg.dt,
                                   len(params)))
             np.array(list(params.items()), dtype=_PARAM).tofile(fh)
-            sim.X.astype("<f8").tofile(fh)
-            for field in (*sim.u, sim.p):  # transposed, so x is fastest in the file
-                field.T.astype("<f8", order="C").tofile(fh)
+            np.ascontiguousarray(sim.X, dtype="<f8").tofile(fh)
+            for field in (*sim.u, sim.p):
+                for plane in field.T:
+                    plane.astype("<f8", order="C").tofile(fh)
     except OSError as exc:
         raise OSError(f"writing snapshot {path}: {exc}") from exc
 

@@ -1,9 +1,11 @@
-"""Regenerate the golden trajectory in tests/golden/.
+"""Regenerate the golden trajectory and the gate's recorded bits in
+tests/golden/.
 
     PYTHONPATH=src python tests/make_golden.py
 
-`test_golden.py` holds every later build to these numbers, so only a change
-meant to move them runs this script, and says so in CHANGES.md.
+`test_golden.py` and `test_acceptance.py` hold every later build to these
+numbers, so only a change meant to move them runs this script (it takes the
+gate's two long runs, about a minute), and says so in CHANGES.md.
 
 For each run (N, steps) and each thickness closure the file holds X after
 the run, and SHA-256 digests of u, p, the ten coefficient fields and the
@@ -14,6 +16,11 @@ C-ordered bytes of the field's lattice-first (n1, n2, ...) view, so it does
 not depend on how the field is stored. The file also records the numpy and
 scipy versions and the SIMD extensions numpy found at runtime, since the
 summation kernels, and with them the last bits, depend on all three.
+
+`gate.npz` holds the acceptance gate's two long runs, the convergence study
+and the traveling wave, as `test_acceptance.py` runs them: the digest of
+each study record's sampled X, the two convergence rates, and the wave's
+centerline omega with its digest, beside the same build record.
 """
 
 import hashlib
@@ -24,16 +31,23 @@ import numpy as np
 import scipy
 
 from ibshell.geometry import build_geometry
+from ibshell.harness import convergence_rates, run_convergence_study, run_traveling_wave
 from ibshell.shell import ShellCoefficients
 from ibshell.simulation import ModelConfig, Simulation
 from oracles import lattice_view
 
 GOLDEN = Path(__file__).parent / "golden" / "trajectory.npz"
+GATE = GOLDEN.parent / "gate.npz"
 
 #: (N, steps) of each recorded run, at dt = 3.2e-7 / N
 RUNS = ((16, 30), (32, 20), (64, 4))
 CLOSURES = ("leading", "quadratic")
 GEOMETRY = ("g", "ginv", "b", "Gamma", "gradb")
+#: the acceptance gate's traveling wave: `run_traveling_wave(**WAVE)`
+WAVE = dict(thickness_law="table", first_snapshot_step=200, snapshot_stride=200,
+            n_snapshots=10)
+#: the norms of the study's convergence rates
+NORMS = (1, 2)
 
 
 def digest(a):
@@ -51,6 +65,11 @@ def simd_found():
 
 def build_info():
     return {"numpy": np.__version__, "scipy": scipy.__version__, "simd": simd_found()}
+
+
+def recorded_build(data):
+    """The build record of a recorded file's `data`."""
+    return {k: str(data[f"build.{k}"]) for k in build_info()}
 
 
 def key(N, closure):
@@ -80,7 +99,26 @@ def record():
     return data
 
 
+def study_rates(study):
+    """The study's convergence rate at each of NORMS."""
+    return np.array([convergence_rates(*study.records, p) for p in NORMS])
+
+
+def gate_record(study, wave):
+    """What `gate.npz` holds of the gate's study and wave."""
+    data = {f"build.{k}": np.str_(v) for k, v in build_info().items()}
+    for i, rec in enumerate(study.records):
+        data[f"study.{i}.sha256.X"] = np.str_(digest(rec.X))
+    data["study.rates"] = study_rates(study)
+    data["wave.omega"] = wave.omega
+    data["wave.sha256.omega"] = np.str_(digest(wave.omega))
+    return data
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     np.savez_compressed(GOLDEN, **record())
     print(f"wrote {GOLDEN}")
+    np.savez_compressed(GATE, **gate_record(run_convergence_study(),
+                                            run_traveling_wave(**WAVE)))
+    print(f"wrote {GATE}")

@@ -15,6 +15,7 @@ import scipy.fft
 from numpy.lib.array_utils import byte_bounds
 from scipy import sparse
 
+from ibshell import io
 from ibshell.fluid import upwind_advection
 from ibshell.geometry import SurfaceGrid
 from ibshell.shell import FORCE_ON_FLUID_SIGN, ShellForceDensity
@@ -775,6 +776,26 @@ def held_bytes(sim):
         held[name] = held.get(name, 0) + max(0, hi - max(lo, end))
         end = max(end, hi)
     return held
+
+
+# ---------------------------------------------------------------------------
+# Snapshot files
+# ---------------------------------------------------------------------------
+
+
+def write_snapshot_whole_fields(path, sim):
+    """`io.write_snapshot` as it was before it wrote a plane at a time: X
+    through astype, and each fluid field transposed in one N^3 copy."""
+    n1, n2, _ = sim.X.shape
+    N = sim.p.shape[0]
+    params = io.config_param_block(sim.cfg)
+    with open(path, "wb") as fh:
+        fh.write(io._HEADER.pack(io.MAGIC, io.VERSION, N, n1, n2, sim.t,
+                                 sim.cfg.dt, len(params)))
+        np.array(list(params.items()), dtype=io._PARAM).tofile(fh)
+        sim.X.astype("<f8").tofile(fh)
+        for field in (*sim.u, sim.p):
+            field.T.astype("<f8", order="C").tofile(fh)
 
 
 # ---------------------------------------------------------------------------

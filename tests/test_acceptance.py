@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The convergence study and
 the traveling-wave experiment dominate the runtime (a few minutes); both are
-session-cached fixtures shared across criteria.
+session-cached fixtures shared across criteria. Two more tests hold those
+runs to the bits that `make_golden.py` recorded in tests/golden/gate.npz.
 """
 
 import time
@@ -27,6 +28,7 @@ from ibshell.shell import (
 )
 from ibshell.simulation import ModelConfig, Simulation, build_model_shell
 
+import make_golden
 import oracles
 
 LAM, MU = 26197503.0, 523950.0
@@ -298,6 +300,34 @@ def study():
     return run_convergence_study()
 
 
+@pytest.fixture(scope="session")
+def gate():
+    """tests/golden/gate.npz, and whether this build recorded it."""
+    with np.load(make_golden.GATE) as data:
+        data = dict(data)
+    return data, make_golden.recorded_build(data) == make_golden.build_info()
+
+
+#: relative bounds on the gate's recorded numbers on a build that did not
+#: record them: ten times what a probe read with every node coordinate moved
+#: one ulp up or down at random after every step (rates 1.6e-6, the wave's
+#: omega 5.0e-5 of its largest magnitude, X 1.5e-14)
+RATES_RTOL, OMEGA_RTOL = 2e-5, 5e-4
+
+
+@pytest.mark.slow
+def test_study_matches_recorded_bits(study, gate):
+    recorded, same_build = gate
+    rates = make_golden.study_rates(study)
+    if same_build:
+        moved = [i for i, rec in enumerate(study.records)
+                 if make_golden.digest(rec.X) != str(recorded[f"study.{i}.sha256.X"])]
+        assert not moved, f"sampled X differs in study records {moved}"
+        assert np.array_equal(rates, recorded["study.rates"])
+    else:
+        assert np.allclose(rates, recorded["study.rates"], rtol=RATES_RTOL, atol=0.0)
+
+
 @pytest.mark.slow
 def test_criterion_6_scaled_convergence_study(study):
     fine, mid, coarse = study.records
@@ -346,10 +376,18 @@ def wave():
     # default (tabulated) thickness law: its compliance grows toward q1 = 0,
     # opposite the compliance-derived law, so the wave must run toward the
     # base; the extremum location is tracked on a 21-node smoothed |omega|
-    return run_traveling_wave(
-        thickness_law="table", first_snapshot_step=200, snapshot_stride=200,
-        n_snapshots=10,
-    )
+    return run_traveling_wave(**make_golden.WAVE)
+
+
+@pytest.mark.slow
+def test_wave_matches_recorded_bits(wave, gate):
+    recorded, same_build = gate
+    want = recorded["wave.omega"]
+    if same_build:
+        assert make_golden.digest(wave.omega) == str(recorded["wave.sha256.omega"])
+        assert np.array_equal(wave.omega, want)
+    else:
+        assert np.abs(wave.omega - want).max() <= OMEGA_RTOL * np.abs(want).max()
 
 
 @pytest.mark.slow

@@ -284,9 +284,10 @@ def test_pressure_is_inverted_once_per_step():
 
 
 def test_solver_memory_at_n64():
-    # the solver holds r_hat, p_hat and the pressure buffer, and each row
-    # block of the spectral update forms its own symbols; held over the whole
-    # lattice, a(k), 1/|g|^2 and the null-mode mask took 2.3 MB more
+    # the solver holds r_hat alone, p_hat living in r_hat[2] between steps
+    # (2.2 MB more as its own array), and each row block of the spectral
+    # update forms its own symbols; held over the whole lattice, a(k),
+    # 1/|g|^2 and the null-mode mask took 2.3 MB more
     prm = FluidParams(N=64, a=0.1, rho=1.034, mu_f=0.0197, dt=2e-8)
     FluidSolver(prm)  # warm: first-call allocations are not the solver's
     tracemalloc.start()
@@ -295,9 +296,9 @@ def test_solver_memory_at_n64():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    held = solver._rhat.nbytes + solver._phat.nbytes + solver.pressure().nbytes
-    assert held > 10.7e6  # 6.5 + 2.2 + 2.1 MB
-    assert kept - held <= 0.1e6, kept - held
+    assert np.shares_memory(solver._phat, solver._rhat)
+    assert solver._rhat.nbytes > 6.4e6
+    assert kept - solver._rhat.nbytes <= 0.1e6, kept - solver._rhat.nbytes
 
 
 def test_pressure_before_a_step_owns_no_memory():
@@ -315,8 +316,55 @@ def test_pressure_before_a_step_owns_no_memory():
         tracemalloc.stop()
     assert p.shape == (64,) * 3 and not p.any() and solver.pressure() is p
     assert p.strides == (0, 0, 0) and not p.flags.writeable
-    spectra = solver._rhat.nbytes + solver._phat.nbytes
-    assert kept - spectra <= 0.1e6, kept - spectra
+    assert np.shares_memory(solver._phat, solver._rhat)
+    assert kept - solver._rhat.nbytes <= 0.1e6, kept - solver._rhat.nbytes
+
+
+def test_step_checks_out_before_reading_or_writing():
+    # u_hat[2] is formed in a view of out's first N^2 (N+2) floats: out of
+    # another layout or dtype would be copied by the reshape, and u_hat[2]
+    # lost
+    N = 8
+    solver = FluidSolver(FluidParams(N=N, a=0.1, rho=1.034, mu_f=0.0197, dt=4e-8))
+    rng = np.random.default_rng(8)
+    u = rng.standard_normal((3, N, N, N))
+    F = rng.standard_normal((3, N, N, N))
+    solver.step(u, oracles.adding(F))
+    p = solver.pressure()
+    u_in, p_in = u.copy(), p.copy()
+    for out in (np.zeros((3, N, N, N), order="F"), np.zeros((3, N, N, N), np.float32),
+                np.zeros((3, N, N, N + 1))[..., :N], np.zeros((2, N, N, N))):
+        kept = out.copy()
+        with pytest.raises(ValueError, match="out must be"):
+            solver.step(u, oracles.adding(F), out=out)
+        assert np.array_equal(out, kept)
+        assert np.array_equal(u, u_in)
+        assert solver.pressure() is p and np.array_equal(p, p_in)
+
+
+def test_failed_force_leaves_no_pressure():
+    # the force is added after the advection has rewritten r_hat, which
+    # holds p_hat between steps: the last pressure is gone
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal((3, 16, 16, 16))
+    F = rng.standard_normal((3, 16, 16, 16))
+    broken, ref = FluidSolver(PAR16), FluidSolver(PAR16)
+    ub, ur = u.copy(), u.copy()
+    broken.step(ub, oracles.adding(F), out=ub)
+    ref.step(ur, oracles.adding(F), out=ur)
+    broken.pressure()
+
+    def failing(r):
+        raise FloatingPointError("force failed")
+
+    with pytest.raises(FloatingPointError):
+        broken.step(ub, failing, out=ub)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        broken.pressure()
+    broken.step(ub, oracles.adding(F), out=ub)
+    ref.step(ur, oracles.adding(F), out=ur)
+    assert np.array_equal(ub, ur)
+    assert np.array_equal(broken.pressure(), ref.pressure())
 
 
 def test_one_lane_step_memory_at_n64(monkeypatch):
