@@ -16,9 +16,11 @@ zero there and u_hat = r_hat / a(k).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import lanes
 
@@ -149,14 +151,17 @@ class FluidSolver:
     The spectra r_hat (3, N, N, N/2+1) are made once, with np.empty, so
     set-up touches none of their pages; each step writes them in place.
     Component c of the right-hand side r is formed in the first N^3 floats
-    of r_hat[c] and transformed in place, with no N^3 copy of it. p_hat owns
-    no memory: between steps it is r_hat[2], which the next step's advection
-    rewrites, and during the spectral update u_hat[2] waits in the outgoing
-    velocity instead (`_spectral_rows`). Only the 1-D sine vectors of the
-    symbols are held; each row block of the spectral update forms its own
-    a(k) and |g_hat|^2 from them. The pressure before the first step is a
-    read-only zero view, which owns no memory (np.zeros would: glibc's
-    calloc writes the pages of the freed heap it recycles).
+    of r_hat[c] and transformed in place, with no N^3 copy of it. Neither
+    p_hat nor p owns memory: between steps p_hat is r_hat[2], which the next
+    step's advection rewrites (during the spectral update u_hat[2] waits in
+    the outgoing velocity instead, `_spectral_rows`), and `pressure()`
+    inverts it into r_hat[2]'s first N^3 floats and lends them. A step that
+    finds the lent pressure still held moves to new spectra rather than
+    write over it. Only the 1-D sine vectors of the symbols are held; each
+    row block of the spectral update forms its own a(k) and |g_hat|^2 from
+    them. The pressure before the first step is a read-only zero view, which
+    owns no memory (np.zeros would: glibc's calloc writes the pages of the
+    freed heap it recycles).
     """
 
     def __init__(self, params: FluidParams):
@@ -172,14 +177,19 @@ class FluidSolver:
         # axis is the rfft half, k = 0..N/2
         self._s = (s[:, None, None], s[None, :, None], s[None, None, :half[2]])
         self._sh = (sh[:, None, None], sh[None, :, None], sh[None, None, :half[2]])
-        self._rhat = np.empty((3,) + half, dtype=complex)
+        self._new_spectra()
+        # zeros before the first step, owning no memory; None while p_hat
+        # holds the pressure; then a weak reference to the pressure lent
+        self._p = np.broadcast_to(0.0, (N,) * 3)
+        self._solving = False  # True while a step rewrites r_hat
+
+    def _new_spectra(self):
+        """Hold new spectra r_hat, with r in its memory and p_hat in r_hat[2]."""
+        N = self.params.N
+        self._rhat = np.empty((3, N, N, N // 2 + 1), dtype=complex)
         self._phat = self._rhat[2]  # between steps only
         self._r = self._rhat.view(float).reshape(3, -1)[:, :N**3].reshape(
             (3,) + (N,) * 3)
-        # zeros before the first step, owning no memory; None while p_hat
-        # holds the pressure
-        self._p = np.broadcast_to(0.0, (N,) * 3)
-        self._solving = False  # True while a step rewrites r_hat
 
     def step(self, u, add_force, out=None):
         """Advance one step from velocity u; add_force(r) adds the body force
@@ -196,9 +206,11 @@ class FluidSolver:
         update on, so a step interrupted before it leaves u as it was. The
         step's pressure is kept as p_hat in r_hat[2] and inverted only when
         `pressure()` reads it; from the advection on, until the step
-        returns, `pressure()` raises.
+        returns, `pressure()` raises. If the last pressure read is still
+        held, the step first moves to new spectra, so it is not overwritten.
 
-        The step allocates no (3, N, N, N) field: the advection and then r
+        The step allocates no (3, N, N, N) field (but new spectra while a
+        read pressure is held): the advection and then r
         are formed in r_hat's memory, and each FFT takes one component, in
         place or into `out` (numpy.fft's out=, summed as scipy.fft sums),
         the forward one without an N^3 copy of its input (`_forward`).
@@ -220,6 +232,8 @@ class FluidSolver:
               or not out.flags.c_contiguous):  # a reshape copy would drop u_hat[2]
             raise ValueError(f"FluidSolver.step: out must be a C-contiguous "
                              f"float64 array of shape {shape}")
+        if isinstance(self._p, weakref.ref) and self._p() is not None:
+            self._new_spectra()  # the lent pressure keeps the old ones
         self._p, self._solving = None, True
         r, rhat = self._r, self._rhat
         u2 = out.reshape(-1)[:N * N * (N + 2)].view(complex).reshape(
@@ -243,18 +257,42 @@ class FluidSolver:
         """The pressure of the last step (before the first, a read-only
         zero view).
 
-        The first read after a step inverts the held p_hat into a new array;
-        later reads return that array until the next step. Raises
-        RuntimeError when the last step was interrupted after it began to
-        rewrite r_hat, which holds p_hat.
+        The first read after a step inverts the held p_hat in place
+        (`_invert_pressure`) and lends a writable view of r_hat[2]'s first
+        N^3 floats; later reads return that view until the next step, which
+        does not overwrite it while it, or any view made from it, is held.
+        The solver keeps only a weak reference to it. Raises RuntimeError
+        when the last step was interrupted after it began to rewrite r_hat,
+        which holds p_hat.
         """
-        if self._p is None:
+        p = self._p
+        if isinstance(p, weakref.ref):
+            p = p()  # None once no caller holds it
+        elif p is None:
             if self._solving:
                 raise RuntimeError("no pressure: the last FluidSolver.step "
                                    "was interrupted")
-            self._p = np.empty((self.params.N,) * 3)
-            _inverse(self._phat, self._p)
-        return self._p
+            self._invert_pressure()
+        if p is None:
+            # a base that is not an ndarray: every view made from p keeps p,
+            # and so the weak reference, alive
+            p = as_strided(self._r[2])
+            self._p = weakref.ref(p)
+        return p
+
+    def _invert_pressure(self):
+        """p = irfftn(p_hat) in r_hat[2]'s first N^3 floats, over p_hat:
+        `_ifft_leading`, then irfft along axis 2 over blocks of N rows (the
+        first two axes flattened), first block first. Output row q ends at
+        float (q + 1) N, before input row q + 1 begins at (q + 1)(N + 2), so
+        only a block's own rows are copied: 0.03 MB at N = 64 (0.26 for
+        blocks of 8N rows)."""
+        N = self.params.N
+        _ifft_leading(self._phat)
+        rows = self._phat.reshape(N * N, N // 2 + 1)
+        out = self._r[2].reshape(N * N, N)
+        for lo in range(0, N * N, N):
+            np.fft.irfft(rows[lo:lo + N], n=N, out=out[lo:lo + N])
 
     def _forward(self, c):
         """r_hat[c] = rfftn(r[c]) in r_hat[c]'s memory, which holds r[c], with

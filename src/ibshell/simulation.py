@@ -303,8 +303,9 @@ class Simulation:
     alone, and are released once it has run (None on `geom`).
 
     `u` is the velocity of the last step and `p` its pressure. A step writes
-    its velocity over `u`, which is the same array every step; `p` is a new
-    array on the first read after each step.
+    its velocity over `u`, which is the same array every step; `p` is lent
+    from the solver's spectra, which a later step leaves to it while it is
+    held (`FluidSolver.pressure`).
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -324,8 +325,9 @@ class Simulation:
 
     @property
     def p(self) -> np.ndarray:
-        """Pressure of the last step (zeros before the first), inverted on
-        the first read after a step (`FluidSolver.pressure`)."""
+        """Pressure of the last step (zeros before the first), inverted in
+        the solver's spectra on the first read after a step and lent from
+        them (`FluidSolver.pressure`)."""
         return self.solver.pressure()
 
     @property

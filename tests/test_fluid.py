@@ -283,6 +283,37 @@ def test_pressure_is_inverted_once_per_step():
     assert np.array_equal(p, kept)  # a read pressure is never overwritten
 
 
+def test_step_moves_to_new_spectra_only_while_the_pressure_is_held():
+    # the pressure is lent from r_hat[2]: a step that finds it, or a view
+    # made from it, still held leaves those spectra to it and takes new ones
+    solver, ref = FluidSolver(PAR16), FluidSolver(PAR16)
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((3, 16, 16, 16))
+    F = rng.standard_normal((3, 16, 16, 16))
+    ur = u.copy()
+
+    def step_both():
+        solver.step(u, oracles.adding(F), out=u)
+        ref.step(ur, oracles.adding(F), out=ur)
+
+    step_both()
+    rhat = solver._rhat
+    solver.pressure()  # read and dropped
+    step_both()
+    assert solver._rhat is rhat
+    p = solver.pressure()
+    assert np.shares_memory(p, solver._rhat) and p.flags.writeable
+    kept = p.copy()
+    step_both()
+    assert solver._rhat is not rhat and np.array_equal(p, kept)
+    assert np.array_equal(u, ur) and np.array_equal(solver.pressure(), ref.pressure())
+    plane = solver.pressure()[:, 3].T  # a view made from it holds it too
+    kept, rhat = plane.copy(), solver._rhat
+    step_both()
+    assert solver._rhat is not rhat and np.array_equal(plane, kept)
+    assert np.array_equal(u, ur) and np.array_equal(solver.pressure(), ref.pressure())
+
+
 def test_solver_memory_at_n64():
     # the solver holds r_hat alone, p_hat living in r_hat[2] between steps
     # (2.2 MB more as its own array), and each row block of the spectral

@@ -1,5 +1,6 @@
-"""The fallbacks of `lanes.beside` for a worker job that has not begun, and
-the error path of `lanes.share` on two threads.
+"""The fallbacks of `lanes.beside` for a worker job that has not begun, the
+error path of `lanes.share` on two threads, and what the worker holds and
+imports.
 
 For the fallbacks the worker is a one-thread pool whose thread is held on an
 event, so a job submitted to it cannot begin before the calling thread is
@@ -8,13 +9,18 @@ call that waits for the held worker fails its test instead of hanging.
 """
 
 import contextlib
+import subprocess
+import sys
 import threading
 import time
+import weakref
 from concurrent import futures
+from pathlib import Path
 
 import pytest
 
 from ibshell import lanes
+from ibshell.simulation import ModelConfig, Simulation
 
 POINTS = lanes.SPLIT_MIN_POINTS  # large enough to use the worker
 HOLD_SECONDS = 10.0
@@ -123,3 +129,37 @@ def test_share_raises_an_item_error_once_after_both_threads_stop(
         timer.cancel()
         began.set()
         pool.shutdown(wait=True)
+
+
+@pytest.mark.skipif(lanes.LANES < 2, reason="one core: no worker thread")
+def test_worker_holds_nothing_between_jobs():
+    # a worker that kept its last job kept that job's closure, and with it a
+    # finished Simulation, alive while the next one was built
+    sim = Simulation(ModelConfig(N=64, dt=2e-8))
+    sim.run(2)
+    refs = weakref.ref(sim), weakref.ref(sim._S)
+    del sim
+    # the worker drops a job just after the calling thread is released
+    deadline = time.monotonic() + HOLD_SECONDS
+    while any(ref() is not None for ref in refs) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_run_does_not_import_thread_pool_machinery():
+    # concurrent.futures, to run one worker thread, brought in logging,
+    # traceback and string: 0.4 MB of every process's peak memory
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(src)!r})",
+        "import ibshell.cli",
+        "from ibshell.simulation import ModelConfig, Simulation",
+        "Simulation(ModelConfig(N=64, dt=2e-8)).run(2)",
+        "print(sorted(m for m in ('concurrent.futures', 'logging') "
+        "if m in sys.modules))",
+    ])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]", run.stdout

@@ -847,10 +847,13 @@ def test_snapshot_writer_matches_whole_field_oracle(tmp_path):
 
 
 def test_snapshot_writer_memory_at_n64(tmp_path):
-    # a whole transposed copy of each field took 2.1 MB at N = 64
+    # a whole transposed copy of each field took 2.1 MB at N = 64, and so
+    # did the new array the first read of the pressure after a step
+    # inverted p_hat into; it is now inverted in r_hat[2]'s memory and lent
     sim = Simulation(ModelConfig(N=64, dt=2e-8))
     sim.run(1)
-    write_snapshot(tmp_path / "warm.ibsh", sim)  # warm; reads the pressure
+    write_snapshot(tmp_path / "warm.ibsh", sim)  # warm
+    sim.step()  # as in a run, the write reads a pressure not yet inverted
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
