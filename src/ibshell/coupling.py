@@ -175,25 +175,37 @@ def coupling_matrix(X, params: FluidParams, S=None):
     `S`, when given, is the matrix of earlier positions. If it has the same
     shape and every row still starts at the same column (no node changed
     cell, up to the period), the weights are rewritten into its data and S
-    itself is returned; otherwise a new S is built. One pass over blocks of
-    nodes forms each block's cells + offsets (3, 4, nodes), writes a new S's
-    columns from them, and writes the weights as the per-axis phi's tensor
-    product (w0 w1) w2, so no temporary grows with M. Each offset in the
-    stencil fixes its branch of phi (`_stencil_phi`, bit for bit `phi`).
+    itself is returned; otherwise a new S is built. The lattice coordinates
+    X/h and the int64 cells are one (3, M) array each, the floor cast
+    straight into the cells, and the check ravels the wrapped cells one
+    axis at a time into one M-vector. One pass over blocks of nodes forms
+    each block's cells + offsets (3, 4, nodes), writes a new S's columns
+    from them, and writes the weights as the per-axis phi's tensor product
+    (w0 w1) w2, each block's product dropped as it is written. Each offset
+    in the stencil fixes its branch of phi (`_stencil_phi`, bit for bit
+    `phi`).
     """
     Xf = np.asarray(X, dtype=float).reshape(-1, 3)
     if not np.isfinite(Xf).all():
         raise ValueError("non-finite shell position in coupling_matrix")
-    s = np.ascontiguousarray(Xf.T) / params.h  # lattice coordinates
-    cells = np.floor(s).astype(np.int64) - 1
     N, M = params.N, len(Xf)
+    s = np.divide(Xf.T, params.h, out=np.empty((3, M)))  # lattice coordinates
+    cells = np.floor(s, out=np.empty((3, M), dtype=np.int64), casting="unsafe")
+    cells -= 1
 
     def column(i, j, k):  # S's column layout: lattice point (i, j, k) raveled
         return (i * N + j) * N + k
 
+    def first_columns():  # column(*(cells % N)) one axis at a time, no (3, M) array
+        col = np.zeros(M, dtype=np.int64)
+        for c in cells:
+            col *= N
+            col += c % N
+        return col
+
     # a row's first column, its wrapped cell's, fixes all 64
     new = (S is None or S.shape != (M, N**3)
-           or not np.array_equal(S.indices[::64], column(*(cells % N))))
+           or not np.array_equal(S.indices[::64], first_columns()))
     if new:
         big = max(N**3, 64 * M) > np.iinfo(np.int32).max
         itype = np.int64 if big else np.int32
@@ -208,9 +220,10 @@ def coupling_matrix(X, params: FluidParams, S=None):
             i, j, k = o % N
             flat = column(i[:, None, None], j[None, :, None], k[None, None, :])
             indices[b] = flat.reshape(64, -1).T
-        wb = _stencil_phi(s[:, None, b] - o)
-        w3 = wb[0][:, None, None] * wb[1][None, :, None] * wb[2][None, None, :]
-        data[b] = w3.reshape(64, -1).T
+        w = _stencil_phi(s[:, None, b] - o)
+        # one expression: a named product would live on beside the next block's
+        data[b] = (w[0][:, None, None] * w[1][None, :, None]
+                   * w[2][None, None, :]).reshape(64, -1).T
     if new:  # not canonicalized: sorting or merging columns would reorder the sums
         indptr = np.arange(0, 64 * M + 1, 64, dtype=itype)
         S = CSR(data.reshape(-1), indices.reshape(-1), indptr, (M, N**3))

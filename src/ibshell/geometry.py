@@ -311,8 +311,10 @@ def _covariant_divergence(A, index_types, slot: int, Gamma, grid: SurfaceGrid):
 class SurfaceGeometry:
     """All intrinsic tensors of the reference surface, built once per grid.
 
-    Every field is a C-contiguous components-first array, every contraction
-    that built it summed in `_contraction`'s order. g, ginv, b and gradb are
+    Every field is a components-first array, every contraction that built
+    it summed in `_contraction`'s order: C-contiguous, except Gamma, a
+    read-only view of the 6 components distinct under its lower-pair
+    symmetry (`build_christoffel`). g, ginv, b and gradb are
     read only by the shell's coefficient build, so a `Simulation` holds a
     `dataclasses.replace` copy with those four fields None.
 
@@ -382,14 +384,30 @@ def build_second_form(Nrm, T, grid: SurfaceGrid):
 
 
 def build_christoffel(g, ginv, grid: SurfaceGrid):
-    """Gamma^lam_{mu nu} = 1/2 g^{sig lam}(D_nu g_{mu sig} + D_mu g_{sig nu} - D_sig g_{mu nu})."""
+    """Gamma^lam_{mu nu} = 1/2 g^{sig lam}(D_nu g_{mu sig} + D_mu g_{sig nu} - D_sig g_{mu nu}).
+
+    g is symmetric bit for bit, and so is each bracket in (mu, nu), its two
+    first terms swapping places. So Gamma is stored by that symmetry: the
+    (2, 2, 2, n1, n2) read-only view of one (2, 3, n1, n2) array that reads
+    [lam, mu + nu], whose [lam, 0, 1] and [lam, 1, 0] are the same memory.
+    """
     dg = _diff_stack(g, grid)  # dg[sig, mu, nu] = D_sig g_{mu nu}
     bracket = (
         dg.transpose(2, 1, 0, 3, 4)  # D_nu g_{mu sig}
         + dg.transpose(1, 0, 2, 3, 4)  # D_mu g_{sig nu}
         - dg
     )
-    return 0.5 * _contraction("sl,smn->lmn")(ginv, bracket)
+    # the store is allocated before the full sum it keeps 6 components of,
+    # so the sum is freed above it (allocated after it, one build at each
+    # of N = 16, 32 and 64 touched ~300 more fresh pages in all)
+    store = np.empty((2, 3) + g.shape[2:])
+    full = _contraction("sl,smn->lmn")(ginv, bracket)
+    for p, (mu, nu) in enumerate(((0, 0), (0, 1), (1, 1))):
+        np.multiply(0.5, full[:, mu, nu], out=store[:, p])
+    s_lam, s_pair = store.strides[:2]
+    return np.lib.stride_tricks.as_strided(
+        store, (2, 2, 2) + store.shape[2:],
+        (s_lam, s_pair, s_pair) + store.strides[2:], writeable=False)
 
 
 def mixed_second_form(b, ginv):

@@ -382,28 +382,45 @@ def compute_force(
     (the leading closure on a flat chart zeroes most of them) are skipped.
     The divergences are linear, so each is taken once, of the summed T or S.
 
-    Each term is added into its accumulator as soon as it is formed. The
-    jet is dropped before the divergences, and S and T as their divergences
-    are taken, so the cartesian assembly runs beside f3 and f^mu alone.
+    The active rows run in table order, and each operand lives only from its
+    first use to its last: the jet entries hess and grad W are formed before
+    the first row that reads them and dropped after the last, each
+    accumulator starts as zeros at its first row, and S and T give way to
+    their divergences after their last rows. An accumulator with no active
+    row adds a divergence of +0, as the divergence of its zeros would.
+    Every term reaches its accumulator in table order, so the force is the
+    same bit for bit whatever the schedule.
     """
     grid, Gamma = geom.grid, geom.Gamma
     omega, W = disp.omega, disp.W_low
-    jet = {"omega": omega, "W": W,
-           "hess": _covariant_derivative_raw(_diff_stack(omega, grid), ("l",),
-                                             Gamma, grid),
-           "gradW": _covariant_derivative_raw(W, ("l",), Gamma, grid)}
-    acc = {"f3": np.zeros(omega.shape), "fmu": np.zeros(W.shape),
-           "T": np.zeros((2,) + W.shape), "S": np.zeros((2,) + W.shape)}
-    for name, contract, arg, target, sign in _TERMS:
-        if coeff.active(name):
-            update = np.add if sign > 0 else np.subtract
-            update(acc[target], contract(getattr(coeff, name), jet[arg]),
-                   out=acc[target])
-    del jet
-    f3, fmu = acc["f3"], acc["fmu"]
-    f3 += _double_divergence(acc.pop("S"), geom)
+    form = {"hess": lambda: _covariant_derivative_raw(_diff_stack(omega, grid),
+                                                      ("l",), Gamma, grid),
+            "gradW": lambda: _covariant_derivative_raw(W, ("l",), Gamma, grid)}
+    divergence = {"S": lambda S: _double_divergence(S, geom),
+                  "T": lambda T: _covariant_divergence(T, ("u", "u"), 0, Gamma, grid)}
+    shapes = {"f3": omega.shape, "fmu": W.shape,
+              "T": (2,) + W.shape, "S": (2,) + W.shape}
+    rows = [row for row in _TERMS if coeff.active(row[0])]
+    last = {}  # the last row that reads each jet entry or adds to each accumulator
+    for i, (_, _, arg, target, _) in enumerate(rows):
+        last[arg] = last[target] = i
+    jet, acc, div = {"omega": omega, "W": W}, {}, {"S": 0.0, "T": 0.0}
+    for i, (name, contract, arg, target, sign) in enumerate(rows):
+        if arg not in jet:
+            jet[arg] = form[arg]()
+        if target not in acc:
+            acc[target] = np.zeros(shapes[target])
+        update = np.add if sign > 0 else np.subtract
+        update(acc[target], contract(getattr(coeff, name), jet[arg]),
+               out=acc[target])
+        if last[arg] == i and arg in form:
+            del jet[arg]
+        if last[target] == i and target in divergence:
+            div[target] = divergence[target](acc.pop(target))
+    f3, fmu = (acc[k] if k in acc else np.zeros(shapes[k]) for k in ("f3", "fmu"))
+    f3 += div["S"]
     f3 *= FORCE_ON_FLUID_SIGN
-    fmu += _covariant_divergence(acc.pop("T"), ("u", "u"), 0, Gamma, grid)
+    fmu += div["T"]
     fmu *= FORCE_ON_FLUID_SIGN
     return ShellForceDensity(
         f3=f3, fmu=fmu, cartesian=force_to_cartesian(f3, fmu, geom)

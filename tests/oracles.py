@@ -17,8 +17,19 @@ from scipy import sparse
 
 from ibshell import io
 from ibshell.fluid import upwind_advection
-from ibshell.geometry import SurfaceGrid
-from ibshell.shell import FORCE_ON_FLUID_SIGN, ShellForceDensity
+from ibshell.geometry import (
+    SurfaceGrid,
+    _covariant_derivative_raw,
+    _covariant_divergence,
+    _diff_stack,
+)
+from ibshell.shell import (
+    _TERMS,
+    FORCE_ON_FLUID_SIGN,
+    ShellForceDensity,
+    _double_divergence,
+    force_to_cartesian,
+)
 
 
 def lattice_view(a):
@@ -722,6 +733,37 @@ def compute_force_termwise(disp, coeff, geom):
     fmu *= FORCE_ON_FLUID_SIGN
     return ShellForceDensity(
         f3=f3, fmu=fmu, cartesian=force_to_cartesian_aos(f3, fmu, f)
+    )
+
+
+def compute_force_table_order(disp, coeff, geom):
+    """`shell.compute_force` with the whole jet and every accumulator alive
+    through the table.
+
+    The form before the schedule: hess and grad W are formed up front, the
+    four accumulators start as zeros, and the divergences of S and T are
+    taken after the last row, each of its accumulator, zeros or not.
+    """
+    grid, Gamma = geom.grid, geom.Gamma
+    omega, W = disp.omega, disp.W_low
+    jet = {"omega": omega, "W": W,
+           "hess": _covariant_derivative_raw(_diff_stack(omega, grid), ("l",),
+                                             Gamma, grid),
+           "gradW": _covariant_derivative_raw(W, ("l",), Gamma, grid)}
+    acc = {"f3": np.zeros(omega.shape), "fmu": np.zeros(W.shape),
+           "T": np.zeros((2,) + W.shape), "S": np.zeros((2,) + W.shape)}
+    for name, contract, arg, target, sign in _TERMS:
+        if coeff.active(name):
+            update = np.add if sign > 0 else np.subtract
+            update(acc[target], contract(getattr(coeff, name), jet[arg]),
+                   out=acc[target])
+    f3, fmu = acc["f3"], acc["fmu"]
+    f3 += _double_divergence(acc["S"], geom)
+    f3 *= FORCE_ON_FLUID_SIGN
+    fmu += _covariant_divergence(acc["T"], ("u", "u"), 0, Gamma, grid)
+    fmu *= FORCE_ON_FLUID_SIGN
+    return ShellForceDensity(
+        f3=f3, fmu=fmu, cartesian=force_to_cartesian(f3, fmu, geom)
     )
 
 

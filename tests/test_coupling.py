@@ -191,6 +191,27 @@ def test_fresh_coupling_matrix_memory_at_n64():
     assert peak - held <= 3e6, peak - held
 
 
+def test_reused_coupling_matrix_memory_at_n64():
+    # a step's S is rewritten in place: the lattice coordinates and the
+    # cells are one (3, M) array each, the reuse check ravels the wrapped
+    # cells one axis at a time, and each block's product of weights is
+    # dropped as it is written. It peaked at 1.59 MB while the check formed
+    # a (3, M) cells % N and the last block's product lived beside the next
+    cfg = ModelConfig(N=64, dt=2e-8)
+    X, prm = build_model_shell(cfg).X0, cfg.fluid_params()
+    S = coupling_matrix(X, prm)
+    coupling_matrix(X, prm, S)  # warm
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        S_again = coupling_matrix(X, prm, S)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert S_again is S
+    assert peak <= 1.45e6, peak
+
+
 # ---------------------------------------------------------------------------
 # spreading
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -512,6 +512,51 @@ def test_force_matches_aos_oracle_bitwise():
                 assert np.array_equal(a, b), (order, name)
 
 
+#: the coefficient fields of the rows that add into each accumulator
+_ROWS_INTO = {target: {row[0] for row in _TERMS if row[3] == target}
+              for target in ("f3", "fmu", "S", "T")}
+
+
+def test_force_matches_table_order_oracle_bitwise():
+    # the force run on its schedule (each jet entry and accumulator alive
+    # from its first active row to its last, S and T given way to their
+    # divergences after their last rows) against the whole jet and all four
+    # accumulators alive through the table: every bit of f3, fmu and the
+    # cartesian density, the sign of each zero included. The last cases
+    # leave no active row into S, into T, or into f3 and fmu, so an
+    # accumulator stays zeros and its divergence is still added
+    from ibshell.simulation import ModelConfig, build_model_shell, thickness_field
+
+    rng = np.random.default_rng(14)
+    cases = []
+    for N in (16, 32):
+        cfg = ModelConfig(N=N)
+        geom = build_geometry(build_model_shell(cfg))
+        mat = MaterialParams(cfg.lam, cfg.mu, thickness_field(cfg))
+        cases += [(geom, compute_coefficients(geom, mat, order=order), order)
+                  for order in ("leading", "quadratic")]
+    sphere = build_geometry(oracles.sphere_grid(17, 17)[0])
+    cases += [(sphere, compute_coefficients(sphere, MaterialParams(LAM, MU, 1e-3),
+                                            order=order), order)
+              for order in ("leading", "quadratic")]
+    geom16, full = cases[1][:2]  # N = 16, quadratic: every row active
+    for targets in (("S",), ("T",), ("f3", "fmu")):
+        names = set().union(*(_ROWS_INTO[t] for t in targets))
+        zeroed = replace(full, **{name: np.zeros_like(getattr(full, name))
+                                  for name in names})
+        assert not any(zeroed.active(name) for name in names)
+        cases.append((geom16, zeroed, "without rows into " + " and ".join(targets)))
+    for geom, coeff, case in cases:
+        X = geom.grid.X0 + 1e-4 * rng.standard_normal(geom.grid.X0.shape)
+        disp = decompose_displacement(X, geom)
+        got = compute_force(disp, coeff, geom)
+        want = oracles.compute_force_table_order(disp, coeff, geom)
+        for name in ("f3", "fmu", "cartesian"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.abs(b).max() > 0, (case, name)
+            assert _same_bits(a, b), (case, name)
+
+
 # ---------------------------------------------------------------------------
 # The build against its lattice-first einsum form
 # ---------------------------------------------------------------------------
@@ -601,9 +646,10 @@ def test_build_matches_einsum_oracle_bitwise(chart):
     # the lattice-first einsum build it replaced, in both closures; each is
     # stored as one C-contiguous array with the lattice as its last two axes,
     # except the leading closure's five zero fields, read-only zero views
-    # that own no memory, and Abar and the leading Obbar, read-only views
-    # that read the 9 components distinct under the pair symmetry, each a
-    # contiguous (n1, n2) slice
+    # that own no memory, Abar and the leading Obbar, read-only views that
+    # read the 9 components distinct under the pair symmetry, and Gamma, a
+    # read-only view that reads the 6 distinct under its lower-pair
+    # symmetry, each a contiguous (n1, n2) slice
     grid, mat = _build_chart(chart)
     lattice = (grid.n1, grid.n2)
     zero_views = {("leading", name) for name in
@@ -620,6 +666,12 @@ def test_build_matches_einsum_oracle_bitwise(chart):
             assert s[0] == s[1] and s[2] == s[3] and not a.flags.writeable, name
             assert a[0, 0, 0, 0].flags.c_contiguous, name
             assert hi - lo == 9 * a[0, 0, 0, 0].nbytes, name
+        elif name == "Gamma":
+            s = a.strides
+            lo, hi = byte_bounds(a)
+            assert s[1] == s[2] and not a.flags.writeable, name
+            assert a[0, 0, 0].flags.c_contiguous, name
+            assert hi - lo == 6 * a[0, 0, 0].nbytes, name
         else:
             assert a.flags.c_contiguous, name
 
