@@ -1,23 +1,28 @@
 """The second thread a coupled step runs on, where the process has a core
 for it.
 
-On lattices of at least SPLIT_MIN_POINTS points, `beside(on_worker, here,
-points)` runs two independent jobs at once, one on the worker thread and
-one on the calling thread, and `share(fn, items, points)` runs fn on
-independent items (`share_rows`: blocks of a lattice's rows), the two
-threads taking the next item in turn. All return when all the work is
-done. The worker is one bare daemon thread, created at first use and
-shared by the process, fed jobs through a `_queue.SimpleQueue`: a thread
-pool's `concurrent.futures` imports `logging`, `traceback` and `string`,
-0.4 MB of every process's peak. It drops each job as soon as it has run, so
-a finished job's closure keeps nothing alive. On smaller lattices, and where
-the process may use only one core, the work runs in order on the calling
-thread.
+`share(fn, items, points)` is the one way onto it: it returns
+[fn(item) for item in items] for independent items of the work on a lattice
+of `points` points (`share_rows`: blocks of a lattice's rows). From
+SPLIT_MIN_POINTS points on, the calling thread takes item 0 before the
+worker is fed, and then each thread takes the next item as it comes free.
+The first error stops both threads from taking new items, and share returns
+or raises only once every item begun is done. The worker is one bare daemon
+thread, created at first use and shared by the process, fed jobs through a
+`_queue.SimpleQueue`: a thread pool's `concurrent.futures` imports
+`logging`, `traceback` and `string`, 0.4 MB of every process's peak. It
+drops each job as soon as it has run, and a job keeps none of its call's
+function, items or results once share has returned. On smaller lattices,
+and where the process may use only one core, the items run in order on the
+calling thread.
 
-Only private kernels run on the worker. Every public stage function
-(`fluid.upwind_advection`, `FluidSolver.step`, the shell force, spreading,
-interpolation) is called on the calling thread and returns only when all of
-its work is done, so a stage call spans its work however it is split.
+Every public stage function (`fluid.upwind_advection`, `FluidSolver.step`,
+the shell force, spreading, interpolation) is called on the calling thread
+and returns only when all of its work is done, so a stage call spans its
+work however it is split. The worker runs private kernels and, while the
+calling thread forms the shell force, the public `coupling_matrix`
+(`Simulation.step` lists the force first, so the force stays on the calling
+thread).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import os
 import threading
 from _queue import SimpleQueue
+from collections import deque
 
 
 def _cores() -> int:
@@ -38,10 +44,12 @@ def _cores() -> int:
 #: threads a coupled step runs on: two where the process has a second core
 LANES = min(2, _cores())
 
-#: lattices of at least this many points run their step on both lanes
-#: (`beside`, `share`, `share_rows`); smaller ones run on one thread. On a
+#: lattices of at least this many points share their items between both
+#: lanes (`share`, `share_rows`); smaller ones run on one thread. On a
 #: 2-core host, with S built beside the force at N = 32, the `wave`
-#: benchmark's step tail rose 4.6% over ten alternating pairs (faster in 3).
+#: benchmark's step tail rose 4.6% over ten alternating pairs (faster in 3);
+#: at N = 64, S and the force in order took 1.08 times the step of S beside
+#: the force (three in-process runs of 150 alternated pairs).
 #: At N = 64 the forward and inverse FFTs of a step took 18.6 ms (90th
 #: percentile 26.2) with their components shared, 23.8 (38.2) as batches on
 #: pocketfft's two threads and 27.7 (36.4) on one (scipy 1.17.1). Below,
@@ -62,68 +70,21 @@ SPLIT_MIN_POINTS = 64**3
 BLOCK_ROWS = 8
 
 
-class _Job:
-    """A call submitted to the worker, run once by whichever thread claims
-    it first: the worker, or the submitter through `cancel`."""
-
-    def __init__(self, fn):
-        self._fn, self._value, self._error = fn, None, None
-        self._claim = threading.Lock()  # taken by whoever runs the call
-        self._done = threading.Lock()  # held until the worker has run it
-        self._done.acquire()
-
-    def cancel(self) -> bool:
-        """True if the worker had not begun the call, which it now never
-        runs; False once it has begun."""
-        if not self._claim.acquire(blocking=False):
-            return False
-        self._fn = None
-        return True
-
-    def exception(self):
-        """The error the worker's call raised, or None, once it is done."""
-        with self._done:
-            return self._error
-
-    def result(self):
-        """The worker's call's value once it is done; its error is raised."""
-        error = self.exception()
-        if error is not None:
-            raise error
-        return self._value
-
-    def run(self):
-        """Run the call on the worker unless it was cancelled, and drop it."""
-        if not self._claim.acquire(blocking=False):
-            return
-        fn, self._fn = self._fn, None
-        try:
-            self._value = fn()
-        except BaseException as exc:
-            self._error = exc
-        finally:
-            self._done.release()
-
-
 class _Worker:
     """The worker thread and the queue that feeds it jobs."""
 
     def __init__(self):
-        self._jobs = SimpleQueue()
-        threading.Thread(target=self._work, args=(self._jobs,),
-                         name="ibshell-lane", daemon=True).start()
+        jobs = SimpleQueue()
+        self.submit = jobs.put
+        threading.Thread(target=self._work, args=(jobs,), name="ibshell-lane",
+                         daemon=True).start()
 
     @staticmethod
     def _work(jobs):
-        # no local outlives a job's run: one that held the last job would
-        # keep what it returned (an S, say) alive
+        # no local holds a job after its run: one that held the last job
+        # would keep its closure (a Simulation, say) alive
         while True:
-            jobs.get().run()
-
-    def submit(self, fn) -> _Job:
-        job = _Job(fn)
-        self._jobs.put(job)
-        return job
+            jobs.get()()
 
 
 _pool = None
@@ -141,53 +102,52 @@ def _lane_pool():
     return _pool
 
 
-def beside(on_worker, here, points: int):
-    """(on_worker(), here()) for work on a lattice of `points` points.
-
-    From SPLIT_MIN_POINTS points on, the first runs on the worker thread
-    while the second runs on this one. If the worker has not begun
-    `on_worker` by the time `here` is done (its core taken by other work),
-    this thread runs it instead. Both are done before anything is returned
-    or raised: an error of `here` surfaces first (a job not yet begun is
-    then dropped), then one of `on_worker`. Below SPLIT_MIN_POINTS, and on
-    one core, both run here, `on_worker` first.
+def share(fn, items, points: int) -> list:
+    """[fn(item) for item in items], for `items`, a sequence of independent
+    pieces of the work on a lattice of `points` points: from
+    SPLIT_MIN_POINTS points on shared between the lanes by the rules above
+    (item 0 here, then each thread the next item as it comes free, until
+    the first error), else run in order on this thread. The worker's job
+    reaches fn, the items and the results only through the deque of items
+    left, which is empty when share returns.
     """
     pool = _lane_pool() if points >= SPLIT_MIN_POINTS else None
     if pool is None:
-        first = on_worker()
-        return first, here()
-    job = pool.submit(on_worker)
-    try:
-        second = here()
-    except BaseException:
-        if not job.cancel():  # begun: wait for it; not begun: it never runs
-            job.exception()
-        raise
-    if job.cancel():
-        return on_worker(), second
-    return job.result(), second
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    todo = deque((fn, item, results, i) for i, item in enumerate(items))
+    running, errors = threading.Lock(), []  # running: held by the worker's job
 
-
-def share(fn, items, points: int):
-    """fn(item) for each of `items` (independent of one another) of the
-    work on a lattice of `points` points.
-
-    Where `beside` runs two jobs at once, both threads take part, each
-    taking the next item as it comes free, so a thread slowed by other load
-    takes fewer. Otherwise the items run in order on this thread.
-    """
-    items = iter(items)
-    lock = threading.Lock()
+    def run(fn, item, results, i):
+        try:
+            results[i] = fn(item)
+        except BaseException as exc:
+            todo.clear()  # no item begins after the first error
+            errors.append(exc)
 
     def drain():
-        while True:
-            with lock:
-                item = next(items, None)
-            if item is None:
-                return
-            fn(item)
+        try:
+            while True:
+                run(*todo.popleft())
+        except IndexError:  # no item left (run raises none)
+            pass
 
-    beside(drain, drain, points)
+    def on_worker():
+        with running:
+            drain()
+
+    first = todo.popleft()
+    pool.submit(on_worker)
+    try:
+        run(*first)
+        drain()
+    finally:
+        todo.clear()  # an interrupt here left items: the worker takes none
+        with running:  # the worker's item, if it took one, is done
+            pass
+    if errors:
+        raise errors.pop(0)
+    return results
 
 
 def share_rows(fn, n: int, points: int):

@@ -349,17 +349,21 @@ class Simulation:
         """One coupled step: force, spread (+impulse), fluid, advect.
 
         S reads only the old X, so on large lattices the worker lane
-        (`lanes.beside`) builds it while this thread forms the shell force;
-        the result is bit for bit the serial step's. The lattice arrays the
-        step writes are held, as is S while no node changes cell. The force
-        is spread into the solve's right-hand side. The solve writes over
-        `u` only after its last read of it, so a step that raises before
-        then leaves `u` as it was.
+        builds it while this thread forms the shell force: the two are
+        `lanes.share`'s items, the force first, so it is always formed on
+        this thread, and an error in either surfaces only once both are
+        done. The result is bit for bit the serial step's. The lattice
+        arrays the step writes are held, as is S while no node changes
+        cell. The force is spread into the solve's right-hand side. The
+        solve writes over `u` only after its last read of it, so a step
+        that raises before then leaves `u` as it was.
         """
         cfg = self.cfg
         X = self.X
-        S, f = lanes.beside(lambda: coupling_matrix(X, self.fparams, self._S),
-                            lambda: self.shell_force_cartesian(X), cfg.N**3)
+        f, S = lanes.share(lambda job: job(),
+                           (lambda: self.shell_force_cartesian(X),
+                            lambda: coupling_matrix(X, self.fparams, self._S)),
+                           cfg.N**3)
         self._S = S
 
         def add_force(r):

@@ -13,7 +13,10 @@ geometry's g, ginv, b, Gamma and gradb. The geometry's digests are taken
 from `build_geometry(sim.grid)`, since a `Simulation` releases g, ginv, b
 and gradb once its coefficients are built. Each digest is taken over the
 C-ordered bytes of the field's lattice-first (n1, n2, ...) view, so it does
-not depend on how the field is stored. The file also records the numpy and
+not depend on how the field is stored. For X - X0, u, p and the coefficient
+fields it also holds a summary (`summary`) that another build can be held
+to: the largest magnitude, the root mean square and SAMPLES values at fixed
+positions of the same view. The file also records the numpy and
 scipy versions and the SIMD extensions numpy found at runtime, since the
 summation kernels, and with them the last bits, depend on all three.
 
@@ -48,6 +51,8 @@ WAVE = dict(thickness_law="table", first_snapshot_step=200, snapshot_stride=200,
             n_snapshots=10)
 #: the norms of the study's convergence rates
 NORMS = (1, 2)
+#: values at fixed positions in each summarized field (`summary`)
+SAMPLES = 64
 
 
 def digest(a):
@@ -76,26 +81,44 @@ def key(N, closure):
     return f"N{N}-{closure}"
 
 
+def summary(a):
+    """The largest magnitude, the root mean square and SAMPLES values of a,
+    at flat positions of its C order spread by a multiplicative hash."""
+    flat = np.ascontiguousarray(a).reshape(-1)
+    picks = np.arange(SAMPLES) * 2654435761 % flat.size
+    return {"max": np.abs(flat).max(), "rms": np.sqrt(np.mean(flat**2)),
+            "sample": flat[picks]}
+
+
 def run(N, steps, closure):
-    """X after the run, and the digest of every recorded field."""
+    """X after the run, the digest of every recorded field, and the summary
+    of X - X0, u, p and each coefficient field."""
     sim = Simulation(ModelConfig(N=N, dt=3.2e-7 / N, coefficients_order=closure))
-    built = {f.name: getattr(sim.coeff, f.name) for f in fields(ShellCoefficients)}
+    coeff = {f.name: lattice_view(getattr(sim.coeff, f.name))
+             for f in fields(ShellCoefficients)}
     geom = build_geometry(sim.grid)
-    built.update((name, getattr(geom, name)) for name in GEOMETRY)
-    digests = {name: digest(lattice_view(a)) for name, a in built.items()}
+    digests = {name: digest(a) for name, a in coeff.items()}
+    digests.update((name, digest(lattice_view(getattr(geom, name))))
+                   for name in GEOMETRY)
+    summaries = {name: summary(a) for name, a in coeff.items()}
     sim.run(steps)
     digests.update(u=digest(sim.u), p=digest(sim.p))
-    return sim.X, digests
+    summaries.update({"X-X0": summary(sim.X - sim.grid.X0), "u": summary(sim.u),
+                      "p": summary(sim.p)})
+    return sim.X, digests, summaries
 
 
 def record():
     data = {f"build.{k}": np.str_(v) for k, v in build_info().items()}
     for N, steps in RUNS:
         for closure in CLOSURES:
-            X, digests = run(N, steps, closure)
+            X, digests, summaries = run(N, steps, closure)
             data[f"{key(N, closure)}.X"] = X
             for name, d in digests.items():
                 data[f"{key(N, closure)}.sha256.{name}"] = np.str_(d)
+            for name, values in summaries.items():
+                for what, v in values.items():
+                    data[f"{key(N, closure)}.{what}.{name}"] = v
     return data
 
 

@@ -1,11 +1,11 @@
-"""The fallbacks of `lanes.beside` for a worker job that has not begun, the
-error path of `lanes.share` on two threads, and what the worker holds and
+"""`lanes.share` on two threads: the calling thread's item 0, items the
+worker has not begun, the first error, and what the worker holds and
 imports.
 
-For the fallbacks the worker is a one-thread pool whose thread is held on an
-event, so a job submitted to it cannot begin before the calling thread is
-done with its own. A timer releases the event after HOLD_SECONDS, so that a
-call that waits for the held worker fails its test instead of hanging.
+For the items not begun the worker is a one-thread pool whose thread is held
+on an event, so a job submitted to it cannot begin before the calling thread
+is done with its own. A timer releases the event after HOLD_SECONDS, so that
+a call that waits for the held worker fails its test instead of hanging.
 """
 
 import contextlib
@@ -52,50 +52,91 @@ def _recorder(calls, name, value=None):
     return job
 
 
-def test_beside_runs_a_job_not_begun_here(monkeypatch):
+def test_share_runs_an_item_not_begun_here(monkeypatch):
     calls = []
     with held_worker(monkeypatch):
-        got = lanes.beside(_recorder(calls, "on_worker", 1),
-                           _recorder(calls, "here", 2), POINTS)
-    assert got == (1, 2)
+        got = lanes.share(lambda job: job(), (_recorder(calls, "first", 1),
+                                              _recorder(calls, "second", 2)),
+                          POINTS)
+    assert got == [1, 2]
     me = threading.get_ident()
-    assert calls == [("here", me), ("on_worker", me)]
+    assert calls == [("first", me), ("second", me)]
 
 
-def test_beside_drops_a_job_not_begun_when_here_fails(monkeypatch):
+def test_share_drops_an_item_not_begun_when_the_first_fails(monkeypatch):
     calls = []
 
-    def here():
-        raise KeyError("here failed")
+    def first():
+        raise KeyError("first failed")
 
     with held_worker(monkeypatch) as gate:
-        with pytest.raises(KeyError, match="here failed"):
-            lanes.beside(_recorder(calls, "on_worker"), here, POINTS)
+        with pytest.raises(KeyError, match="first failed"):
+            lanes.share(lambda job: job(), (first, _recorder(calls, "second")),
+                        POINTS)
         assert not gate.is_set()  # raised without waiting for the worker
     assert calls == []  # not run, even once the worker was free
+
+
+def test_share_leaves_a_job_not_begun_nothing_of_the_call(monkeypatch):
+    # the worker's queued job outlives share; it must not keep the call's
+    # function, items or results (a finished Simulation, say) alive
+    class Piece:
+        pass
+
+    def fn(item):
+        return Piece()
+
+    items = [Piece(), Piece()]
+    with held_worker(monkeypatch):
+        got = lanes.share(fn, items, POINTS)
+        refs = [weakref.ref(obj) for obj in (fn, *items, *got)]
+        del fn, items, got
+        assert [ref() for ref in refs] == [None] * 5
 
 
 def test_share_runs_every_item_once_here(monkeypatch):
     calls = []
     with held_worker(monkeypatch):
-        lanes.share(lambda item: calls.append((item, threading.get_ident())),
-                    range(20), POINTS)
+        got = lanes.share(
+            lambda item: calls.append((item, threading.get_ident())) or -item,
+            range(20), POINTS)
+    assert got == [-item for item in range(20)]
     assert sorted(item for item, _ in calls) == list(range(20))
     assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+class _AtOnce:
+    """A pool whose submit runs the job to its end on another thread before
+    it returns: a worker that starts at once and takes every item it can."""
+
+    def submit(self, job):
+        thread = threading.Thread(target=job)
+        thread.start()
+        thread.join()
+
+
+def test_share_takes_item_0_here_when_the_worker_starts_at_once(monkeypatch):
+    monkeypatch.setattr(lanes, "_lane_pool", lambda: _AtOnce())
+    me, calls = threading.get_ident(), []
+    got = lanes.share(
+        lambda item: calls.append((item, threading.get_ident() == me)) or -item,
+        range(5), POINTS)
+    assert got == [0, -1, -2, -3, -4]
+    assert sorted(calls) == [(0, True)] + [(item, False) for item in range(1, 5)]
 
 
 @pytest.mark.parametrize("fails_on", ["worker", "here"])
 def test_share_raises_an_item_error_once_after_both_threads_stop(
         monkeypatch, fails_on):
-    # the first item each thread takes waits until the worker has begun, so
-    # both threads take part; the failing thread's first item raises. The
-    # error surfaces from share once, after the other thread has finished
-    # every item left, and no item runs twice
+    # the first item each thread takes waits until both have begun one, so
+    # both threads take part; the failing thread's first item then raises,
+    # while the other thread's first item runs on past the error. No item
+    # begins after the error, the error surfaces from share once, after the
+    # other thread's item is finished, and no item runs twice
     me = threading.get_ident()
     pool = futures.ThreadPoolExecutor(max_workers=1)
-    began = threading.Event()
-    timer = threading.Timer(HOLD_SECONDS, began.set)  # a hang fails instead
-    timer.start()
+    both = threading.Barrier(2, timeout=HOLD_SECONDS)  # a hang fails instead
+    failed = threading.Event()
     monkeypatch.setattr(lanes, "_lane_pool", lambda: pool)
     lock = threading.Lock()
     started, finished, raised, seen = [], [], [], set()
@@ -103,16 +144,17 @@ def test_share_raises_an_item_error_once_after_both_threads_stop(
     def fn(item):
         on_worker = threading.get_ident() != me
         with lock:
-            started.append(item)
+            started.append((item, failed.is_set()))
             first = on_worker not in seen
             seen.add(on_worker)
-        if on_worker:
-            began.set()
-        began.wait()
+        if first:
+            both.wait()
         if first and on_worker == (fails_on == "worker"):
             raised.append(item)
+            failed.set()
             raise KeyError(item)
-        time.sleep(0.002)  # the other thread is still busy when one fails
+        failed.wait(HOLD_SECONDS)
+        time.sleep(0.1)  # still busy well after the error
         with lock:
             finished.append(item)
 
@@ -122,13 +164,35 @@ def test_share_raises_an_item_error_once_after_both_threads_stop(
         done_at_raise = sorted(finished)
         assert seen == {True, False}, "the worker took no item"
         assert len(raised) == 1 and exc.value.args == (raised[0],)
-        assert sorted(started) == list(range(20))  # each item once
-        assert done_at_raise == sorted(set(range(20)) - set(raised))
+        assert sorted(started) == [(0, False), (1, False)]  # none after it
+        assert done_at_raise == [1 - raised[0]]
         lanes.share(lambda item: None, range(4), POINTS)  # it does not recur
     finally:
-        timer.cancel()
-        began.set()
+        both.abort()
+        failed.set()
         pool.shutdown(wait=True)
+
+
+def test_share_under_rapid_thread_switches_runs_each_item_once(monkeypatch):
+    # with the interpreter switching threads every microsecond, an item
+    # taken twice or lost between the threads shows as a wrong count
+    monkeypatch.setattr(lanes, "_lane_pool", lambda: pool)
+    switch = sys.getswitchinterval()
+    counts = [0] * 40
+
+    def count(i):
+        counts[i] += 1
+        return -i
+
+    with futures.ThreadPoolExecutor(max_workers=1) as pool:
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                assert lanes.share(count, range(40), POINTS) == [
+                    -i for i in range(40)]
+        finally:
+            sys.setswitchinterval(switch)
+    assert counts == [200] * 40
 
 
 @pytest.mark.skipif(lanes.LANES < 2, reason="one core: no worker thread")

@@ -558,7 +558,7 @@ def test_two_lane_step_matches_serial_step(N, gate, monkeypatch, worker_lane):
     force = Simulation.shell_force_cartesian
     main = threading.current_thread()
     s_begun, block_taken = threading.Event(), threading.Event()
-    lanes_on = []
+    lanes_on, forces_here = [], []
 
     # on split lattices the calling thread waits for the worker to begin S
     # and to take one advection block, so that both lanes take part in
@@ -571,6 +571,7 @@ def test_two_lane_step_matches_serial_step(N, gate, monkeypatch, worker_lane):
         return build(X, params, S)
 
     def spy_force(sim, X):
+        forces_here.append(threading.current_thread() is main)
         if lanes_on and split:
             assert s_begun.wait(10)
         s_begun.clear()
@@ -611,6 +612,7 @@ def test_two_lane_step_matches_serial_step(N, gate, monkeypatch, worker_lane):
     assert np.array_equal(two.X, serial.X)
     assert np.array_equal(two.u, serial.u)
     assert np.array_equal(two.p, serial.p)
+    assert forces_here == [True] * 10  # the force never left this thread
 
 
 @pytest.mark.parametrize("two_lanes", [False, True])
