@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lanes
-from .fluid import FluidParams
+from .fluid import FluidParams, carve
 
 
 def _load_sparsetools():
@@ -165,7 +165,7 @@ class CSR:
         raise ValueError(f"CSR {bad}")
 
 
-def coupling_matrix(X, params: FluidParams, S=None):
+def coupling_matrix(X, params: FluidParams, S=None, scratch=None):
     """The M x N^3 kernel-weight matrix S, a `CSR`, of positions X (..., 3).
 
     Row m holds node m's 64 tensor-product phi weights at the raveled indices
@@ -184,20 +184,30 @@ def coupling_matrix(X, params: FluidParams, S=None):
     (w0 w1) w2, each block's product dropped as it is written. Each offset
     in the stencil fixes its branch of phi (`_stencil_phi`, bit for bit
     `phi`).
+
+    `scratch`, a flat float64 buffer (in a step, lent from the fluid
+    solver's idle spectra, `FluidSolver.idle`), holds what fits of the
+    coordinates, the cells and, after them, the check's first columns and
+    then each block's offsets, `_stencil_phi` argument and weight product
+    (`fluid.carve`). The same operations run either way, so S's bits do
+    not depend on it; S's arrays never live in it.
     """
     Xf = np.asarray(X, dtype=float).reshape(-1, 3)
     if not np.isfinite(Xf).all():
         raise ValueError("non-finite shell position in coupling_matrix")
     N, M = params.N, len(Xf)
-    s = np.divide(Xf.T, params.h, out=np.empty((3, M)))  # lattice coordinates
-    cells = np.floor(s, out=np.empty((3, M), dtype=np.int64), casting="unsafe")
+    s = np.divide(Xf.T, params.h, out=carve(scratch, (3, M)))  # lattice coordinates
+    cells = np.floor(s, out=carve(scratch, (3, M), np.int64, at=3 * M),
+                     casting="unsafe")
     cells -= 1
+    free = 6 * M  # the first float of scratch past the cells
 
     def column(i, j, k):  # S's column layout: lattice point (i, j, k) raveled
         return (i * N + j) * N + k
 
     def first_columns():  # column(*(cells % N)) one axis at a time, no (3, M) array
-        col = np.zeros(M, dtype=np.int64)
+        col = carve(scratch, (M,), np.int64, at=free)
+        col[...] = 0
         for c in cells:
             col *= N
             col += c % N
@@ -215,15 +225,24 @@ def coupling_matrix(X, params: FluidParams, S=None):
     offsets = np.arange(4)[:, None]
     for a in range(0, M, _BLOCK):
         b = slice(a, a + _BLOCK)
-        o = cells[:, None, b] + offsets  # (3, 4, nodes) cells + offsets
+        n = min(_BLOCK, M - a)
+        # (3, 4, nodes) cells + offsets
+        o = np.add(cells[:, None, b], offsets,
+                   out=carve(scratch, (3, 4, n), np.int64, at=free))
         if new:
             i, j, k = o % N
             flat = column(i[:, None, None], j[None, :, None], k[None, None, :])
             indices[b] = flat.reshape(64, -1).T
-        w = _stencil_phi(s[:, None, b] - o)
+        # phi's argument is dead once w is formed: w0 w1 takes its floats
+        at = free + 12 * n
+        w = _stencil_phi(np.subtract(s[:, None, b], o,
+                                     out=carve(scratch, (3, 4, n), at=at)))
         # one expression: a named product would live on beside the next block's
-        data[b] = (w[0][:, None, None] * w[1][None, :, None]
-                   * w[2][None, None, :]).reshape(64, -1).T
+        data[b] = np.multiply(
+            np.multiply(w[0][:, None, None], w[1][None, :, None],
+                        out=carve(scratch, (4, 4, 1, n), at=at)),
+            w[2][None, None, :],
+            out=carve(scratch, (4, 4, 4, n), at=at + 16 * n)).reshape(64, -1).T
     if new:  # not canonicalized: sorting or merging columns would reorder the sums
         indptr = np.arange(0, 64 * M + 1, 64, dtype=itype)
         S = CSR(data.reshape(-1), indices.reshape(-1), indptr, (M, N**3))

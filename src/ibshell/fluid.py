@@ -16,6 +16,7 @@ zero there and u_hat = r_hat / a(k).
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -72,6 +73,18 @@ class FluidParams:
     @property
     def h(self) -> float:
         return self.a / self.N
+
+
+def carve(buf, shape, dtype=np.float64, at=0):
+    """An uninitialized array of `shape` and an 8-byte `dtype` over floats
+    at, at + 1, ... of the flat float64 buffer `buf` where they lie in it;
+    else (buf None or too short) a new np.empty array. A borrower of lent
+    scratch (`FluidSolver.idle`) takes its arrays so: only what fits lives
+    in the lent memory, and the rest is allocated as it would be without."""
+    n = math.prod(shape)
+    if buf is None or at + n > len(buf):
+        return np.empty(shape, dtype)
+    return buf[at:at + n].view(dtype).reshape(shape)
 
 
 def upwind_advection(u, h: float, out=None):
@@ -164,6 +177,12 @@ class FluidSolver:
     them. The pressure before the first step is a read-only zero view, which
     owns no memory (np.zeros would: glibc's calloc writes the pages of the
     freed heap it recycles).
+
+    Between steps r_hat[0] and r_hat[1] hold nothing that is read again:
+    the next step's advection and forward transforms write them whole
+    before any read. So the solver lends their memory (`idle`) as scratch
+    for the work that precedes a step; r_hat[2], which holds p_hat and the
+    lent pressure, is never lent.
     """
 
     def __init__(self, params: FluidParams):
@@ -193,6 +212,17 @@ class FluidSolver:
         self._r = self._rhat.view(float).reshape(3, -1)[:, :N**3].reshape(
             (3,) + (N,) * 3)
 
+    def idle(self):
+        """The memory of r_hat[0] and r_hat[1], lent between steps as two
+        disjoint flat float64 buffers of N^2 (N + 2) floats each.
+
+        They hold nothing that is read again, and the next `step` writes
+        over them, so a borrower must be done with them before it calls
+        the step, and must keep no result in them. Each is lent to one
+        thread at a time. r_hat[2] is never lent.
+        """
+        return tuple(self._rhat[:2].view(float).reshape(2, -1))
+
     def step(self, u, add_force, out=None):
         """Advance one step from velocity u; add_force(r) adds the body force
         into the right-hand side r (3, N, N, N), which holds
@@ -210,6 +240,9 @@ class FluidSolver:
         `pressure()` reads it; from the advection on, until the step
         returns, `pressure()` raises. If the last pressure read is still
         held, the step first moves to new spectra, so it is not overwritten.
+        r_hat[0] and r_hat[1] may have been lent since the last step
+        (`idle`): the step writes them before it reads them, and leaves
+        them again holding nothing read later.
 
         The step allocates no (3, N, N, N) field (but new spectra while a
         read pressure is held): the advection and then r

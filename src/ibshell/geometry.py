@@ -34,6 +34,8 @@ from functools import cache
 
 import numpy as np
 
+from .fluid import carve
+
 
 class GeometryError(ValueError):
     """Base class for unusable surface geometry."""
@@ -128,7 +130,10 @@ def _contraction(spec):
 
     The result is a new C-contiguous array, and lane 0 is summed in it:
     each product is written into one scratch array and lane 1 into another,
-    so a call holds at most three arrays of the result's size.
+    so a call holds at most three arrays of the result's size. The closure's
+    `scratch`, a flat float64 buffer (lent, `fluid.FluidSolver.idle`), holds
+    lane 1 and then the product where they fit (`fluid.carve`); the result
+    never lives in it.
     """
     ins, free = spec.split("->")
     ops = ins.split(",")
@@ -153,15 +158,16 @@ def _contraction(spec):
     lengths, sizes = where(summed), where(free)
     plans = {}  # summed-axis lengths -> each term's index into each operand
 
-    def contract(*fields):
+    def contract(*fields, scratch=None):
         n = tuple(fields[k].shape[j] for k, j in lengths)
         if n not in plans:
             plans[n] = [[tuple(at[k] for k in own) + tail for own, tail in picks]
                         for at in itertools.product(*map(range, n))]
         out = np.empty(tuple(fields[k].shape[j] for k, j in sizes)
                        + fields[0].shape[-2:])
-        lane1, product = (np.empty(out.shape) if use else None
-                          for use in (two_lane, summed))
+        lane1 = carve(scratch, out.shape) if two_lane else None
+        product = (carve(scratch, out.shape, at=two_lane * out.size) if summed
+                   else None)
         lanes = [out, lane1]
         fields = [a.transpose(perm) for a, perm in zip(fields, perms)]
         for k, ats in enumerate(plans[n]):

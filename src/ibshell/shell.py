@@ -372,7 +372,8 @@ _TERMS = (
 
 
 def compute_force(
-    disp: Displacement, coeff: ShellCoefficients, geom: SurfaceGeometry
+    disp: Displacement, coeff: ShellCoefficients, geom: SurfaceGeometry,
+    scratch=None,
 ) -> ShellForceDensity:
     """Evaluate the discrete shell force density applied to the fluid.
 
@@ -390,6 +391,12 @@ def compute_force(
     row adds a divergence of +0, as the divergence of its zeros would.
     Every term reaches its accumulator in table order, so the force is the
     same bit for bit whatever the schedule.
+
+    `scratch`, a flat float64 buffer (in a step, lent from the fluid
+    solver's idle spectra, `FluidSolver.idle`), holds each row's
+    contraction scratch, lane 1 and the product, where they fit; the same
+    operations run in the same order either way, so the bits do not
+    depend on it. No jet entry, accumulator or result lives in it.
     """
     grid, Gamma = geom.grid, geom.Gamma
     omega, W = disp.omega, disp.W_low
@@ -411,8 +418,8 @@ def compute_force(
         if target not in acc:
             acc[target] = np.zeros(shapes[target])
         update = np.add if sign > 0 else np.subtract
-        update(acc[target], contract(getattr(coeff, name), jet[arg]),
-               out=acc[target])
+        update(acc[target], contract(getattr(coeff, name), jet[arg],
+                                     scratch=scratch), out=acc[target])
         if last[arg] == i and arg in form:
             del jet[arg]
         if last[target] == i and target in divergence:

@@ -336,9 +336,14 @@ class Simulation:
         return self.step_count * self.cfg.dt
 
     def shell_force_cartesian(self, X) -> np.ndarray:
-        """Elastic force density plus edge clamp springs, in cartesian frame."""
+        """Elastic force density plus edge clamp springs, in cartesian frame.
+
+        The force's contraction scratch lives in the second buffer the
+        solver lends between steps (`FluidSolver.idle`), so this must not
+        run while a fluid step does; its result owns its memory."""
         disp = decompose_displacement(X, self.geom)
-        f = compute_force(disp, self.coeff, self.geom).cartesian
+        f = compute_force(disp, self.coeff, self.geom,
+                          scratch=self.solver.idle()[1]).cartesian
         return clamp_force(X, self.grid, self.cfg.k_clamp, f)
 
     def omega(self) -> np.ndarray:
@@ -352,9 +357,13 @@ class Simulation:
         builds it while this thread forms the shell force: the two are
         `lanes.share`'s items, the force first, so it is always formed on
         this thread, and an error in either surfaces only once both are
-        done. The result is bit for bit the serial step's. The lattice
-        arrays the step writes are held, as is S while no node changes
-        cell. The force is spread into the solve's right-hand side. The
+        done. The result is bit for bit the serial step's. The two jobs
+        take their temporaries from the fluid solver's idle spectra, which
+        hold nothing read again until the solve writes them
+        (`FluidSolver.idle`): S the first buffer and the force the second,
+        so each lane writes only its own, and neither keeps a result there.
+        The lattice arrays the step writes are held, as is S while no node
+        changes cell. The force is spread into the solve's right-hand side. The
         solve writes over `u` only after its last read of it, so a step
         that raises before then leaves `u` as it was.
         """
@@ -362,7 +371,8 @@ class Simulation:
         X = self.X
         f, S = lanes.share(lambda job: job(),
                            (lambda: self.shell_force_cartesian(X),
-                            lambda: coupling_matrix(X, self.fparams, self._S)),
+                            lambda: coupling_matrix(X, self.fparams, self._S,
+                                                    self.solver.idle()[0])),
                            cfg.N**3)
         self._S = S
 

@@ -12,7 +12,7 @@ import pytest
 
 from ibshell import coupling
 from ibshell.coupling import coupling_matrix, interpolate_velocity, phi, spread_force
-from ibshell.fluid import FluidParams
+from ibshell.fluid import FluidParams, FluidSolver
 from ibshell.simulation import ModelConfig, build_model_shell
 
 PRM = FluidParams(N=16, a=0.1, rho=1.034, mu_f=0.0197, dt=1e-8)
@@ -210,6 +210,27 @@ def test_reused_coupling_matrix_memory_at_n64():
         tracemalloc.stop()
     assert S_again is S
     assert peak <= 1.45e6, peak
+
+
+def test_reused_coupling_matrix_with_lent_scratch_memory_at_n64():
+    # in a step the coordinates, the cells, the check's first columns and
+    # each block's offsets, phi argument and weight product live in the
+    # fluid solver's idle r_hat[0] (FluidSolver.idle): 0.25 MB of fresh
+    # temporaries, against 1.33 without it
+    cfg = ModelConfig(N=64, dt=2e-8)
+    X, prm = build_model_shell(cfg).X0, cfg.fluid_params()
+    scratch = FluidSolver(prm).idle()[0]
+    S = coupling_matrix(X, prm)
+    coupling_matrix(X, prm, S, scratch)  # warm
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        S_again = coupling_matrix(X, prm, S, scratch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert S_again is S
+    assert peak <= 0.35e6, peak
 
 
 # ---------------------------------------------------------------------------

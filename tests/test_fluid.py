@@ -314,6 +314,38 @@ def test_step_moves_to_new_spectra_only_while_the_pressure_is_held():
     assert np.array_equal(u, ur) and np.array_equal(solver.pressure(), ref.pressure())
 
 
+def test_idle_spectra_hold_nothing_read_again():
+    # FluidSolver.idle lends r_hat[0] and r_hat[1] between steps: garbage
+    # written there changes nothing a later step or pressure read gives,
+    # and neither buffer reaches r_hat[2], which holds p_hat and the lent
+    # pressure
+    N = PAR16.N
+    solver, ref = FluidSolver(PAR16), FluidSolver(PAR16)
+    rng = np.random.default_rng(17)
+    u = rng.standard_normal((3, N, N, N))
+    F = rng.standard_normal((3, N, N, N))
+    ur = u.copy()
+    for read in (False, True, True):
+        lent = solver.idle()
+        assert len(lent) == 2
+        assert all(b.dtype == np.float64 and b.shape == (N * N * (N + 2),)
+                   for b in lent)
+        assert not np.shares_memory(lent[0], lent[1])
+        assert all(np.shares_memory(b, solver._rhat) for b in lent)
+        assert not any(np.shares_memory(b, solver._rhat[2]) for b in lent)
+        p = solver.pressure() if read else None
+        kept = None if p is None else p.copy()
+        for b in lent:
+            b[:] = np.nan
+        if p is not None:
+            assert not any(np.shares_memory(b, p) for b in lent)
+            assert np.array_equal(p, kept)
+        solver.step(u, oracles.adding(F), out=u)
+        ref.step(ur, oracles.adding(F), out=ur)
+        assert np.array_equal(u, ur)
+        assert np.array_equal(solver.pressure(), ref.pressure())
+
+
 def test_solver_memory_at_n64():
     # the solver holds r_hat alone, p_hat living in r_hat[2] between steps
     # (2.2 MB more as its own array), and each row block of the spectral

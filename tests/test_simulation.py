@@ -11,7 +11,9 @@ import numpy as np
 import oracles
 import pytest
 
+import ibshell.coupling
 import ibshell.fluid
+import ibshell.geometry
 import ibshell.lanes
 import ibshell.simulation
 from ibshell.coupling import coupling_matrix, interpolate_velocity, spread_force
@@ -23,6 +25,7 @@ from ibshell.io import (
     write_displacement_map,
     write_snapshot,
 )
+from ibshell.shell import compute_force, decompose_displacement
 from ibshell.simulation import (
     FIELD_TYPES,
     InstabilityError,
@@ -488,11 +491,12 @@ def test_warm_step_memory_peak_at_n32(monkeypatch):
 def test_shell_force_memory_at_n64():
     # the force adds each term into its accumulator as it is formed, each
     # contraction sums lane 0 in its result and writes lane 1 and the
-    # products into two scratch arrays, and each jet entry and accumulator
-    # lives from its first active row to its last, S and T giving way to
-    # their divergences there: 3.08 MB of temporaries; 4.36 while the whole
-    # jet and all four accumulators lived through the table, 5.52 before
-    # the terms were added as they were formed
+    # products into two scratch arrays, which live in the solver's idle
+    # r_hat[1] (FluidSolver.idle), and each jet entry and accumulator lives
+    # from its first active row to its last, S and T giving way to their
+    # divergences there: 2.70 MB of temporaries; 3.08 with fresh scratch
+    # arrays, 4.36 while the whole jet and all four accumulators lived
+    # through the table, 5.52 before the terms were added as they were formed
     sim = Simulation(ModelConfig(N=64, dt=2e-8))
     sim.run(1)
     X = sim.X
@@ -504,7 +508,87 @@ def test_shell_force_memory_at_n64():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 3.3e6, peak
+    assert peak <= 2.8e6, peak
+
+
+@pytest.mark.parametrize("order", ["leading", "quadratic"])
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_lent_scratch_gives_the_same_bytes(N, order, monkeypatch):
+    # S, new and reused, and the shell force take temporaries from the
+    # solver's idle spectra where they fit (FluidSolver.idle, fluid.carve):
+    # at N = 64 every one, at N = 32 and 16 some; the bytes are those of
+    # fresh arrays, and no result lives in the lent memory
+    sim = Simulation(ModelConfig(N=N, dt=1.28e-6 / N, coefficients_order=order))
+    sim.step()
+    X0, X, fp = sim.grid.X0, sim.X, sim.fparams
+    lent = sim.solver.idle()
+    carved, carve = [], ibshell.fluid.carve
+
+    def spy(buf, shape, dtype=np.float64, at=0):
+        a = carve(buf, shape, dtype, at)
+        if buf is not None:
+            carved.append(np.shares_memory(a, buf))
+        return a
+
+    monkeypatch.setattr(ibshell.coupling, "carve", spy)
+    monkeypatch.setattr(ibshell.geometry, "carve", spy)
+
+    def garbage():  # a lent float read before it is written shows
+        for b in lent:
+            b[:] = np.nan
+
+    def same(a, b):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+        assert not any(np.shares_memory(b, buf) for buf in lent)
+
+    ref = coupling_matrix(X0, fp)
+    garbage()
+    S = coupling_matrix(X0, fp, None, lent[0])
+    for positions in (X0, X):  # new, then reused
+        if positions is X:
+            assert coupling_matrix(X, fp, ref) is ref  # no node changed cell
+            garbage()
+            assert coupling_matrix(X, fp, S, lent[0]) is S
+        for name in ("data", "indices", "indptr"):
+            same(getattr(ref, name), getattr(S, name))
+    disp = decompose_displacement(X, sim.geom)
+    ref = compute_force(disp, sim.coeff, sim.geom)
+    garbage()
+    f = compute_force(disp, sim.coeff, sim.geom, scratch=lent[1])
+    for name in ("f3", "fmu", "cartesian"):
+        same(getattr(ref, name), getattr(f, name))
+    assert any(carved) and (all(carved) if N == 64 else not all(carved))
+
+
+def test_held_pressure_keeps_its_bytes_through_the_lend(monkeypatch,
+                                                        worker_lane):
+    # a pressure read and held across a step lives in r_hat[2], which is
+    # never lent: the step's S and force write only r_hat[0] and r_hat[1],
+    # here with S built on the worker lane
+    monkeypatch.setattr(ibshell.lanes, "_lane_pool", lambda: worker_lane)
+    monkeypatch.setattr(ibshell.lanes, "SPLIT_MIN_POINTS", 1)
+    sim = Simulation(ModelConfig(N=16, dt=8e-8))
+    sim.run(2)
+    p = sim.p
+    kept = p.copy()
+    force = Simulation.shell_force_cartesian
+    seen = []
+
+    def spy_force(sim, X):  # the S-and-force phase, before the solve
+        f = force(sim, X)
+        seen.append(p.tobytes() == kept.tobytes())
+        return f
+
+    def spy_spread(f, S, dq, params, out=None):  # after both jobs are done
+        seen.append(p.tobytes() == kept.tobytes())
+        return spread_force(f, S, dq, params, out=out)
+
+    monkeypatch.setattr(Simulation, "shell_force_cartesian", spy_force)
+    monkeypatch.setattr(ibshell.simulation, "spread_force", spy_spread)
+    sim.run(2)
+    assert seen == [True] * 4
+    assert p.tobytes() == kept.tobytes() and sim.p is not p
 
 
 def test_simulation_releases_build_only_geometry(monkeypatch):
@@ -563,12 +647,12 @@ def test_two_lane_step_matches_serial_step(N, gate, monkeypatch, worker_lane):
     # on split lattices the calling thread waits for the worker to begin S
     # and to take one advection block, so that both lanes take part in
     # every step
-    def spy_build(X, params, S=None):
+    def spy_build(X, params, S=None, scratch=None):
         here = threading.current_thread() is main
         seen.append(("S", 0, here))
         if not here:
             s_begun.set()
-        return build(X, params, S)
+        return build(X, params, S, scratch)
 
     def spy_force(sim, X):
         forces_here.append(threading.current_thread() is main)
@@ -625,11 +709,11 @@ def test_failed_step_joins_the_worker_lane(failing, two_lanes, monkeypatch,
     running = []
     build = ibshell.simulation.coupling_matrix
 
-    def slow_build(X, params, S=None):
+    def slow_build(X, params, S=None, scratch=None):
         running.append(1)
         time.sleep(0.2)  # still running when the force has failed
         running.pop()
-        return build(X, params, S)
+        return build(X, params, S, scratch)
 
     def failing_force(sim, X):
         raise RuntimeError("force failed")
@@ -710,6 +794,41 @@ def test_impulse_pushes_fluid_down_and_shell_follows():
     inner = sim.omega()[2:-2, 2:-2]
     assert inner.mean() < 0.0
     assert (sim.X - sim.grid.X0)[2:-2, 2:-2, 2].mean() < 0.0
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_impulse_excites_only_the_mean_flow_and_the_z_checkerboard(N):
+    # step 0 from rest: the shell adds no force, and the impulse is a force
+    # r_z = c on one lattice plane of z, uniform in x and y. The projection
+    # removes every mode it excites but k = (0, 0, 0), the mean flow, and
+    # (0, 0, N/2), a checkerboard along z, where g_hat vanishes. r_hat has
+    # one amplitude, c/N, in both; the solve divides them by a(0) = rho/dt
+    # and a(N/2) = rho/dt + 4 mu/h^2. The shell cannot see the checkerboard:
+    # the kernel's even and odd weights each sum to 1/2
+    cfg = ModelConfig(N=N, dt=1.28e-6 / N)
+    sim = Simulation(cfg)
+    sim.step()
+    prm, u = sim.fparams, sim.u
+    h = prm.h
+    iz = round(cfg.z_imp / h) % N
+    c = -cfg.F_imp / h / cfg.dt
+    a = {"mean": prm.rho / prm.dt, "checker": prm.rho / prm.dt + 4.0 * prm.mu_f / h**2}
+    sign = (-1.0) ** ((np.arange(N) - iz) % 2)  # +1 on the impulse plane
+    amplitude = {"mean": u.mean(axis=(1, 2, 3)),
+                 "checker": (u * sign).mean(axis=(1, 2, 3))}
+    energy = {}
+    for mode in a:
+        energy[mode] = 0.5 * prm.rho * h**3 * N**3 * (amplitude[mode]**2).sum()
+        predicted = 0.5 * prm.rho * h**3 * N**3 * (c / N / a[mode])**2
+        assert abs(energy[mode] / predicted - 1.0) <= 1e-12, (mode, energy[mode])
+        assert np.abs(amplitude[mode][:2]).max() <= 1e-12 * abs(amplitude[mode][2])
+    assert np.isclose(energy["checker"] / energy["mean"],
+                      (a["mean"] / a["checker"])**2, rtol=1e-12, atol=0.0)
+    total = 0.5 * prm.rho * h**3 * (u**2).sum()
+    assert abs(total - energy["mean"] - energy["checker"]) <= 1e-12 * total
+    checker = amplitude["checker"][2] * np.broadcast_to(sign, (3, N, N, N))
+    U = interpolate_velocity(checker, sim._S)
+    assert np.abs(U).max() <= 1e-12 * abs(amplitude["checker"][2])
 
 
 def test_stability_envelope_coarse_pairs():
