@@ -181,8 +181,9 @@ class FluidSolver:
     Between steps r_hat[0] and r_hat[1] hold nothing that is read again:
     the next step's advection and forward transforms write them whole
     before any read. So the solver lends their memory (`idle`) as scratch
-    for the work that precedes a step; r_hat[2], which holds p_hat and the
-    lent pressure, is never lent.
+    for the work that precedes a step (a step gives the first to S's build
+    arrays and the second to the shell force's contraction lanes); r_hat[2],
+    which holds p_hat and the lent pressure, is never lent.
     """
 
     def __init__(self, params: FluidParams):

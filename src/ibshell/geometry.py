@@ -19,11 +19,11 @@ attributes, arguments and results of this module are these arrays. Only
 node positions are (n1, n2, 3) point fields; `components_first` views one
 as a (3, n1, n2) field where it meets the tensors.
 
-Each contraction (`_contraction`) is an explicit sum of (n1, n2) slices, in
-the order numpy's einsum sums it on contiguous lattice-first arrays. That
-order follows from the contraction's spec alone: two lanes where both of two
-operands end in the summed labels, a running sum otherwise. The tests pin
-every contraction by name.
+Each contraction (`_contraction`) is numpy's einsum over the component axes,
+with the lattice as its ellipsis, summed in the order einsum sums it on
+contiguous lattice-first arrays: one einsum call, or two where both of two
+operands end in the summed labels (einsum's two lanes there). The tests pin
+every contraction by name, at the layouts production passes.
 """
 
 from __future__ import annotations
@@ -113,73 +113,49 @@ def components_first(a):
 
 @cache
 def _contraction(spec):
-    """numpy's einsum on components-first fields, as an explicit sum of slices.
+    """numpy's einsum on components-first fields, summed as on lattice-first ones.
 
     `spec` names the component axes only, as in "ac,bc->ab"; every operand
     and the result also carry the lattice (n1, n2) as their last two axes,
     so the result is einsum("xyac,xybc->xyab", ...) of the lattice-first
-    fields. Two or more operands are taken, a free index may sit on any of
-    them, and an axis may have any length (the cartesian axis has 3).
+    fields, bit for bit. Two or more operands are taken, a free index may
+    sit on any of them, and an axis may have any length (the cartesian axis
+    has 3).
 
-    Each term is the product of one slice per operand, formed left to right.
-    The terms run over the summed labels in flat order: labels ordered by
-    first appearance in `spec`, the first slowest. The order of the sum is
-    einsum's, and follows from the spec: with two operands that both end
-    in the summed labels, in that order, term k goes to lane k mod 2 and the
-    result is lane 0 + lane 1; every other sum runs in flat order.
+    On components-first fields einsum sums the terms in flat order (labels
+    by first appearance in `spec`, the first slowest), each product formed
+    left to right. On lattice-first fields it does too, except where two
+    operands both end in the summed labels: there term k goes to lane
+    k mod 2 and the result is lane 0 + lane 1. Lane k mod 2 is the parity
+    of the last summed label, since it is summed alone or has even length,
+    so each lane is one einsum over the operands sliced k::2 on their last
+    component axis.
 
-    The result is a new C-contiguous array, and lane 0 is summed in it:
-    each product is written into one scratch array and lane 1 into another,
-    so a call holds at most three arrays of the result's size. The closure's
-    `scratch`, a flat float64 buffer (lent, `fluid.FluidSolver.idle`), holds
-    lane 1 and then the product where they fit (`fluid.carve`); the result
-    never lives in it.
+    The result is a new array in einsum's layout, which follows the
+    operands' strides: C-contiguous for C-contiguous operands
+    (`build_christoffel`'s transient `full`, contracted from a sum of
+    transposed views, is not on large lattices). The closure's `scratch`, a flat float64
+    buffer (lent, `fluid.FluidSolver.idle`), holds lane 1 where it fits
+    (`fluid.carve`); the result never lives in it.
     """
     ins, free = spec.split("->")
     ops = ins.split(",")
     summed = "".join(dict.fromkeys(i for op in ops for i in op if i not in free))
     two_lane = len(ops) == 2 and bool(summed) and all(
         op.endswith(summed) for op in ops)
-    # each operand is read as (its summed axes, its free axes, n1, n2); a
-    # term's index picks the summed values and adds a length-1 axis for each
-    # free index the operand lacks, so the factors broadcast to the result
-    perms, picks = [], []
-    for op in ops:
-        own = [i for i in summed if i in op]
-        perms.append([op.index(i) for i in own + [i for i in free if i in op]]
-                     + [len(op), len(op) + 1])
-        picks.append(([summed.index(i) for i in own],
-                      tuple(slice(None) if i in op else None for i in free)))
+    subscripts = ",".join(op + "..." for op in ops) + "->" + free + "..."
+    lane0, lane1 = ([(slice(None),) * (len(op) - 1) + (slice(k, None, 2),)
+                     for op in ops] for k in (0, 1))
 
-    def where(labels):  # (operand, axis) of each label, to read its length
-        return [next((k, op.index(i)) for k, op in enumerate(ops) if i in op)
-                for i in labels]
-
-    lengths, sizes = where(summed), where(free)
-    plans = {}  # summed-axis lengths -> each term's index into each operand
-
+    # einsum keeps its default order="K": with "C" it iterates a summed axis innermost
     def contract(*fields, scratch=None):
-        n = tuple(fields[k].shape[j] for k, j in lengths)
-        if n not in plans:
-            plans[n] = [[tuple(at[k] for k in own) + tail for own, tail in picks]
-                        for at in itertools.product(*map(range, n))]
-        out = np.empty(tuple(fields[k].shape[j] for k, j in sizes)
-                       + fields[0].shape[-2:])
-        lane1 = carve(scratch, out.shape) if two_lane else None
-        product = (carve(scratch, out.shape, at=two_lane * out.size) if summed
-                   else None)
-        lanes = [out, lane1]
-        fields = [a.transpose(perm) for a, perm in zip(fields, perms)]
-        for k, ats in enumerate(plans[n]):
-            dst = lanes[k] if k < 1 + two_lane else product
-            np.multiply(fields[0][ats[0]], fields[1][ats[1]], out=dst)
-            for a, at in zip(fields[2:], ats[2:]):
-                np.multiply(dst, a[at], out=dst)
-            if dst is product:
-                lanes[k % 2 if two_lane else 0] += product
-        if two_lane:
-            out += lane1
-        out += 0.0  # einsum sums from +0, so it never returns -0
+        if not two_lane:
+            out = np.einsum(subscripts, *fields)
+        else:
+            out = np.einsum(subscripts, *(a[at] for a, at in zip(fields, lane0)))
+            out += np.einsum(subscripts, *(a[at] for a, at in zip(fields, lane1)),
+                             out=carve(scratch, out.shape))
+        out += 0.0  # a zero's sign as einsum's sums give it: never -0
         return out
 
     return contract
@@ -318,10 +294,10 @@ class SurfaceGeometry:
     """All intrinsic tensors of the reference surface, built once per grid.
 
     Every field is a components-first array, every contraction that built
-    it summed in `_contraction`'s order: C-contiguous, except Gamma, a
-    read-only view of the 6 components distinct under its lower-pair
-    symmetry (`build_christoffel`). g, ginv, b and gradb are
-    read only by the shell's coefficient build, so a `Simulation` holds a
+    it `_contraction`'s: C-contiguous, except Gamma, a read-only view of
+    the 6 components distinct under its lower-pair symmetry
+    (`build_christoffel`). g, ginv, b and gradb are read only by the
+    shell's coefficient build, so a `Simulation` holds a
     `dataclasses.replace` copy with those four fields None.
 
     T      : tangent frame T_alpha = D_alpha X0, shape (2, 3, n1, n2)

@@ -19,9 +19,9 @@ memory. Abar, and the leading closure's Obbar, are read-only views of the 9
 components distinct under the elasticity form's pair symmetry, each a
 contiguous (n1, n2) slice. Every other field is C-contiguous.
 Only X and the cartesian force density are (n1, n2, 3) point fields. Every
-contraction is `geometry._contraction`, an explicit sum of (n1, n2) slices
-in the order numpy's einsum sums it on lattice-first arrays, which the spec
-alone fixes (the tests pin every one).
+contraction is `geometry._contraction`: numpy's einsum on the
+components-first fields, summed in the order einsum sums it on
+lattice-first arrays (the tests pin every one).
 
 Two thickness closures of the integrals are available:
 
@@ -94,12 +94,12 @@ class ShellCoefficients:
     coefficient contracted as Psi^{r s t} W_r inside a double divergence over
     (s, t), and Omegabar[m, n, r] multiplies grad_m W_n with r free.
     `compute_coefficients` builds each field as a components-first array of
-    the shape listed here, every contraction summed in
-    `geometry._contraction`'s order: C-contiguous, or a read-only zero view
-    (every stride 0) for a field the closure makes identically zero. Abar,
-    and the leading closure's Obbar, are symmetric within each index pair
-    and stored so: read-only views whose [a, b] and [b, a] (and [g, d] and
-    [d, g]) are the same memory, 9 of the 16 components.
+    the shape listed here, every contraction `geometry._contraction`'s:
+    C-contiguous, or a read-only zero view (every stride 0) for a field
+    the closure makes identically zero. Abar, and the leading closure's
+    Obbar, are symmetric within each index pair and stored so: read-only
+    views whose [a, b] and [b, a] (and [g, d] and [d, g]) are the same
+    memory, 9 of the 16 components.
     """
 
     A: np.ndarray         # (n1, n2)
@@ -393,10 +393,10 @@ def compute_force(
     same bit for bit whatever the schedule.
 
     `scratch`, a flat float64 buffer (in a step, lent from the fluid
-    solver's idle spectra, `FluidSolver.idle`), holds each row's
-    contraction scratch, lane 1 and the product, where they fit; the same
-    operations run in the same order either way, so the bits do not
-    depend on it. No jet entry, accumulator or result lives in it.
+    solver's idle spectra, `FluidSolver.idle`), holds each two-lane row
+    contraction's lane 1 where it fits; the same operations run in the
+    same order either way, so the bits do not depend on it. No jet entry,
+    accumulator or result lives in it.
     """
     grid, Gamma = geom.grid, geom.Gamma
     omega, W = disp.omega, disp.W_low

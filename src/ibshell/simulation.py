@@ -327,7 +327,11 @@ class Simulation:
     def p(self) -> np.ndarray:
         """Pressure of the last step (zeros before the first), inverted in
         the solver's spectra on the first read after a step and lent from
-        them (`FluidSolver.pressure`)."""
+        them (`FluidSolver.pressure`).
+
+        Copy it to keep it: a step that finds the lent pressure (or a view
+        of it) still held moves the solver to new spectra, and so allocates
+        them anew (6.49 MB at N = 64), each step it is held across."""
         return self.solver.pressure()
 
     @property
@@ -338,9 +342,10 @@ class Simulation:
     def shell_force_cartesian(self, X) -> np.ndarray:
         """Elastic force density plus edge clamp springs, in cartesian frame.
 
-        The force's contraction scratch lives in the second buffer the
-        solver lends between steps (`FluidSolver.idle`), so this must not
-        run while a fluid step does; its result owns its memory."""
+        Each of the force's two-lane contractions writes its lane 1 in the
+        second buffer the solver lends between steps (`FluidSolver.idle`),
+        so this must not run while a fluid step does; its result owns its
+        memory."""
         disp = decompose_displacement(X, self.geom)
         f = compute_force(disp, self.coeff, self.geom,
                           scratch=self.solver.idle()[1]).cartesian

@@ -9,6 +9,7 @@ from ibshell.geometry import (
     _contraction,
     _covariant_derivative_raw,
     _diff_stack,
+    build_christoffel,
     build_geometry,
     components_first,
 )
@@ -18,6 +19,7 @@ from ibshell.shell import (
     Displacement,
     MaterialParams,
     ThinShellError,
+    _pair_symmetric,
     compute_coefficients,
     compute_force,
     decompose_displacement,
@@ -399,9 +401,9 @@ def test_force_matches_termwise_oracle():
 # ---------------------------------------------------------------------------
 # Components-first sums against np.einsum on lattice-first arrays
 # ---------------------------------------------------------------------------
-# Each explicit sum of `shell` is written in the order np.einsum sums the
-# same contraction on contiguous lattice-first arrays. A numpy build that
-# sums in another order fails one of these by name.
+# Each contraction of `shell` sums in the order np.einsum sums the same
+# contraction on contiguous lattice-first arrays. A numpy build that sums
+# in another order fails one of these by name.
 
 
 @pytest.fixture(scope="module")
@@ -626,6 +628,102 @@ def test_build_contraction_matches_einsum_bitwise(name, helicoid16):
             got = contract(*(np.ascontiguousarray(components_first(a)) for a in arrs))
             assert got.shape == want.shape[2:] + (n1, n2)
             assert _same_bits(oracles.lattice_view(got), want)
+
+
+def _random_field(rng, shape, zeros=0.5):
+    """Normal entries, a share of them made zeros of either sign."""
+    a = rng.standard_normal(shape)
+    a[rng.random(shape) < zeros] *= 0.0
+    return a
+
+
+def _point_view(rng, n1, n2, k):
+    """A components-first view of an (n1, n2, k) point field, as X - X0 is read."""
+    return components_first(_random_field(rng, (n1, n2, k)))
+
+
+def _pair_view(rng, n1, n2):
+    """Abar's and Obbar's storage: 9 components read through a pair-symmetric view."""
+    return _pair_symmetric(_random_field(rng, (n1, n2)),
+                           _random_field(rng, (2, 2, 2, 2, n1, n2)))
+
+
+def _christoffel_parts(rng, n1, n2):
+    """Gamma's lower-pair view, and its bracket in the layout numpy gives it
+    on large lattices: the sum of two transposed views, then dg subtracted
+    in place (numpy's temporary elision), so not C-contiguous."""
+    grid = oracles.flat_grid(n1, n2)
+    g = _random_field(rng, (2, 2, n1, n2))
+    g = g + g.swapaxes(0, 1)
+    dg = _diff_stack(g, grid)
+    bracket = dg.transpose(2, 1, 0, 3, 4) + dg.transpose(1, 0, 2, 3, 4)
+    bracket -= dg
+    ginv = _random_field(rng, (2, 2, n1, n2))
+    return build_christoffel(g, ginv, grid), bracket
+
+
+def _zero_view(shape):
+    """The leading closure's zero fields: every stride 0."""
+    return np.broadcast_to(0.0, shape)
+
+
+#: contractions of `src` fed operands in the layouts the build and the force
+#: pass them: (spec, maker of the operands from rng and the lattice)
+PRODUCTION_LAYOUTS = {
+    "decompose_omega": ("c,c->", lambda rng, n1, n2: (
+        _point_view(rng, n1, n2, 3), _random_field(rng, (3, n1, n2)))),
+    "decompose_W": ("c,ac->a", lambda rng, n1, n2: (
+        _point_view(rng, n1, n2, 3), _random_field(rng, (2, 3, n1, n2)))),
+    "cartesian": ("m,mc->c", lambda rng, n1, n2: (
+        _point_view(rng, n1, n2, 2), _random_field(rng, (2, 3, n1, n2)))),
+    "Abar_hess": ("stmn,mn->st", lambda rng, n1, n2: (
+        _pair_view(rng, n1, n2), _random_field(rng, (2, 2, n1, n2)))),
+    "Omega": ("stlr,stm,lrn->mn", lambda rng, n1, n2: (
+        _pair_view(rng, n1, n2), _random_field(rng, (2, 2, 2, n1, n2)),
+        _random_field(rng, (2, 2, 2, n1, n2)))),
+    "Psi": ("stmn,str->rmn", lambda rng, n1, n2: (
+        _pair_view(rng, n1, n2), _random_field(rng, (2, 2, 2, n1, n2)))),
+    "Obbar_gradW": ("stnm,st->nm", lambda rng, n1, n2: (
+        _pair_view(rng, n1, n2), _random_field(rng, (2, 2, n1, n2)))),
+    "christoffel": ("sl,smn->lmn", lambda rng, n1, n2: (
+        _random_field(rng, (2, 2, n1, n2)), _christoffel_parts(rng, n1, n2)[1])),
+    "Gamma_lower_pair": ("sl,smn->lmn", lambda rng, n1, n2: (
+        _random_field(rng, (2, 2, n1, n2)), _christoffel_parts(rng, n1, n2)[0])),
+    "Gamma_two_lane": ("smt,t->sm", lambda rng, n1, n2: (
+        _christoffel_parts(rng, n1, n2)[0], _random_field(rng, (2, n1, n2)))),
+    "Abbar_zero": ("st,->st", lambda rng, n1, n2: (
+        _zero_view((2, 2, n1, n2)), _random_field(rng, (n1, n2)))),
+    "Psi_zero": ("mst,st->m", lambda rng, n1, n2: (
+        _zero_view((2, 2, 2, n1, n2)), _random_field(rng, (2, 2, n1, n2)))),
+    "Psibar_zero": ("stmn,st->mn", lambda rng, n1, n2: (
+        _zero_view((2, 2, 2, 2, n1, n2)), _random_field(rng, (2, 2, n1, n2)))),
+    "Omegabar_zero": ("stm,st->m", lambda rng, n1, n2: (
+        _zero_view((2, 2, 2, n1, n2)), _random_field(rng, (2, 2, n1, n2)))),
+    "Phi_zero": ("n,n->", lambda rng, n1, n2: (
+        _zero_view((2, n1, n2)), _random_field(rng, (2, n1, n2)))),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCTION_LAYOUTS)
+def test_contraction_at_production_layouts_matches_einsum_bitwise(name, helicoid16):
+    # einsum's order follows its operands' strides, so each contraction is
+    # pinned at the layouts production passes: components-first views of
+    # point fields, the pair-symmetric views, Gamma's lower-pair view, zero
+    # views and a sum of transposed views, against lattice-first einsum on
+    # contiguous copies, the sign of each zero included
+    spec, make = PRODUCTION_LAYOUTS[name]
+    ins, out = spec.split("->")
+    einsum_spec = ",".join("xy" + op for op in ins.split(",")) + "->xy" + out
+    geom, _ = helicoid16
+    rng = np.random.default_rng(sorted(PRODUCTION_LAYOUTS).index(name))
+    for n1, n2 in ((geom.grid.n1, geom.grid.n2), (321, 13)):
+        arrs = make(rng, n1, n2)
+        assert not all(a.flags.c_contiguous for a in arrs)
+        want = np.einsum(einsum_spec, *(np.ascontiguousarray(oracles.lattice_view(a))
+                                        for a in arrs))
+        got = _contraction(spec)(*arrs)
+        assert got.shape == want.shape[2:] + (n1, n2)
+        assert _same_bits(oracles.lattice_view(got), want)
 
 
 def _build_chart(name):

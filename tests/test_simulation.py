@@ -490,13 +490,14 @@ def test_warm_step_memory_peak_at_n32(monkeypatch):
 
 def test_shell_force_memory_at_n64():
     # the force adds each term into its accumulator as it is formed, each
-    # contraction sums lane 0 in its result and writes lane 1 and the
-    # products into two scratch arrays, which live in the solver's idle
+    # contraction is einsum's, its lane 1 written into the solver's idle
     # r_hat[1] (FluidSolver.idle), and each jet entry and accumulator lives
     # from its first active row to its last, S and T giving way to their
-    # divergences there: 2.70 MB of temporaries; 3.08 with fresh scratch
-    # arrays, 4.36 while the whole jet and all four accumulators lived
-    # through the table, 5.52 before the terms were added as they were formed
+    # divergences there: 2.44 MB of temporaries; 2.70 while each
+    # contraction summed slice products through a product scratch, 3.08
+    # with fresh scratch arrays, 4.36 while the whole jet and all four
+    # accumulators lived through the table, 5.52 before the terms were
+    # added as they were formed
     sim = Simulation(ModelConfig(N=64, dt=2e-8))
     sim.run(1)
     X = sim.X
@@ -508,7 +509,7 @@ def test_shell_force_memory_at_n64():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2.8e6, peak
+    assert peak <= 2.45e6, peak
 
 
 @pytest.mark.parametrize("order", ["leading", "quadratic"])
